@@ -1,17 +1,21 @@
+import inspect
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from htmix import special
 from htmix.errors import AccuracyError, DomainError, UnsupportedRegimeError
 from htmix.special import (
+    DEFAULT_ACCURACY,
     Accuracy,
     InversionCdf,
-    InversionGrid,
     cdf_by_inversion,
     gamma_fn,
     genlinnik_cf,
@@ -379,6 +383,94 @@ class TestInversion:
             cdf_by_inversion(1.5, -1.0, 0.5)
 
 
+# Extended-precision values (mpmath, 25 digits): a graded quadrature up to a
+# zero of the oscillation past t = 1, then quadosc over the oscillatory tail.
+CDF_PINS = {
+    (0.6, 0.5): (0.71875811444147935, 0.87776410219589085,
+                 0.97676919238432423, 0.99219640787212341),
+    (1.0, 0.3): (0.73753173165393156, 0.92861392262457349,
+                 0.99682039362002992, 0.99952254706502558),
+    (2.0, 0.25): (0.65936997744922253, 0.9455641032769545,
+                  0.99999999999999835, 1.0),
+}
+CDF_PIN_X = (0.05, 1.0, 30.0, 200.0)
+PDF_PINS = {0.5: 0.21241555909985796, 3.0: 0.046969060945771586,
+            10.0: 0.002520610098313219}
+
+
+class TestInversionAccuracy:
+    @pytest.mark.parametrize("alpha,nu", sorted(CDF_PINS))
+    @pytest.mark.parametrize("i", range(len(CDF_PIN_X)))
+    def test_cdf_pinned(self, alpha, nu, i):
+        x = CDF_PIN_X[i]
+        assert cdf_by_inversion(alpha, nu, x) == pytest.approx(
+            CDF_PINS[alpha, nu][i], abs=1e-9
+        )
+
+    @pytest.mark.parametrize("x", sorted(PDF_PINS))
+    def test_pdf_pinned(self, x):
+        assert pdf_by_inversion(1.5, 2.0, x) == pytest.approx(PDF_PINS[x], abs=1e-9)
+
+    def test_cdf_against_live_mpmath(self):
+        mp.mp.dps = 25
+        try:
+            a, v = mp.mpf("0.6"), mp.mpf("0.5")
+            fn = lambda t: mp.sin(t) / t * (1 + t**a) ** (-v)
+            grading = [mp.mpf(10) ** -k for k in range(12, 0, -1)]
+            head = mp.quad(fn, [0] + grading + [1, 2, mp.pi])
+            tail = mp.quadosc(fn, [mp.pi, mp.inf], omega=1)
+            want = float(mp.mpf(0.5) + (head + tail) / mp.pi)
+        finally:
+            mp.mp.dps = 15
+        assert cdf_by_inversion(0.6, 0.5, 1.0) == pytest.approx(want, abs=1e-9)
+
+    def test_unreachable_tolerance_raises(self):
+        tight = Accuracy(abs_tol=1e-17)
+        with pytest.raises(AccuracyError):
+            cdf_by_inversion(0.6, 0.5, 1.0, accuracy=tight)
+        with pytest.raises(AccuracyError):
+            pdf_by_inversion(1.5, 2.0, 3.0, accuracy=tight)
+        with pytest.raises(AccuracyError):
+            InversionCdf(1.5, 2.0, 5.0, n_linear=4, n_log=4, accuracy=tight)
+
+    def test_small_alpha_nu_interpolant(self):
+        cdf = InversionCdf(0.6, 0.5, 1e3)
+        probe = np.linspace(-1e3, 1e3, 2001)
+        vals = cdf(probe)
+        assert np.all(np.diff(vals) >= 0)
+        np.testing.assert_allclose(vals + vals[::-1], 1.0, atol=1e-12)
+        for x in (-700.0, -3.0, 0.5, 4.0, 90.0):
+            assert float(cdf(x)) == pytest.approx(
+                cdf_by_inversion(0.6, 0.5, x), abs=3e-4
+            )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    nu=st.floats(min_value=0.05, max_value=10.0),
+    xs=st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=3, max_size=3),
+)
+def test_inversion_properties_over_domain(alpha, nu, xs):
+    """Either a valid, warning-free CDF (and density) or an AccuracyError."""
+    xs = sorted(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            upper = [cdf_by_inversion(alpha, nu, x) for x in xs]
+            lower = [cdf_by_inversion(alpha, nu, -x) for x in xs]
+            dens = [pdf_by_inversion(alpha, nu, x) for x in xs] if alpha * nu > 1 else []
+        except AccuracyError:
+            return
+    tol = 2 * DEFAULT_ACCURACY.abs_tol
+    assert all(math.isfinite(v) for v in upper + lower + dens)
+    assert all(0.5 <= v <= 1.0 for v in upper)
+    for hi, lo in zip(upper, lower):
+        assert hi + lo == pytest.approx(1.0, abs=tol)
+    assert all(b >= a - tol for a, b in zip(upper, upper[1:]))
+    assert all(d >= 0.0 for d in dens)
+
+
 class TestConfigRecords:
     def test_accuracy_validation(self):
         with pytest.raises(DomainError):
@@ -387,9 +479,8 @@ class TestConfigRecords:
             Accuracy(max_terms=4)
         assert Accuracy(abs_tol=1e-8).abs_tol == 1e-8
 
-    def test_inversion_grid_validation(self):
-        with pytest.raises(DomainError):
-            InversionGrid(t_max=0.0)
-        with pytest.raises(DomainError):
-            InversionGrid(t_max=10.0, panels=4)
-        assert InversionGrid(t_max=3.0).panels == 64
+    def test_inversion_grid_knob_removed(self):
+        # The inversion has no truncation point left to override.
+        assert not hasattr(special, "InversionGrid")
+        for fn in (cdf_by_inversion, pdf_by_inversion):
+            assert "grid" not in inspect.signature(fn).parameters
