@@ -15,13 +15,6 @@ from .distributions import (
     analytic_cf,
     analytic_lst,
     sample,
-    sample_gen_linnik,
-    sample_gen_mittag_leffler,
-    sample_linnik,
-    sample_mittag_leffler,
-    sample_stable,
-    sample_stable_ratio,
-    sample_z,
 )
 from .errors import AccuracyError, DomainError, UnsupportedRegimeError
 from .limits import (
@@ -94,13 +87,6 @@ __all__ = [
     "analytic_cf",
     "analytic_lst",
     "sample",
-    "sample_gen_linnik",
-    "sample_gen_mittag_leffler",
-    "sample_linnik",
-    "sample_mittag_leffler",
-    "sample_stable",
-    "sample_stable_ratio",
-    "sample_z",
     "MetricEntry",
     "VerificationReport",
     "ecf_distance",

@@ -120,11 +120,9 @@ def _parse_grid(spec: str):
     return [lo + step * i for i in range(count)]
 
 
-def _parse_number_list(text: str, kind: str):
+def _parse_number_list(text: str, kind: type):
     try:
-        if kind == "int":
-            return tuple(int(v) for v in text.split(","))
-        return tuple(float(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
         raise DomainError(f"bad grid list {text!r}") from exc
 
@@ -285,45 +283,20 @@ def _cmd_verify(args) -> int:
 def _cmd_limit(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     theorem = args.theorem
-    if theorem == "lemma14":
-        if args.p_grid is None:
-            raise DomainError("lemma14 needs --p-grid")
-        if args.nu is None:
-            raise DomainError("lemma14 needs --nu")
-        report = limits.run_lemma14(
-            args.nu,
-            _parse_number_list(args.p_grid, "float"),
-            args.reps,
-            seed,
-            threshold=args.threshold,
-        )
-    else:
-        if args.n_grid is None:
-            raise DomainError(f"{theorem} needs --n-grid")
-        if args.alpha is None or args.nu is None:
-            raise DomainError(f"{theorem} needs --alpha and --nu")
-        n_grid = _parse_number_list(args.n_grid, "int")
-        if theorem == "thm6":
-            if args.control is not None:
-                raise DomainError("control runs exist only for thm7 and thm8")
-            report = limits.run_thm6(
-                args.alpha, args.nu, n_grid, args.reps, seed,
-                threshold=args.threshold,
-            )
-        elif theorem == "thm7":
-            report = limits.run_thm7(
-                args.alpha, args.nu, n_grid, args.reps, seed,
-                summand=_dehyphen(args.summand),
-                threshold=args.threshold,
-                control=args.control,
-            )
-        else:
-            report = limits.run_thm8(
-                args.alpha, args.nu, n_grid, args.reps, seed,
-                statistic=_dehyphen(args.statistic),
-                threshold=args.threshold,
-                control=args.control,
-            )
+    lemma = theorem == "lemma14"
+    grids = {"--p-grid": args.p_grid, "--n-grid": args.n_grid}
+    wanted, unused = ("--p-grid", "--n-grid") if lemma else ("--n-grid", "--p-grid")
+    if grids[unused] is not None:
+        raise DomainError(f"{theorem} does not take {unused}")
+    if grids[wanted] is None:
+        raise DomainError(f"{theorem} needs {wanted}")
+    grid = _parse_number_list(grids[wanted], float if lemma else int)
+    statistic = None if args.statistic is None else _dehyphen(args.statistic)
+    report = limits.run_experiment(limits.LimitExperiment(
+        theorem, args.nu, args.alpha, grid, args.reps, seed,
+        summand=args.summand, statistic=statistic, control=args.control,
+        threshold=args.threshold,
+    ))
     if args.format == "json":
         text = report.to_json() + "\n"
     else:
@@ -415,10 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--p-grid", dest="p_grid", help="comma-separated probs")
     p_limit.add_argument("--reps", type=int, default=100_000)
     p_limit.add_argument("--seed", type=int)
-    p_limit.add_argument(
-        "--summand", choices=["rademacher", "uniform"], default="rademacher"
-    )
-    p_limit.add_argument("--statistic", choices=["sample-mean"], default="sample-mean")
+    p_limit.add_argument("--summand", choices=list(limits.SUMMANDS))
+    p_limit.add_argument("--statistic", choices=["sample-mean"])
     p_limit.add_argument("--control", choices=["fixed-index"])
     p_limit.add_argument("--threshold", type=float)
     p_limit.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -35,14 +35,6 @@ __all__ = [
     "FAMILIES",
     "METHODS",
     "sample",
-    "sample_basic",
-    "sample_stable",
-    "sample_stable_ratio",
-    "sample_z",
-    "sample_mittag_leffler",
-    "sample_gen_mittag_leffler",
-    "sample_linnik",
-    "sample_gen_linnik",
     "analytic_cf",
     "analytic_lst",
 ]
@@ -229,24 +221,6 @@ METHODS: dict[str, tuple[str, ...]] = {
     "gen_linnik": ("stable_gamma", "normal_genml", "linnik_z", "stable_genml"),
 }
 
-_DEFAULT_METHOD = {
-    "mittag_leffler": "stable_weibull",
-    "linnik": "stable_weibull",
-    "gen_linnik": "stable_gamma",
-}
-
-_BASIC_FAMILIES = (
-    "normal",
-    "laplace",
-    "exponential",
-    "weibull",
-    "gamma",
-    "gen_gamma",
-    "exp_power",
-    "neg_binom",
-)
-
-
 @dataclass(frozen=True)
 class DistSpec:
     """One distribution family with validated parameters and optional method."""
@@ -283,6 +257,10 @@ class DistSpec:
             raise DomainError(
                 f"method {self.method!r} is not defined for family {self.family!r}"
             )
+        if self.family in ("mittag_leffler", "linnik") and self.params.nu != 1.0:
+            raise DomainError(
+                f"{self.family} requires nu = 1; use gen_{self.family}"
+            )
         if self.family == "linnik" and self.method == "laplace_ratio":
             if self.params.alpha >= 2:
                 raise DomainError("method laplace_ratio requires alpha < 2")
@@ -292,7 +270,7 @@ class DistSpec:
 
     def resolved_method(self) -> str | None:
         if self.family in METHODS:
-            return self.method or _DEFAULT_METHOD[self.family]
+            return self.method or METHODS[self.family][0]
         return None
 
     def describe(self) -> str:
@@ -481,7 +459,7 @@ def _basic_values(rng: np.random.Generator, n: int, spec: DistSpec):
     if fam == "neg_binom":
         lam = rng.standard_gamma(p.nu, n) * ((1.0 - p.p) / p.p)
         return 1.0 + rng.poisson(lam).astype(float)
-    raise DomainError(f"family {fam!r} is not a basic family")
+    raise DomainError(f"unknown family {fam!r}")
 
 
 def _check_n(n) -> int:
@@ -505,9 +483,7 @@ def sample(spec: DistSpec, n, stream: RandomStream) -> SampleBatch:
     rng = stream.generator()
     fam = spec.family
     p = spec.params
-    if fam in _BASIC_FAMILIES:
-        values = _basic_values(rng, n, spec)
-    elif fam == "stable":
+    if fam == "stable":
         if p.theta == "symmetric":
             values = _stable_symmetric_values(rng, n, p.alpha)
         else:
@@ -517,75 +493,16 @@ def sample(spec: DistSpec, n, stream: RandomStream) -> SampleBatch:
     elif fam == "z_mix":
         values = _z_values(rng, n, p.r, p.mu)
     elif fam == "mittag_leffler":
-        if p.nu != 1.0:
-            raise DomainError("mittag_leffler requires nu = 1; use gen_mittag_leffler")
         values = _ml_values(rng, n, p.delta, spec.resolved_method())
     elif fam == "gen_mittag_leffler":
         values = _gen_ml_values(rng, n, p.delta, p.nu)
     elif fam == "linnik":
-        if p.nu != 1.0:
-            raise DomainError("linnik requires nu = 1; use gen_linnik")
         values = _linnik_values(rng, n, p.alpha, spec.resolved_method())
     elif fam == "gen_linnik":
         values = _gen_linnik_values(rng, n, p.alpha, p.nu, spec.resolved_method())
     else:
-        raise DomainError(f"unknown family {fam!r}")
+        values = _basic_values(rng, n, spec)
     return SampleBatch(values, spec, int(stream.seed), int(stream.substream), n)
-
-
-def sample_basic(spec: DistSpec, n, stream: RandomStream) -> SampleBatch:
-    """Draw from one of the eight basic families."""
-    if not isinstance(spec, DistSpec):
-        raise DomainError("spec must be a DistSpec")
-    if spec.family not in _BASIC_FAMILIES:
-        raise DomainError(f"family {spec.family!r} is not a basic family")
-    return sample(spec, n, stream)
-
-
-def sample_stable(p: StableParams, n, stream: RandomStream) -> SampleBatch:
-    """Strictly stable draws, symmetric or one-sided per p.theta."""
-    return sample(DistSpec("stable", p), n, stream)
-
-
-def sample_stable_ratio(delta, n, stream: RandomStream) -> SampleBatch:
-    """Ratio of two independent one-sided stable draws, delta in (0, 1)."""
-    return sample(DistSpec("stable_ratio", StableRatioParams(delta)), n, stream)
-
-
-def sample_z(p: ZParams, n, stream: RandomStream) -> SampleBatch:
-    """Gamma-ratio mixing draws, all at least mu."""
-    return sample(DistSpec("z_mix", p), n, stream)
-
-
-def sample_mittag_leffler(
-    p: MLParams, n, stream: RandomStream, method: str = "stable_weibull"
-) -> SampleBatch:
-    """Ordinary Mittag-Leffler draws (requires p.nu = 1).
-
-    stable_weibull multiplies a one-sided stable by an independent Weibull;
-    exp_ratio multiplies a unit exponential by an independent stable ratio.
-    Both are exact.
-    """
-    return sample(DistSpec("mittag_leffler", p, method), n, stream)
-
-
-def sample_gen_mittag_leffler(p: MLParams, n, stream: RandomStream) -> SampleBatch:
-    """Generalized Mittag-Leffler draws: one-sided stable times gamma^(1/delta)."""
-    return sample(DistSpec("gen_mittag_leffler", p), n, stream)
-
-
-def sample_linnik(
-    p: LinnikParams, n, stream: RandomStream, method: str = "stable_weibull"
-) -> SampleBatch:
-    """Ordinary Linnik draws (requires p.nu = 1)."""
-    return sample(DistSpec("linnik", p, method), n, stream)
-
-
-def sample_gen_linnik(
-    p: LinnikParams, n, stream: RandomStream, method: str = "stable_gamma"
-) -> SampleBatch:
-    """Generalized Linnik draws; default method is the two-layer stable-gamma mix."""
-    return sample(DistSpec("gen_linnik", p, method), n, stream)
 
 
 # ---------------------------------------------------------------------------

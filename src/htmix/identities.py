@@ -71,7 +71,6 @@ __all__ = [
     "Reciprocal",
     "Scale",
     "Abs",
-    "Affine",
     "DistExpr",
     "evaluate",
     "GridPoint",
@@ -215,30 +214,7 @@ class Abs:
         return f"|{self.base.describe()}|"
 
 
-@dataclass(frozen=True)
-class Affine:
-    base: object
-    shift: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        _check_expr(self.base)
-        shift = float(self.shift)
-        factor = float(self.factor)
-        if not (math.isfinite(shift) and math.isfinite(factor)):
-            raise DomainError("affine coefficients must be finite")
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "factor", factor)
-
-    @property
-    def positive(self) -> bool:
-        return False
-
-    def describe(self) -> str:
-        return f"({self.shift:g} + {self.factor:g}*({self.base.describe()}))"
-
-
-DistExpr = (Draw, Product, Power, Reciprocal, Scale, Abs, Affine)
+DistExpr = (Draw, Product, Power, Reciprocal, Scale, Abs)
 
 
 def _check_expr(expr) -> None:
@@ -281,8 +257,6 @@ def _eval(expr, n, stream, offsets) -> np.ndarray:
         return expr.factor * _eval(expr.base, n, stream, offsets)
     if isinstance(expr, Abs):
         return np.abs(_eval(expr.base, n, stream, offsets))
-    if isinstance(expr, Affine):
-        return expr.shift + expr.factor * _eval(expr.base, n, stream, offsets)
     raise DomainError(f"not an expression node: {expr!r}")
 
 

@@ -16,6 +16,14 @@ Four experiments:
   generalized Mittag-Leffler variate; sigma*sqrt(n)*(T_N - theta)
   approaches the generalized Linnik law.
 
+thm6, thm7 and thm8 are one construction, a normalized sum of a random
+number N of summands, and share one driver, ``_random_sums``. Only the law
+of N, the summands and the normalization differ. For grid value n at index
+i the driver draws N on substream 2i and the summands on substream 2i+1;
+lemma14 draws grid value i on substream i. Every experiment is a
+``LimitExperiment``, which alone validates its inputs, and runs through
+``run_experiment``; ``run_lemma14`` ... ``run_thm8`` are shorthands for it.
+
 Sums are computed honestly (summand by summand); the only shortcuts are
 exact lattice facts: a sum of N Rademacher signs is 2*Binomial(N, 1/2) - N.
 Every experiment reports a one-sample KS distance per grid value against
@@ -38,7 +46,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.special as sc
 
-from .distributions import _gen_ml_values, _stable_symmetric_values
+from .distributions import _gen_ml_values, _pos, _stable_symmetric_values
 from .errors import AccuracyError, DomainError
 from .special import InversionCdf
 from .streams import DEFAULT_SEED, RandomStream
@@ -160,22 +168,6 @@ class ConvergenceReport:
         return lines
 
 
-def _check_replications(replications) -> int:
-    if not isinstance(replications, (int, np.integer)) or replications < 1000:
-        raise DomainError("replications must be an integer >= 1000")
-    return int(replications)
-
-
-def _check_alpha_nu(alpha, nu) -> tuple[float, float]:
-    alpha = float(alpha)
-    nu = float(nu)
-    if not (0 < alpha <= 2) or not math.isfinite(alpha):
-        raise DomainError("alpha must lie in (0, 2]")
-    if not (nu > 0) or not math.isfinite(nu):
-        raise DomainError("nu must be positive")
-    return alpha, nu
-
-
 def _check_n_grid(n_grid) -> tuple[int, ...]:
     grid = tuple(int(v) for v in n_grid)
     if not grid or any(v < 1 for v in grid):
@@ -192,6 +184,108 @@ def _check_p_grid(p_grid) -> tuple[float, ...]:
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DomainError("p_grid must be strictly decreasing")
     return grid
+
+
+def _summand_drawer(summand, rng: np.random.Generator | None):
+    """Zero-mean unit-variance summand source; None means Rademacher signs."""
+    if summand == "rademacher":
+        return None
+    if summand == "uniform":
+        half = math.sqrt(3.0)
+        return lambda m: rng.uniform(-half, half, m)
+    if isinstance(summand, tuple) and len(summand) == 3:
+        draw, mean, var = summand
+        if float(mean) != 0.0:
+            raise DomainError("summand law must have zero mean")
+        if not (float(var) > 0) or not math.isfinite(float(var)):
+            raise DomainError("summand law must declare a positive finite variance")
+        return lambda m: np.asarray(draw(rng, m), dtype=float)
+    raise DomainError(
+        f"unknown summand law {summand!r}; use 'rademacher', 'uniform', "
+        "or a (draw, mean, variance) triple"
+    )
+
+
+def _statistic_descriptor(statistic) -> tuple[float, float]:
+    if statistic == "sample_mean":
+        return 1.0, 0.0
+    if isinstance(statistic, Mapping):
+        if "sigma" not in statistic or "theta" not in statistic:
+            raise DomainError("statistic descriptor must declare sigma and theta")
+        sigma = float(statistic["sigma"])
+        theta = float(statistic["theta"])
+        if not (sigma > 0) or not math.isfinite(sigma) or not math.isfinite(theta):
+            raise DomainError("statistic descriptor needs sigma > 0 and finite theta")
+        return sigma, theta
+    raise DomainError(f"unknown statistic descriptor {statistic!r}")
+
+
+@dataclass(frozen=True)
+class LimitExperiment:
+    """Declarative configuration for one limit experiment, validated here.
+
+    grid holds sample sizes n for thm6/thm7/thm8 (strictly increasing
+    integers) or probabilities p for lemma14 (strictly decreasing in
+    (0, 1)). alpha is read by thm6-thm8 only, summand by thm7 only and
+    statistic by thm8 only; giving one to another theorem is an error.
+    summand defaults to "rademacher" for thm7, statistic to "sample_mean"
+    for thm8, and threshold to the theorem's default.
+    """
+
+    theorem: str
+    nu: float
+    alpha: float | None = None
+    grid: tuple = ()
+    replications: int = 100_000
+    seed: int = DEFAULT_SEED
+    summand: object = None
+    statistic: object = None
+    control: str | None = None
+    threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        theorem = self.theorem
+        if theorem not in THEOREMS:
+            raise DomainError(
+                f"unknown theorem tag {theorem!r}; choose from {THEOREMS}"
+            )
+        if self.nu is None:
+            raise DomainError(f"{theorem} needs nu")
+        object.__setattr__(self, "nu", _pos(self.nu, "nu"))
+        if theorem == "lemma14":
+            if self.alpha is not None:
+                raise DomainError("lemma14 takes no alpha")
+            object.__setattr__(self, "grid", _check_p_grid(self.grid))
+        else:
+            if self.alpha is None:
+                raise DomainError(f"{theorem} needs alpha")
+            object.__setattr__(self, "alpha", _pos(self.alpha, "alpha"))
+            if self.alpha > 2:
+                raise DomainError("alpha must lie in (0, 2]")
+            object.__setattr__(self, "grid", _check_n_grid(self.grid))
+        reps = self.replications
+        if not isinstance(reps, (int, np.integer)) or reps < 1000:
+            raise DomainError("replications must be an integer >= 1000")
+        object.__setattr__(self, "replications", int(reps))
+        if self.control is not None and theorem not in ("thm7", "thm8"):
+            raise DomainError("control runs exist only for thm7 and thm8")
+        if self.control not in (None, "fixed-index"):
+            raise DomainError("control must be None or 'fixed-index'")
+        if theorem == "thm7":
+            if self.summand is None:
+                object.__setattr__(self, "summand", "rademacher")
+            _summand_drawer(self.summand, None)
+        elif self.summand is not None:
+            raise DomainError("summand applies only to thm7")
+        if theorem == "thm8":
+            if self.statistic is None:
+                object.__setattr__(self, "statistic", "sample_mean")
+            _statistic_descriptor(self.statistic)
+        elif self.statistic is not None:
+            raise DomainError("statistic applies only to thm8")
+        if self.threshold is None:
+            strict = theorem == "lemma14" or (theorem != "thm8" and self.alpha == 2.0)
+            object.__setattr__(self, "threshold", 0.01 if strict else 0.015)
 
 
 def _nb_counts(rng: np.random.Generator, nu: float, p: float, size: int) -> np.ndarray:
@@ -234,6 +328,13 @@ def _grouped_sums(draw: Callable[[int], np.ndarray], counts: np.ndarray) -> np.n
     return sums
 
 
+def _rademacher_sums(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    # Sum of N signs is exactly 2*Binomial(N, 1/2) - N; lattice-exact even
+    # for astronomically large N.
+    b = rng.binomial(counts, 0.5)
+    return (2 * b - counts).astype(float)
+
+
 def _reference_cdf(alpha: float, nu: float, sample: np.ndarray) -> InversionCdf:
     x_max = float(np.abs(sample).max())
     return InversionCdf(alpha, nu, max(x_max, 2.5))
@@ -243,12 +344,78 @@ def _normal_cdf(x):
     return sc.ndtr(np.asarray(x, dtype=float))
 
 
-def _default_threshold(theorem: str, alpha: float | None) -> float:
-    if theorem == "lemma14":
-        return 0.01
-    if theorem in ("thm6", "thm7"):
-        return 0.01 if alpha == 2.0 else 0.015
-    return 0.015
+def _lemma14(exp: LimitExperiment) -> ConvergenceReport:
+    rows = []
+    for index, p in enumerate(exp.grid):
+        rng = RandomStream(exp.seed, index).generator()
+        scaled = p * _nb_counts(rng, exp.nu, p, exp.replications).astype(float)
+        ks = ks_one_sample(scaled, lambda x: sc.gammainc(exp.nu, x))
+        rows.append(ConvergenceRow(p, ks, exp.threshold))
+    params = {"nu": exp.nu, "replications": exp.replications}
+    return ConvergenceReport(
+        "lemma14", params, "convergence", int(exp.seed), tuple(rows), scaled
+    )
+
+
+def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
+    """The one driver of thm6, thm7 and thm8 and their fixed-index controls.
+
+    For grid value n at index i, the index N is drawn on substream 2i and
+    the summands on substream 2i+1.
+    """
+    theorem, alpha, nu, reps = exp.theorem, exp.alpha, exp.nu, exp.replications
+    fixed = exp.control == "fixed-index"
+    params = {"alpha": alpha, "nu": nu, "replications": reps}
+    if theorem == "thm7":
+        params["summand"] = exp.summand if isinstance(exp.summand, str) else "custom"
+    if theorem == "thm8":
+        sigma, theta = _statistic_descriptor(exp.statistic)
+        params.update(sigma=sigma, theta=theta)
+    rows = []
+    for index, n in enumerate(exp.grid):
+        idx_rng = RandomStream(exp.seed, 2 * index).generator()
+        sum_rng = RandomStream(exp.seed, 2 * index + 1).generator()
+        if fixed:
+            counts = np.full(reps, int(n), dtype=np.int64)
+        elif theorem == "thm6":
+            counts = _nb_counts(idx_rng, nu, 1.0 / n, reps)
+        else:
+            g = _gen_ml_values(idx_rng, reps, alpha / 2.0, nu)
+            v = 2.0 * g if theorem == "thm7" else 1.0 / (2.0 * g)
+            counts = np.maximum(1, np.round(float(n) * v)).astype(np.int64)
+        if theorem == "thm6":
+            draw = lambda m: _stable_symmetric_values(sum_rng, m, alpha)
+        else:
+            # thm8's statistic is a mean of Rademacher signs.
+            draw = _summand_drawer(exp.summand or "rademacher", sum_rng)
+        if draw is None:
+            sums = _rademacher_sums(sum_rng, counts)
+        else:
+            sums = _grouped_sums(draw, counts)
+        if theorem == "thm6":
+            stat = sums * float(n) ** (-1.0 / alpha)
+        elif theorem == "thm7":
+            stat = sums / math.sqrt(float(n))
+        else:
+            # Sample mean of draws theta + (1/sigma) * sign: T - theta is the
+            # mean sign over sigma, and the sign sum is lattice-exact.
+            stat = sigma * math.sqrt(float(n)) * (
+                sums / (sigma * counts.astype(float))
+            )
+        ks_target = ks_one_sample(stat, _reference_cdf(alpha, nu, stat))
+        ks_normal = ks_one_sample(stat, _normal_cdf) if fixed else None
+        rows.append(ConvergenceRow(float(n), ks_target, exp.threshold, ks_normal))
+    mode = "negative-control" if fixed else "convergence"
+    return ConvergenceReport(theorem, params, mode, int(exp.seed), tuple(rows), stat)
+
+
+def run_experiment(exp: LimitExperiment) -> ConvergenceReport:
+    """Run one configured experiment; every theorem and the CLI go through here."""
+    if not isinstance(exp, LimitExperiment):
+        raise DomainError("expected a LimitExperiment")
+    if exp.theorem == "lemma14":
+        return _lemma14(exp)
+    return _random_sums(exp)
 
 
 def run_lemma14(
@@ -260,29 +427,10 @@ def run_lemma14(
     threshold: float | None = None,
 ) -> ConvergenceReport:
     """Scaled negative binomial counts against the gamma(nu, 1) law."""
-    nu = float(nu)
-    if not (nu > 0) or not math.isfinite(nu):
-        raise DomainError("nu must be positive")
-    p_grid = _check_p_grid(p_grid)
-    replications = _check_replications(replications)
-    if threshold is None:
-        threshold = _default_threshold("lemma14", None)
-    rows = []
-    final = None
-    for index, p in enumerate(p_grid):
-        rng = RandomStream(seed, index).generator()
-        scaled = p * _nb_counts(rng, nu, p, replications).astype(float)
-        ks = ks_one_sample(scaled, lambda x: sc.gammainc(nu, x))
-        rows.append(ConvergenceRow(p, ks, threshold))
-        final = scaled
-    return ConvergenceReport(
-        "lemma14",
-        {"nu": nu, "replications": replications},
-        "convergence",
-        int(seed),
-        tuple(rows),
-        final,
-    )
+    return run_experiment(LimitExperiment(
+        "lemma14", nu, grid=p_grid, replications=replications, seed=seed,
+        threshold=threshold,
+    ))
 
 
 def run_thm6(
@@ -299,59 +447,9 @@ def run_thm6(
     Per replication: N ~ NB(nu, 1/n) on {1, 2, ...}, then the sum of N
     independent symmetric alpha-stable draws scaled by n^(-1/alpha).
     """
-    alpha, nu = _check_alpha_nu(alpha, nu)
-    n_grid = _check_n_grid(n_grid)
-    replications = _check_replications(replications)
-    if threshold is None:
-        threshold = _default_threshold("thm6", alpha)
-    rows = []
-    final = None
-    for index, n in enumerate(n_grid):
-        idx_rng = RandomStream(seed, 2 * index).generator()
-        sum_rng = RandomStream(seed, 2 * index + 1).generator()
-        counts = _nb_counts(idx_rng, nu, 1.0 / n, replications)
-        sums = _grouped_sums(
-            lambda m: _stable_symmetric_values(sum_rng, m, alpha), counts
-        )
-        stat = sums * float(n) ** (-1.0 / alpha)
-        ref = _reference_cdf(alpha, nu, stat)
-        rows.append(ConvergenceRow(float(n), ks_one_sample(stat, ref), threshold))
-        final = stat
-    return ConvergenceReport(
-        "thm6",
-        {"alpha": alpha, "nu": nu, "replications": replications},
-        "convergence",
-        int(seed),
-        tuple(rows),
-        final,
-    )
-
-
-def _summand_drawer(summand, rng: np.random.Generator):
-    """Zero-mean unit-variance summand source; returns (kind, draw_fn)."""
-    if summand == "rademacher":
-        return "rademacher", None
-    if summand == "uniform":
-        half = math.sqrt(3.0)
-        return "generic", lambda m: rng.uniform(-half, half, m)
-    if isinstance(summand, tuple) and len(summand) == 3:
-        draw, mean, var = summand
-        if float(mean) != 0.0:
-            raise DomainError("summand law must have zero mean")
-        if not (float(var) > 0) or not math.isfinite(float(var)):
-            raise DomainError("summand law must declare a positive finite variance")
-        return "generic", lambda m: np.asarray(draw(rng, m), dtype=float)
-    raise DomainError(
-        f"unknown summand law {summand!r}; use 'rademacher', 'uniform', "
-        "or a (draw, mean, variance) triple"
-    )
-
-
-def _rademacher_sums(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-    # Sum of N signs is exactly 2*Binomial(N, 1/2) - N; lattice-exact even
-    # for astronomically large N.
-    b = rng.binomial(counts, 0.5)
-    return (2 * b - counts).astype(float)
+    return run_experiment(LimitExperiment(
+        "thm6", nu, alpha, n_grid, replications, seed, threshold=threshold,
+    ))
 
 
 def run_thm7(
@@ -372,63 +470,10 @@ def run_thm7(
     classical CLT then applies and the report flags non-convergence to the
     heavy-tailed target.
     """
-    alpha, nu = _check_alpha_nu(alpha, nu)
-    n_grid = _check_n_grid(n_grid)
-    replications = _check_replications(replications)
-    if control not in (None, "fixed-index"):
-        raise DomainError("control must be None or 'fixed-index'")
-    if threshold is None:
-        threshold = _default_threshold("thm7", alpha)
-    rows = []
-    final = None
-    for index, n in enumerate(n_grid):
-        mix_rng = RandomStream(seed, 2 * index).generator()
-        sum_rng = RandomStream(seed, 2 * index + 1).generator()
-        kind, draw = _summand_drawer(summand, sum_rng)
-        if control == "fixed-index":
-            counts = np.full(replications, int(n), dtype=np.int64)
-        else:
-            v = 2.0 * _gen_ml_values(mix_rng, replications, alpha / 2.0, nu)
-            counts = np.maximum(1, np.round(float(n) * v)).astype(np.int64)
-        if kind == "rademacher":
-            sums = _rademacher_sums(sum_rng, counts)
-        else:
-            sums = _grouped_sums(draw, counts)
-        stat = sums / math.sqrt(float(n))
-        ref = _reference_cdf(alpha, nu, stat)
-        ks_target = ks_one_sample(stat, ref)
-        ks_normal = (
-            ks_one_sample(stat, _normal_cdf) if control == "fixed-index" else None
-        )
-        rows.append(ConvergenceRow(float(n), ks_target, threshold, ks_normal))
-        final = stat
-    return ConvergenceReport(
-        "thm7",
-        {
-            "alpha": alpha,
-            "nu": nu,
-            "replications": replications,
-            "summand": summand if isinstance(summand, str) else "custom",
-        },
-        "negative-control" if control == "fixed-index" else "convergence",
-        int(seed),
-        tuple(rows),
-        final,
-    )
-
-
-def _statistic_descriptor(statistic) -> tuple[float, float]:
-    if statistic == "sample_mean":
-        return 1.0, 0.0
-    if isinstance(statistic, Mapping):
-        if "sigma" not in statistic or "theta" not in statistic:
-            raise DomainError("statistic descriptor must declare sigma and theta")
-        sigma = float(statistic["sigma"])
-        theta = float(statistic["theta"])
-        if not (sigma > 0) or not math.isfinite(sigma) or not math.isfinite(theta):
-            raise DomainError("statistic descriptor needs sigma > 0 and finite theta")
-        return sigma, theta
-    raise DomainError(f"unknown statistic descriptor {statistic!r}")
+    return run_experiment(LimitExperiment(
+        "thm7", nu, alpha, n_grid, replications, seed, summand=summand,
+        threshold=threshold, control=control,
+    ))
 
 
 def run_thm8(
@@ -450,114 +495,7 @@ def run_thm8(
     generalized Mittag-Leffler variate. control="fixed-index" sets N = n,
     recovering the plain normal limit.
     """
-    alpha, nu = _check_alpha_nu(alpha, nu)
-    n_grid = _check_n_grid(n_grid)
-    replications = _check_replications(replications)
-    sigma, theta = _statistic_descriptor(statistic)
-    if control not in (None, "fixed-index"):
-        raise DomainError("control must be None or 'fixed-index'")
-    if threshold is None:
-        threshold = _default_threshold("thm8", alpha)
-    rows = []
-    final = None
-    for index, n in enumerate(n_grid):
-        mix_rng = RandomStream(seed, 2 * index).generator()
-        sum_rng = RandomStream(seed, 2 * index + 1).generator()
-        if control == "fixed-index":
-            counts = np.full(replications, int(n), dtype=np.int64)
-        else:
-            v = 1.0 / (2.0 * _gen_ml_values(mix_rng, replications, alpha / 2.0, nu))
-            counts = np.maximum(1, np.round(float(n) * v)).astype(np.int64)
-        # Sample mean of draws theta + (1/sigma) * sign: T - theta is the
-        # mean sign over sigma, and the sign sum is lattice-exact.
-        sign_sums = _rademacher_sums(sum_rng, counts)
-        t_minus_theta = sign_sums / (sigma * counts.astype(float))
-        stat = sigma * math.sqrt(float(n)) * t_minus_theta
-        ref = _reference_cdf(alpha, nu, stat)
-        ks_target = ks_one_sample(stat, ref)
-        ks_normal = (
-            ks_one_sample(stat, _normal_cdf) if control == "fixed-index" else None
-        )
-        rows.append(ConvergenceRow(float(n), ks_target, threshold, ks_normal))
-        final = stat
-    return ConvergenceReport(
-        "thm8",
-        {"alpha": alpha, "nu": nu, "replications": replications, "sigma": sigma,
-         "theta": theta},
-        "negative-control" if control == "fixed-index" else "convergence",
-        int(seed),
-        tuple(rows),
-        final,
-    )
-
-
-@dataclass(frozen=True)
-class LimitExperiment:
-    """Declarative configuration for one limit experiment.
-
-    grid holds sample sizes n for thm6/thm7/thm8 (strictly increasing
-    integers) or probabilities p for lemma14 (strictly decreasing in
-    (0, 1)).
-    """
-
-    theorem: str
-    nu: float
-    alpha: float | None = None
-    grid: tuple = ()
-    replications: int = 100_000
-    seed: int = DEFAULT_SEED
-    summand: str = "rademacher"
-    statistic: object = "sample_mean"
-    control: str | None = None
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.theorem not in THEOREMS:
-            raise DomainError(
-                f"unknown theorem tag {self.theorem!r}; choose from {THEOREMS}"
-            )
-        nu = float(self.nu)
-        if not (nu > 0) or not math.isfinite(nu):
-            raise DomainError("nu must be positive")
-        object.__setattr__(self, "nu", nu)
-        if self.theorem == "lemma14":
-            object.__setattr__(self, "grid", _check_p_grid(self.grid))
-        else:
-            if self.alpha is None:
-                raise DomainError(f"{self.theorem} needs alpha")
-            alpha, _ = _check_alpha_nu(self.alpha, nu)
-            object.__setattr__(self, "alpha", alpha)
-            object.__setattr__(self, "grid", _check_n_grid(self.grid))
-        _check_replications(self.replications)
-        if self.control is not None and self.theorem not in ("thm7", "thm8"):
-            raise DomainError("control runs exist only for thm7 and thm8")
-        if self.control not in (None, "fixed-index"):
-            raise DomainError("control must be None or 'fixed-index'")
-        if self.theorem == "thm7":
-            _summand_drawer(self.summand, np.random.default_rng(0))
-        if self.theorem == "thm8":
-            _statistic_descriptor(self.statistic)
-
-
-def run_experiment(exp: LimitExperiment) -> ConvergenceReport:
-    """Dispatch one configured experiment."""
-    if not isinstance(exp, LimitExperiment):
-        raise DomainError("expected a LimitExperiment")
-    if exp.theorem == "lemma14":
-        return run_lemma14(
-            exp.nu, exp.grid, exp.replications, exp.seed, threshold=exp.threshold
-        )
-    if exp.theorem == "thm6":
-        return run_thm6(
-            exp.alpha, exp.nu, exp.grid, exp.replications, exp.seed,
-            threshold=exp.threshold,
-        )
-    if exp.theorem == "thm7":
-        return run_thm7(
-            exp.alpha, exp.nu, exp.grid, exp.replications, exp.seed,
-            summand=exp.summand, threshold=exp.threshold, control=exp.control,
-        )
-    return run_thm8(
-        exp.alpha, exp.nu, exp.grid, exp.replications, exp.seed,
-        statistic=exp.statistic, threshold=exp.threshold, control=exp.control,
-    )
+    return run_experiment(LimitExperiment(
+        "thm8", nu, alpha, n_grid, replications, seed, statistic=statistic,
+        threshold=threshold, control=control,
+    ))

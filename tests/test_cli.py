@@ -227,6 +227,31 @@ class TestLimit:
                    "--n-grid", "100", "--reps", "1000",
                    "--control", "fixed-index") == 2
 
+    @pytest.mark.parametrize(
+        "theorem_args,flag",
+        [
+            (["lemma14", "--p-grid", "0.1", "--control", "fixed-index",
+              "--alpha", "9", "--n-grid", "5"], "--n-grid"),
+            (["lemma14", "--p-grid", "0.1", "--alpha", "9"], "alpha"),
+            (["lemma14", "--p-grid", "0.1", "--control", "fixed-index"],
+             "control"),
+            (["thm6", "--alpha", "2", "--n-grid", "100", "--summand",
+              "uniform"], "summand"),
+            (["thm8", "--alpha", "2", "--n-grid", "100", "--summand",
+              "rademacher"], "summand"),
+            (["thm7", "--alpha", "2", "--n-grid", "100", "--statistic",
+              "sample-mean"], "statistic"),
+            (["thm7", "--alpha", "2", "--n-grid", "100", "--p-grid", "0.1"],
+             "--p-grid"),
+        ],
+    )
+    def test_unread_flag_rejected(self, theorem_args, flag, capsys):
+        assert run("limit", "--theorem", *theorem_args, "--nu", "1",
+                   "--reps", "1000") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
     def test_missing_grid(self, capsys):
         assert run("limit", "--theorem", "thm7", "--alpha", "2",
                    "--nu", "1", "--reps", "1000") == 2

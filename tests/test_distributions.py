@@ -21,14 +21,6 @@ from htmix.distributions import (
     analytic_cf,
     analytic_lst,
     sample,
-    sample_basic,
-    sample_gen_linnik,
-    sample_gen_mittag_leffler,
-    sample_linnik,
-    sample_mittag_leffler,
-    sample_stable,
-    sample_stable_ratio,
-    sample_z,
 )
 from htmix.errors import DomainError
 from htmix.streams import RandomStream
@@ -198,52 +190,49 @@ class TestBasicFamilies:
             sd = math.sqrt(want * (1 - want) / N)
             assert abs(got - want) < 5 * sd + 1e-12
 
-    def test_sample_basic_rejects_structured(self):
-        with pytest.raises(DomainError):
-            sample_basic(spec_of("linnik", alpha=1.0), 10, STREAM)
-
 
 class TestStable:
     @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.95, 2.0])
     def test_symmetric_ecf(self, alpha):
-        b = sample_stable(StableParams(alpha), N, STREAM)
+        b = sample(DistSpec("stable", StableParams(alpha)), N, STREAM)
         cf = analytic_cf(DistSpec("stable", StableParams(alpha)))
         assert ecf_distance(b, cf) < 4.0 / math.sqrt(N)
 
     def test_alpha_one_is_cauchy(self):
-        b = sample_stable(StableParams(1.0), N, STREAM)
+        b = sample(DistSpec("stable", StableParams(1.0)), N, STREAM)
         d = ks_one_sample(b, scipy.stats.cauchy.cdf)
         assert d < 1.949 * math.sqrt(1.0 / N)
 
     def test_alpha_two_is_root_two_normal(self):
-        b = sample_stable(StableParams(2.0), N, STREAM)
+        b = sample(DistSpec("stable", StableParams(2.0)), N, STREAM)
         d = ks_one_sample(b, lambda x: scipy.stats.norm.cdf(x, scale=math.sqrt(2)))
         assert d < 1.949 * math.sqrt(1.0 / N)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0])
     def test_one_sided_lst(self, alpha):
-        b = sample_stable(StableParams(alpha, "one_sided"), N, STREAM)
+        b = sample(DistSpec("stable", StableParams(alpha, "one_sided")), N, STREAM)
         lst = analytic_lst(DistSpec("stable", StableParams(alpha, "one_sided")))
         assert lst_distance(b, lst) < 1.5 / math.sqrt(N)
 
     def test_one_sided_half_is_levy(self):
-        b = sample_stable(StableParams(0.5, "one_sided"), N, STREAM)
+        b = sample(DistSpec("stable", StableParams(0.5, "one_sided")), N, STREAM)
         d = ks_one_sample(b, lambda x: sc.erfc(1.0 / (2.0 * np.sqrt(x))))
         assert d < 1.949 * math.sqrt(1.0 / N)
 
     def test_one_sided_alpha_one_degenerates(self):
-        b = sample_stable(StableParams(1.0, "one_sided"), 100, STREAM)
+        b = sample(DistSpec("stable", StableParams(1.0, "one_sided")), 100, STREAM)
         np.testing.assert_array_equal(b.values, np.ones(100))
 
     def test_positive_support(self):
-        b = sample_stable(StableParams(0.4, "one_sided"), 10_000, STREAM)
+        b = sample(DistSpec("stable", StableParams(0.4, "one_sided")), 10_000, STREAM)
         assert b.values.min() > 0
 
 
 class TestStableRatio:
     def test_reciprocal_same_law(self):
-        a = sample_stable_ratio(0.6, N, RandomStream(5, 0))
-        b = sample_stable_ratio(0.6, N, RandomStream(5, 50))
+        spec = DistSpec("stable_ratio", StableRatioParams(0.6))
+        a = sample(spec, N, RandomStream(5, 0))
+        b = sample(spec, N, RandomStream(5, 50))
         d = ks_two_sample(a.values, 1.0 / b.values)
         assert d < ks_two_sample_threshold(N, N)
 
@@ -253,7 +242,7 @@ class TestStableRatio:
         from htmix.special import stable_ratio_density
 
         delta = 0.7
-        b = sample_stable_ratio(delta, 50_000, STREAM)
+        b = sample(DistSpec("stable_ratio", StableRatioParams(delta)), 50_000, STREAM)
 
         def cdf(x):
             val, _ = integrate.quad(
@@ -268,16 +257,16 @@ class TestStableRatio:
 
     def test_delta_one_rejected(self):
         with pytest.raises(DomainError):
-            sample_stable_ratio(1.0, 10, STREAM)
+            sample(DistSpec("stable_ratio", StableRatioParams(1.0)), 10, STREAM)
 
 
 class TestZMix:
     def test_support_above_mu(self):
-        b = sample_z(ZParams(0.4, 2.0), 10_000, STREAM)
+        b = sample(DistSpec("z_mix", ZParams(0.4, 2.0)), 10_000, STREAM)
         assert b.values.min() >= 2.0
 
     def test_degenerate_r_one(self):
-        b = sample_z(ZParams(1.0, 3.0), 100, STREAM)
+        b = sample(DistSpec("z_mix", ZParams(1.0, 3.0)), 100, STREAM)
         np.testing.assert_array_equal(b.values, np.full(100, 3.0))
 
     def test_matches_mixing_density(self):
@@ -286,7 +275,7 @@ class TestZMix:
         from htmix.special import gleser_mixing_density
 
         r, mu = 0.3, 1.0
-        b = sample_z(ZParams(r, mu), 50_000, STREAM)
+        b = sample(DistSpec("z_mix", ZParams(r, mu)), 50_000, STREAM)
 
         def cdf(x):
             val, _ = integrate.quad(
@@ -303,41 +292,45 @@ class TestZMix:
 class TestMittagLefflerFamily:
     @pytest.mark.parametrize("method", METHODS["mittag_leffler"])
     def test_lst(self, method):
-        b = sample_mittag_leffler(MLParams(0.6), N, STREAM, method=method)
+        b = sample(DistSpec("mittag_leffler", MLParams(0.6), method), N, STREAM)
         lst = analytic_lst(DistSpec("mittag_leffler", MLParams(0.6)))
         assert lst_distance(b, lst) < 1.5 / math.sqrt(N)
 
     def test_methods_agree(self):
-        a = sample_mittag_leffler(MLParams(0.4), N, RandomStream(8, 0))
-        b = sample_mittag_leffler(
-            MLParams(0.4), N, RandomStream(8, 7), method="exp_ratio"
-        )
+        a = sample(DistSpec("mittag_leffler", MLParams(0.4)), N, RandomStream(8, 0))
+        spec = DistSpec("mittag_leffler", MLParams(0.4), "exp_ratio")
+        b = sample(spec, N, RandomStream(8, 7))
         assert ks_two_sample(a, b) < ks_two_sample_threshold(N, N)
 
     def test_delta_one_is_exponential(self):
-        b = sample_mittag_leffler(MLParams(1.0), N, STREAM)
+        b = sample(DistSpec("mittag_leffler", MLParams(1.0)), N, STREAM)
         d = ks_one_sample(b, scipy.stats.expon.cdf)
         assert d < 1.949 * math.sqrt(1.0 / N)
 
     def test_nu_must_be_one(self):
+        # Rejected at construction, so analytic_lst cannot silently return
+        # the nu = 1 transform for a nu != 1 spec.
+        with pytest.raises(DomainError, match="gen_mittag_leffler"):
+            DistSpec("mittag_leffler", {"delta": 0.5, "nu": 2})
         with pytest.raises(DomainError):
-            sample(spec_of("mittag_leffler", delta=0.5, nu=2.0), 10, STREAM)
+            DistSpec("mittag_leffler", MLParams(0.5, 2.0), "exp_ratio")
 
 
 class TestGenMittagLeffler:
     @pytest.mark.parametrize("delta,nu", [(0.5, 0.7), (0.8, 2.5), (1.0, 3.0)])
     def test_lst(self, delta, nu):
-        b = sample_gen_mittag_leffler(MLParams(delta, nu), N, STREAM)
+        b = sample(DistSpec("gen_mittag_leffler", MLParams(delta, nu)), N, STREAM)
         lst = analytic_lst(DistSpec("gen_mittag_leffler", MLParams(delta, nu)))
         assert lst_distance(b, lst) < 1.5 / math.sqrt(N)
 
     def test_nu_one_matches_ordinary(self):
-        a = sample_gen_mittag_leffler(MLParams(0.6, 1.0), N, RandomStream(3, 0))
-        b = sample_mittag_leffler(MLParams(0.6), N, RandomStream(3, 9))
+        spec = DistSpec("gen_mittag_leffler", MLParams(0.6, 1.0))
+        a = sample(spec, N, RandomStream(3, 0))
+        b = sample(DistSpec("mittag_leffler", MLParams(0.6)), N, RandomStream(3, 9))
         assert ks_two_sample(a, b) < ks_two_sample_threshold(N, N)
 
     def test_delta_one_is_gamma(self):
-        b = sample_gen_mittag_leffler(MLParams(1.0, 2.5), N, STREAM)
+        b = sample(DistSpec("gen_mittag_leffler", MLParams(1.0, 2.5)), N, STREAM)
         d = ks_one_sample(b, lambda x: scipy.stats.gamma.cdf(x, 2.5))
         assert d < 1.949 * math.sqrt(1.0 / N)
 
@@ -345,18 +338,18 @@ class TestGenMittagLeffler:
 class TestLinnikFamily:
     @pytest.mark.parametrize("method", METHODS["linnik"])
     def test_ecf(self, method):
-        b = sample_linnik(LinnikParams(1.5), N, STREAM, method=method)
+        b = sample(DistSpec("linnik", LinnikParams(1.5), method), N, STREAM)
         cf = analytic_cf(DistSpec("linnik", LinnikParams(1.5)))
         assert ecf_distance(b, cf) < 4.0 / math.sqrt(N)
 
     def test_alpha_two_is_laplace(self):
-        b = sample_linnik(LinnikParams(2.0), N, STREAM)
+        b = sample(DistSpec("linnik", LinnikParams(2.0)), N, STREAM)
         d = ks_one_sample(b, scipy.stats.laplace.cdf)
         assert d < 1.949 * math.sqrt(1.0 / N)
 
     def test_methods_agree_pairwise(self):
         batches = [
-            sample_linnik(LinnikParams(1.2), N, RandomStream(4, 10 * i), method=m)
+            sample(DistSpec("linnik", LinnikParams(1.2), m), N, RandomStream(4, 10 * i))
             for i, m in enumerate(METHODS["linnik"])
         ]
         thr = ks_two_sample_threshold(N, N)
@@ -365,8 +358,12 @@ class TestLinnikFamily:
                 assert ks_two_sample(batches[i], batches[j]) < thr
 
     def test_nu_must_be_one(self):
+        # Rejected at construction, so analytic_cf cannot silently return
+        # the nu = 1 transform for a nu != 1 spec.
+        with pytest.raises(DomainError, match="gen_linnik"):
+            DistSpec("linnik", {"alpha": 1.0, "nu": 2.0})
         with pytest.raises(DomainError):
-            sample(spec_of("linnik", alpha=1.0, nu=2.0), 10, STREAM)
+            DistSpec("linnik", LinnikParams(1.5, 0.5), "normal_ml")
 
 
 class TestGenLinnik:
@@ -375,24 +372,25 @@ class TestGenLinnik:
     )
     def test_ecf(self, method):
         p = LinnikParams(1.5, 2.0)
-        b = sample_gen_linnik(p, N, STREAM, method=method)
+        b = sample(DistSpec("gen_linnik", p, method), N, STREAM)
         cf = analytic_cf(DistSpec("gen_linnik", p))
         assert ecf_distance(b, cf) < 4.0 / math.sqrt(N)
 
     def test_linnik_z_method(self):
         p = LinnikParams(1.5, 0.8)
-        b = sample_gen_linnik(p, N, STREAM, method="linnik_z")
+        b = sample(DistSpec("gen_linnik", p, "linnik_z"), N, STREAM)
         cf = analytic_cf(DistSpec("gen_linnik", p))
         assert ecf_distance(b, cf) < 4.0 / math.sqrt(N)
 
     def test_nu_one_matches_linnik(self):
-        a = sample_gen_linnik(LinnikParams(1.0, 1.0), N, RandomStream(6, 0))
-        b = sample_linnik(LinnikParams(1.0), N, RandomStream(6, 11))
+        spec = DistSpec("gen_linnik", LinnikParams(1.0, 1.0))
+        a = sample(spec, N, RandomStream(6, 0))
+        b = sample(DistSpec("linnik", LinnikParams(1.0)), N, RandomStream(6, 11))
         assert ks_two_sample(a, b) < ks_two_sample_threshold(N, N)
 
     def test_alpha_two_is_normal_gamma_mixture(self):
         nu = 3.0
-        a = sample_gen_linnik(LinnikParams(2.0, nu), N, RandomStream(7, 0))
+        a = sample(DistSpec("gen_linnik", LinnikParams(2.0, nu)), N, RandomStream(7, 0))
         rng = RandomStream(7, 21).generator()
         direct = rng.standard_normal(N) * np.sqrt(2.0 * rng.standard_gamma(nu, N))
         assert ks_two_sample(a.values, direct) < ks_two_sample_threshold(N, N)
@@ -433,7 +431,7 @@ class TestDispatcherGuards:
 )
 def test_symmetric_stable_always_finite(alpha, seed):
     """Log-form sampler stays finite at extreme exponents."""
-    b = sample_stable(StableParams(alpha), 500, RandomStream(seed, 0))
+    b = sample(DistSpec("stable", StableParams(alpha)), 500, RandomStream(seed, 0))
     assert np.all(np.isfinite(b.values))
 
 
@@ -443,7 +441,8 @@ def test_symmetric_stable_always_finite(alpha, seed):
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_one_sided_stable_finite_and_positive(alpha, seed):
-    b = sample_stable(StableParams(alpha, "one_sided"), 500, RandomStream(seed, 0))
+    spec = DistSpec("stable", StableParams(alpha, "one_sided"))
+    b = sample(spec, 500, RandomStream(seed, 0))
     assert np.all(np.isfinite(b.values))
     assert np.all(b.values > 0)
 

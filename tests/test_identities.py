@@ -9,7 +9,6 @@ from htmix.distributions import DistSpec, sample
 from htmix.errors import DomainError
 from htmix.identities import (
     Abs,
-    Affine,
     Draw,
     IdentityCase,
     Power,
@@ -162,12 +161,6 @@ class TestExpressionNodes:
 
     def test_abs_is_positive(self):
         assert Abs(Draw(DistSpec("normal"))).positive
-
-    def test_affine_is_signed(self):
-        node = Affine(Draw(DistSpec("exponential")), 1.0, 2.0)
-        assert not node.positive
-        with pytest.raises(DomainError):
-            Affine(Draw(DistSpec("exponential")), float("inf"), 1.0)
 
     def test_positivity_of_stable_depends_on_branch(self):
         one_sided = Draw(DistSpec("stable", {"alpha": 0.7, "theta": "one_sided"}))

@@ -324,6 +324,40 @@ class TestExperimentRecord:
         with pytest.raises(DomainError):
             LimitExperiment(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"theorem": "lemma14", "alpha": 2.0, "grid": (0.1,)}, "alpha"),
+            ({"theorem": "lemma14", "grid": (0.1,), "control": "fixed-index"},
+             "control"),
+            ({"theorem": "thm6", "alpha": 2.0, "grid": (100,),
+              "summand": "uniform"}, "summand"),
+            ({"theorem": "thm8", "alpha": 2.0, "grid": (100,),
+              "summand": "rademacher"}, "summand"),
+            ({"theorem": "thm6", "alpha": 2.0, "grid": (100,),
+              "statistic": "sample_mean"}, "statistic"),
+            ({"theorem": "thm7", "alpha": 2.0, "grid": (100,),
+              "statistic": {"sigma": 1.0, "theta": 0.0}}, "statistic"),
+        ],
+    )
+    def test_rejects_fields_the_theorem_does_not_read(self, kwargs, field):
+        with pytest.raises(DomainError, match=field):
+            LimitExperiment(nu=1.0, **kwargs)
+
+    def test_fills_in_defaults(self):
+        thm7 = LimitExperiment("thm7", 1.0, alpha=2.0, grid=(100,))
+        assert (thm7.summand, thm7.statistic, thm7.threshold) == (
+            "rademacher", None, 0.01
+        )
+        thm8 = LimitExperiment("thm8", 1.0, alpha=2.0, grid=(100,))
+        assert (thm8.summand, thm8.statistic, thm8.threshold) == (
+            None, "sample_mean", 0.015
+        )
+        assert LimitExperiment("thm6", 1.0, alpha=1.5, grid=(9,)).threshold == 0.015
+        assert LimitExperiment("lemma14", 1.0, grid=(0.1,)).threshold == 0.01
+        exp = LimitExperiment("thm6", 1.0, alpha=2.0, grid=(9,), threshold=0.3)
+        assert exp.threshold == 0.3
+
     def test_dispatch_matches_direct_call(self):
         exp = LimitExperiment("lemma14", 1.0, grid=(0.05,), replications=2000,
                               seed=7)
