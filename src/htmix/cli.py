@@ -17,17 +17,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields as dc_fields
 from pathlib import Path
 
 from . import identities, limits, special
-from .distributions import (
-    _RECORD_TYPES,
-    FAMILIES,
-    METHODS,
-    DistSpec,
-    sample,
-)
+from .distributions import _FAMILY_TABLE, FAMILIES, METHODS, DistSpec, sample
 from .errors import AccuracyError, DomainError, UnsupportedRegimeError
 from .streams import DEFAULT_SEED, RandomStream
 
@@ -42,24 +35,6 @@ _IDENTITY_FLAGS = {
     "gamma": "g",
     "r": "r",
     "mu": "m",
-}
-
-_DIST_CONSTRAINTS = {
-    "normal": "no parameters",
-    "laplace": "no parameters",
-    "exponential": "no parameters",
-    "weibull": "gamma > 0",
-    "gamma": "r > 0, lambda > 0",
-    "gen-gamma": "r > 0, alpha != 0, lambda > 0",
-    "exp-power": "nu > 0",
-    "neg-binom": "nu > 0, p in (0, 1)",
-    "stable": "alpha in (0, 2]; theta one-sided needs alpha <= 1",
-    "stable-ratio": "delta in (0, 1)",
-    "z-mix": "r in (0, 1], mu > 0",
-    "mittag-leffler": "delta in (0, 1]",
-    "gen-mittag-leffler": "delta in (0, 1], nu > 0",
-    "linnik": "alpha in (0, 2]",
-    "gen-linnik": "alpha in (0, 2], nu > 0",
 }
 
 # eval function name -> (callable, parameter flags consumed before x).
@@ -127,50 +102,16 @@ def _parse_number_list(text: str, kind: type):
         raise DomainError(f"bad grid list {text!r}") from exc
 
 
-def _collect_family_params(args) -> dict:
-    family = _dehyphen(args.dist)
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {args.dist!r}")
-    record_type = _RECORD_TYPES[family]
-    given = {
+def _cmd_sample(args) -> int:
+    params = {
         name: getattr(args, name)
         for name in _PARAM_FLAGS
         if getattr(args, name) is not None
     }
-    if "theta" in given:
-        given["theta"] = _dehyphen(given["theta"])
-    if record_type is None:
-        if given:
-            raise DomainError(
-                f"family {args.dist!r} takes no parameters, got "
-                + ", ".join(sorted(given))
-            )
-        return {}
-    allowed = {f.name for f in dc_fields(record_type)}
-    extra = sorted(set(given) - allowed)
-    if extra:
-        raise DomainError(
-            f"family {args.dist!r} does not take: " + ", ".join(extra)
-        )
-    required = {
-        f.name
-        for f in dc_fields(record_type)
-        if f.default is MISSING and f.default_factory is MISSING
-    }
-    missing = sorted(required - set(given))
-    if missing:
-        raise DomainError(
-            f"family {args.dist!r} needs: " + ", ".join(missing)
-        )
-    return given
-
-
-def _cmd_sample(args) -> int:
-    params = _collect_family_params(args)
+    if "theta" in params:
+        params["theta"] = _dehyphen(params["theta"])
     method = _dehyphen(args.method) if args.method else None
-    spec = DistSpec(_dehyphen(args.dist), params or None, method)
-    if args.n < 1:
-        raise DomainError("n must be a positive integer")
+    spec = DistSpec(_dehyphen(args.dist), params, method)
     seed = args.seed if args.seed is not None else _default_seed()
     batch = sample(spec, args.n, RandomStream(seed))
     lines = ["index,value"]
@@ -310,13 +251,12 @@ def _cmd_list(args) -> int:
     show_all = not (args.identities or args.dists or args.theorems)
     if args.dists or show_all:
         lines = ["distributions:"]
-        for family in FAMILIES:
-            name = family.replace("_", "-")
-            entry = f"  {name}: {_DIST_CONSTRAINTS[name]}"
+        for family, entry in _FAMILY_TABLE.items():
+            line = f"  {family.replace('_', '-')}: {entry.constraints}"
             if family in METHODS:
                 methods = ", ".join(m.replace("_", "-") for m in METHODS[family])
-                entry += f" [methods: {methods}]"
-            lines.append(entry)
+                line += f" [methods: {methods}]"
+            lines.append(line)
         sections.append("\n".join(lines))
     if args.identities or show_all:
         lines = ["identities:"]

@@ -5,13 +5,14 @@ gen_gamma, exp_power, neg_binom) and seven structured laws (stable,
 stable_ratio, z_mix, mittag_leffler, gen_mittag_leffler, linnik, gen_linnik).
 Every structured sampler is built from an exact mixture representation, never
 from approximate inversion. Samplers are pure functions of (spec, n, stream):
-same inputs, bit-identical output.
+same inputs, bit-identical output. Each family is one entry of _FAMILY_TABLE;
+sampling, the closed transforms and positivity all read that entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -195,32 +196,6 @@ class ZParams:
             raise DomainError("r must lie in (0, 1]")
 
 
-_RECORD_TYPES: dict[str, type | None] = {
-    "normal": None,
-    "laplace": None,
-    "exponential": None,
-    "weibull": WeibullParams,
-    "gamma": GammaParams,
-    "gen_gamma": GGParams,
-    "exp_power": ExpPowerParams,
-    "neg_binom": NegBinParams,
-    "stable": StableParams,
-    "stable_ratio": StableRatioParams,
-    "z_mix": ZParams,
-    "mittag_leffler": MLParams,
-    "gen_mittag_leffler": MLParams,
-    "linnik": LinnikParams,
-    "gen_linnik": LinnikParams,
-}
-
-FAMILIES = tuple(_RECORD_TYPES)
-
-METHODS: dict[str, tuple[str, ...]] = {
-    "mittag_leffler": ("stable_weibull", "exp_ratio"),
-    "linnik": ("stable_weibull", "normal_ml", "laplace_ratio"),
-    "gen_linnik": ("stable_gamma", "normal_genml", "linnik_z", "stable_genml"),
-}
-
 @dataclass(frozen=True)
 class DistSpec:
     """One distribution family with validated parameters and optional method."""
@@ -230,9 +205,10 @@ class DistSpec:
     method: str | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _RECORD_TYPES:
+        if self.family not in _FAMILY_TABLE:
             raise DomainError(f"unknown family {self.family!r}")
-        record_type = _RECORD_TYPES[self.family]
+        entry = _FAMILY_TABLE[self.family]
+        record_type = entry.record
         params = self.params
         if record_type is None:
             if params not in (None, {}, ()):
@@ -241,37 +217,40 @@ class DistSpec:
         elif isinstance(params, record_type):
             pass
         elif isinstance(params, Mapping):
-            try:
-                params = record_type(**params)
-            except TypeError as exc:
+            names = [f.name for f in fields(record_type)]
+            extra = sorted(map(str, set(params) - set(names)))
+            if extra:
                 raise DomainError(
-                    f"bad parameters for family {self.family!r}: {exc}"
-                ) from exc
+                    f"family {self.family!r} does not take: " + ", ".join(extra)
+                )
+            missing = sorted(
+                f.name
+                for f in fields(record_type)
+                if f.default is MISSING and f.name not in params
+            )
+            if missing:
+                raise DomainError(
+                    f"family {self.family!r} needs: " + ", ".join(missing)
+                )
+            params = record_type(**params)
         else:
             raise DomainError(
                 f"family {self.family!r} needs {record_type.__name__} parameters"
             )
         object.__setattr__(self, "params", params)
-        allowed = METHODS.get(self.family, ())
-        if self.method is not None and self.method not in allowed:
+        if self.method is not None and self.method not in METHODS.get(self.family, ()):
             raise DomainError(
                 f"method {self.method!r} is not defined for family {self.family!r}"
             )
-        if self.family in ("mittag_leffler", "linnik") and self.params.nu != 1.0:
-            raise DomainError(
-                f"{self.family} requires nu = 1; use gen_{self.family}"
-            )
-        if self.family == "linnik" and self.method == "laplace_ratio":
-            if self.params.alpha >= 2:
-                raise DomainError("method laplace_ratio requires alpha < 2")
-        if self.family == "gen_linnik" and self.method == "linnik_z":
-            if self.params.nu > 1:
-                raise DomainError("method linnik_z requires nu <= 1")
+        entry.domain(params, self.method)
 
     def resolved_method(self) -> str | None:
-        if self.family in METHODS:
-            return self.method or METHODS[self.family][0]
-        return None
+        return self.method or next(iter(_FAMILY_TABLE[self.family].routes))
+
+    @property
+    def positive(self) -> bool:
+        """True when the family's draws are almost surely positive."""
+        return _FAMILY_TABLE[self.family].positive(self.params)
 
     def describe(self) -> str:
         parts = [self.family]
@@ -376,15 +355,15 @@ def _z_values(rng: np.random.Generator, n: int, r: float, mu: float):
     return mu * (g1 + g2) / g1
 
 
-def _ml_values(rng: np.random.Generator, n: int, delta: float, method: str):
-    if method == "stable_weibull":
-        s = _stable_one_sided_values(rng, n, delta)
-        w = rng.standard_exponential(n) ** (1.0 / delta)
-        return s * w
-    if method == "exp_ratio":
-        w = rng.standard_exponential(n)
-        return w * _stable_ratio_values(rng, n, delta)
-    raise DomainError(f"unknown mittag_leffler method {method!r}")
+def _ml_stable_weibull(rng: np.random.Generator, n: int, delta: float):
+    s = _stable_one_sided_values(rng, n, delta)
+    w = rng.standard_exponential(n) ** (1.0 / delta)
+    return s * w
+
+
+def _ml_exp_ratio(rng: np.random.Generator, n: int, delta: float):
+    w = rng.standard_exponential(n)
+    return w * _stable_ratio_values(rng, n, delta)
 
 
 def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
@@ -393,151 +372,257 @@ def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
     return s * g
 
 
-def _linnik_values(rng: np.random.Generator, n: int, alpha: float, method: str):
-    if method == "stable_weibull":
-        s = _stable_symmetric_values(rng, n, alpha)
-        w = rng.standard_exponential(n) ** (1.0 / alpha)
-        return s * w
-    if method == "normal_ml":
-        x = rng.standard_normal(n)
-        m = _ml_values(rng, n, alpha / 2.0, "stable_weibull")
-        return x * np.sqrt(2.0 * m)
-    if method == "laplace_ratio":
-        if alpha >= 2.0:
-            raise DomainError("method laplace_ratio requires alpha < 2")
-        lap = rng.laplace(0.0, 1.0, n)
-        return lap * np.sqrt(_stable_ratio_values(rng, n, alpha / 2.0))
-    raise DomainError(f"unknown linnik method {method!r}")
+# Linnik and generalized Linnik routes read alpha (and nu) off the record.
 
 
-def _gen_linnik_values(
-    rng: np.random.Generator, n: int, alpha: float, nu: float, method: str
-):
-    if method == "stable_gamma":
-        s = _stable_symmetric_values(rng, n, alpha)
-        g = rng.standard_gamma(nu, n) ** (1.0 / alpha)
-        return s * g
-    if method == "normal_genml":
-        x = rng.standard_normal(n)
-        m = _gen_ml_values(rng, n, alpha / 2.0, nu)
-        return x * np.sqrt(2.0 * m)
-    if method == "linnik_z":
-        if nu > 1.0:
-            raise DomainError("method linnik_z requires nu <= 1")
-        lin = _linnik_values(rng, n, alpha, "stable_weibull")
-        z = _z_values(rng, n, nu, 1.0)
-        return lin * z ** (-1.0 / alpha)
-    if method == "stable_genml":
-        # Split alpha = a * b with a <= 2 symmetric-stable and b < 1 inner
-        # exponent; this split is exact and collapses to stable_gamma at
-        # alpha = 2.
-        b = (alpha + 2.0) / 4.0
-        a = 4.0 * alpha / (alpha + 2.0)
-        s = _stable_symmetric_values(rng, n, a)
-        m = _gen_ml_values(rng, n, b, nu)
-        return s * m ** (1.0 / a)
-    raise DomainError(f"unknown gen_linnik method {method!r}")
+def _linnik_stable_weibull(rng: np.random.Generator, n: int, p: LinnikParams):
+    s = _stable_symmetric_values(rng, n, p.alpha)
+    w = rng.standard_exponential(n) ** (1.0 / p.alpha)
+    return s * w
 
 
-def _basic_values(rng: np.random.Generator, n: int, spec: DistSpec):
-    fam = spec.family
-    p = spec.params
-    if fam == "normal":
-        return rng.standard_normal(n)
-    if fam == "laplace":
-        return rng.laplace(0.0, 1.0, n)
-    if fam == "exponential":
-        return rng.standard_exponential(n)
-    if fam == "weibull":
-        return rng.standard_exponential(n) ** (1.0 / p.gamma)
-    if fam == "gamma":
-        return rng.standard_gamma(p.r, n) / p.lam
-    if fam == "gen_gamma":
-        return (rng.standard_gamma(p.r, n) / p.lam) ** (1.0 / p.alpha)
-    if fam == "exp_power":
-        return rng.standard_gamma(p.nu, n) ** p.nu
-    if fam == "neg_binom":
-        lam = rng.standard_gamma(p.nu, n) * ((1.0 - p.p) / p.p)
-        return 1.0 + rng.poisson(lam).astype(float)
-    raise DomainError(f"unknown family {fam!r}")
+def _linnik_normal_ml(rng: np.random.Generator, n: int, p: LinnikParams):
+    x = rng.standard_normal(n)
+    m = _ml_stable_weibull(rng, n, p.alpha / 2.0)
+    return x * np.sqrt(2.0 * m)
 
 
-def _check_n(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError("n must be a positive integer")
-    return int(n)
+def _linnik_laplace_ratio(rng: np.random.Generator, n: int, p: LinnikParams):
+    lap = rng.laplace(0.0, 1.0, n)
+    return lap * np.sqrt(_stable_ratio_values(rng, n, p.alpha / 2.0))
 
 
-def _check_stream(stream) -> RandomStream:
-    if not isinstance(stream, RandomStream):
-        raise DomainError("stream must be a RandomStream")
-    return stream
+def _gen_linnik_stable_gamma(rng: np.random.Generator, n: int, p: LinnikParams):
+    s = _stable_symmetric_values(rng, n, p.alpha)
+    g = rng.standard_gamma(p.nu, n) ** (1.0 / p.alpha)
+    return s * g
+
+
+def _gen_linnik_normal_genml(rng: np.random.Generator, n: int, p: LinnikParams):
+    x = rng.standard_normal(n)
+    m = _gen_ml_values(rng, n, p.alpha / 2.0, p.nu)
+    return x * np.sqrt(2.0 * m)
+
+
+def _gen_linnik_linnik_z(rng: np.random.Generator, n: int, p: LinnikParams):
+    lin = _linnik_stable_weibull(rng, n, p)
+    z = _z_values(rng, n, p.nu, 1.0)
+    return lin * z ** (-1.0 / p.alpha)
+
+
+def _gen_linnik_stable_genml(rng: np.random.Generator, n: int, p: LinnikParams):
+    # Split alpha = a * b with a <= 2 symmetric-stable and b < 1 inner
+    # exponent; this split is exact and collapses to stable_gamma at
+    # alpha = 2.
+    b = (p.alpha + 2.0) / 4.0
+    a = 4.0 * p.alpha / (p.alpha + 2.0)
+    s = _stable_symmetric_values(rng, n, a)
+    m = _gen_ml_values(rng, n, b, p.nu)
+    return s * m ** (1.0 / a)
+
+
+def _neg_binom_values(rng: np.random.Generator, n: int, p: NegBinParams):
+    lam = rng.standard_gamma(p.nu, n) * ((1.0 - p.p) / p.p)
+    return 1.0 + rng.poisson(lam).astype(float)
+
+
+_STABLE_KERNELS = {
+    "symmetric": _stable_symmetric_values,
+    "one_sided": _stable_one_sided_values,
+}
+
+
+# ---------------------------------------------------------------------------
+# The family table. Adding a family means adding one entry here.
+
+
+def _require_nu_one(family: str, p) -> None:
+    if p.nu != 1.0:
+        raise DomainError(f"{family} requires nu = 1; use gen_{family}")
+
+
+def _linnik_domain(p: LinnikParams, method: str | None) -> None:
+    _require_nu_one("linnik", p)
+    if method == "laplace_ratio" and p.alpha >= 2:
+        raise DomainError("method laplace_ratio requires alpha < 2")
+
+
+def _gen_linnik_domain(p: LinnikParams, method: str | None) -> None:
+    if method == "linnik_z" and p.nu > 1:
+        raise DomainError("method linnik_z requires nu <= 1")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family: param record, sampling routes and closed-form facts.
+
+    routes maps each route to its kernel(rng, n, params), default first; a
+    family with one route keys it None and offers no method. constraints is
+    the domain text of `htmix list`. positive, cf, lst and domain read the
+    validated params: cf and lst build the closed transform or return None,
+    and domain rejects params/method pairs the record alone accepts.
+    """
+
+    record: type | None
+    routes: Mapping[str | None, Callable]
+    constraints: str
+    positive: Callable[[object], bool] = lambda p: False
+    cf: Callable[[object], Callable[[float], float] | None] = lambda p: None
+    lst: Callable[[object], Callable[[float], float] | None] = lambda p: None
+    domain: Callable[[object, str | None], None] = lambda p, method: None
+
+
+_FAMILY_TABLE: dict[str, _Family] = {
+    "normal": _Family(
+        None,
+        {None: lambda rng, n, p: rng.standard_normal(n)},
+        "no parameters",
+        cf=lambda p: lambda t: math.exp(-0.5 * t * t),
+    ),
+    "laplace": _Family(
+        None,
+        {None: lambda rng, n, p: rng.laplace(0.0, 1.0, n)},
+        "no parameters",
+        cf=lambda p: lambda t: 1.0 / (1.0 + t * t),
+    ),
+    "exponential": _Family(
+        None,
+        {None: lambda rng, n, p: rng.standard_exponential(n)},
+        "no parameters",
+        positive=lambda p: True,
+        lst=lambda p: lambda s: 1.0 / (1.0 + s),
+    ),
+    "weibull": _Family(
+        WeibullParams,
+        {None: lambda rng, n, p: rng.standard_exponential(n) ** (1.0 / p.gamma)},
+        "gamma > 0",
+        positive=lambda p: True,
+    ),
+    "gamma": _Family(
+        GammaParams,
+        {None: lambda rng, n, p: rng.standard_gamma(p.r, n) / p.lam},
+        "r > 0, lambda > 0",
+        positive=lambda p: True,
+        lst=lambda p: lambda s: (1.0 + s / p.lam) ** (-p.r),
+    ),
+    "gen_gamma": _Family(
+        GGParams,
+        {
+            None: lambda rng, n, p: (rng.standard_gamma(p.r, n) / p.lam)
+            ** (1.0 / p.alpha)
+        },
+        "r > 0, alpha != 0, lambda > 0",
+        positive=lambda p: True,
+    ),
+    "exp_power": _Family(
+        ExpPowerParams,
+        {None: lambda rng, n, p: rng.standard_gamma(p.nu, n) ** p.nu},
+        "nu > 0",
+        positive=lambda p: True,
+    ),
+    "neg_binom": _Family(
+        NegBinParams,
+        {None: _neg_binom_values},
+        "nu > 0, p in (0, 1)",
+        positive=lambda p: True,
+    ),
+    "stable": _Family(
+        StableParams,
+        {None: lambda rng, n, p: _STABLE_KERNELS[p.theta](rng, n, p.alpha)},
+        "alpha in (0, 2]; theta one-sided needs alpha <= 1",
+        positive=lambda p: p.theta == "one_sided",
+        cf=lambda p: (
+            (lambda t: math.exp(-abs(t) ** p.alpha))
+            if p.theta == "symmetric"
+            else None
+        ),
+        lst=lambda p: (
+            (lambda s: math.exp(-(s**p.alpha))) if p.theta == "one_sided" else None
+        ),
+    ),
+    "stable_ratio": _Family(
+        StableRatioParams,
+        {None: lambda rng, n, p: _stable_ratio_values(rng, n, p.delta)},
+        "delta in (0, 1)",
+        positive=lambda p: True,
+    ),
+    "z_mix": _Family(
+        ZParams,
+        {None: lambda rng, n, p: _z_values(rng, n, p.r, p.mu)},
+        "r in (0, 1], mu > 0",
+        positive=lambda p: True,
+    ),
+    "mittag_leffler": _Family(
+        MLParams,
+        {
+            "stable_weibull": lambda rng, n, p: _ml_stable_weibull(rng, n, p.delta),
+            "exp_ratio": lambda rng, n, p: _ml_exp_ratio(rng, n, p.delta),
+        },
+        "delta in (0, 1]",
+        positive=lambda p: True,
+        lst=lambda p: lambda s: 1.0 / (1.0 + s**p.delta),
+        domain=lambda p, method: _require_nu_one("mittag_leffler", p),
+    ),
+    "gen_mittag_leffler": _Family(
+        MLParams,
+        {None: lambda rng, n, p: _gen_ml_values(rng, n, p.delta, p.nu)},
+        "delta in (0, 1], nu > 0",
+        positive=lambda p: True,
+        lst=lambda p: lambda s: (1.0 + s**p.delta) ** (-p.nu),
+    ),
+    "linnik": _Family(
+        LinnikParams,
+        {
+            "stable_weibull": _linnik_stable_weibull,
+            "normal_ml": _linnik_normal_ml,
+            "laplace_ratio": _linnik_laplace_ratio,
+        },
+        "alpha in (0, 2]",
+        cf=lambda p: lambda t: 1.0 / (1.0 + abs(t) ** p.alpha),
+        domain=_linnik_domain,
+    ),
+    "gen_linnik": _Family(
+        LinnikParams,
+        {
+            "stable_gamma": _gen_linnik_stable_gamma,
+            "normal_genml": _gen_linnik_normal_genml,
+            "linnik_z": _gen_linnik_linnik_z,
+            "stable_genml": _gen_linnik_stable_genml,
+        },
+        "alpha in (0, 2], nu > 0",
+        cf=lambda p: lambda t: (1.0 + abs(t) ** p.alpha) ** (-p.nu),
+        domain=_gen_linnik_domain,
+    ),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+
+METHODS: dict[str, tuple[str, ...]] = {
+    family: tuple(entry.routes)
+    for family, entry in _FAMILY_TABLE.items()
+    if None not in entry.routes
+}
 
 
 def sample(spec: DistSpec, n, stream: RandomStream) -> SampleBatch:
     """Draw n values from any family under the given stream."""
     if not isinstance(spec, DistSpec):
         raise DomainError("spec must be a DistSpec")
-    n = _check_n(n)
-    stream = _check_stream(stream)
-    rng = stream.generator()
-    fam = spec.family
-    p = spec.params
-    if fam == "stable":
-        if p.theta == "symmetric":
-            values = _stable_symmetric_values(rng, n, p.alpha)
-        else:
-            values = _stable_one_sided_values(rng, n, p.alpha)
-    elif fam == "stable_ratio":
-        values = _stable_ratio_values(rng, n, p.delta)
-    elif fam == "z_mix":
-        values = _z_values(rng, n, p.r, p.mu)
-    elif fam == "mittag_leffler":
-        values = _ml_values(rng, n, p.delta, spec.resolved_method())
-    elif fam == "gen_mittag_leffler":
-        values = _gen_ml_values(rng, n, p.delta, p.nu)
-    elif fam == "linnik":
-        values = _linnik_values(rng, n, p.alpha, spec.resolved_method())
-    elif fam == "gen_linnik":
-        values = _gen_linnik_values(rng, n, p.alpha, p.nu, spec.resolved_method())
-    else:
-        values = _basic_values(rng, n, spec)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError("n must be a positive integer")
+    if not isinstance(stream, RandomStream):
+        raise DomainError("stream must be a RandomStream")
+    n = int(n)
+    kernel = _FAMILY_TABLE[spec.family].routes[spec.resolved_method()]
+    values = kernel(stream.generator(), n, spec.params)
     return SampleBatch(values, spec, int(stream.seed), int(stream.substream), n)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form transforms, where the family has one.
 
 
 def analytic_cf(spec: DistSpec) -> Callable[[float], float] | None:
     """Real characteristic function of a symmetric family, or None."""
-    fam = spec.family
-    p = spec.params
-    if fam == "normal":
-        return lambda t: math.exp(-0.5 * t * t)
-    if fam == "laplace":
-        return lambda t: 1.0 / (1.0 + t * t)
-    if fam == "stable" and p.theta == "symmetric":
-        return lambda t: math.exp(-abs(t) ** p.alpha)
-    if fam == "linnik":
-        return lambda t: 1.0 / (1.0 + abs(t) ** p.alpha)
-    if fam == "gen_linnik":
-        return lambda t: (1.0 + abs(t) ** p.alpha) ** (-p.nu)
-    return None
+    return _FAMILY_TABLE[spec.family].cf(spec.params)
 
 
 def analytic_lst(spec: DistSpec) -> Callable[[float], float] | None:
     """Laplace transform of a nonnegative family, or None."""
-    fam = spec.family
-    p = spec.params
-    if fam == "exponential":
-        return lambda s: 1.0 / (1.0 + s)
-    if fam == "gamma":
-        return lambda s: (1.0 + s / p.lam) ** (-p.r)
-    if fam == "stable" and p.theta == "one_sided":
-        return lambda s: math.exp(-(s**p.alpha))
-    if fam == "mittag_leffler":
-        return lambda s: 1.0 / (1.0 + s**p.delta)
-    if fam == "gen_mittag_leffler":
-        return lambda s: (1.0 + s**p.delta) ** (-p.nu)
-    return None
+    return _FAMILY_TABLE[spec.family].lst(spec.params)

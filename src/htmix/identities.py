@@ -84,22 +84,6 @@ __all__ = [
 ]
 
 
-_POSITIVE_FAMILIES = frozenset(
-    {
-        "exponential",
-        "weibull",
-        "gamma",
-        "gen_gamma",
-        "exp_power",
-        "neg_binom",
-        "stable_ratio",
-        "z_mix",
-        "mittag_leffler",
-        "gen_mittag_leffler",
-    }
-)
-
-
 @dataclass(frozen=True)
 class Draw:
     """A leaf: one independent draw from a single family."""
@@ -112,10 +96,7 @@ class Draw:
 
     @property
     def positive(self) -> bool:
-        spec = self.spec
-        if spec.family in _POSITIVE_FAMILIES:
-            return True
-        return spec.family == "stable" and spec.params.theta == "one_sided"
+        return self.spec.positive
 
     def describe(self) -> str:
         return self.spec.describe()
@@ -379,17 +360,6 @@ def _times2(expr):
     return Scale(expr, 2.0)
 
 
-def _gp(n_default, *points):
-    out = []
-    for pt in points:
-        if isinstance(pt, tuple) and len(pt) == 2 and isinstance(pt[1], int):
-            params, n = pt
-        else:
-            params, n = pt, n_default
-        out.append(GridPoint(dict(params), n))
-    return tuple(out)
-
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -397,9 +367,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
     cases = []
 
     def add(case_id, anchor, names, domain_text, domain, lhs, rhs, grid):
+        points = tuple(GridPoint(params) for params in grid)
         cases.append(
             IdentityCase(
-                case_id, anchor, tuple(names), domain_text, domain, lhs, rhs, grid
+                case_id, anchor, tuple(names), domain_text, domain, lhs, rhs, points
             )
         )
 
@@ -411,12 +382,11 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2 and 0 < p["b"] <= 1,
         lambda p: _sym(p["a"] * p["b"]),
         lambda p: _prod(_sym(p["a"]), Power(_pos(p["b"]), 1.0 / p["a"])),
-        _gp(
-            200_000,
+        (
             {"a": 2.0, "b": 1.0},
             {"a": 2.0, "b": 0.6},
             {"a": 1.1, "b": 0.85},
-            ({"a": 0.5, "b": 0.3}, 200_000),
+            {"a": 0.5, "b": 0.3},
         ),
     )
     add(
@@ -427,11 +397,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 1 and 0 < p["b"] <= 1,
         lambda p: _pos(p["a"] * p["b"]),
         lambda p: _prod(_pos(p["a"]), Power(_pos(p["b"]), 1.0 / p["a"])),
-        _gp(
-            200_000,
+        (
             {"a": 1.0, "b": 1.0},
             {"a": 0.9, "b": 0.7},
-            ({"a": 0.4, "b": 0.35}, 200_000),
+            {"a": 0.4, "b": 0.35},
         ),
     )
     add(
@@ -442,7 +411,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2,
         lambda p: _sym(p["a"]),
         lambda p: _prod(_normal(), _sqrt(_times2(_pos(p["a"] / 2)))),
-        _gp(200_000, {"a": 2.0}, {"a": 1.3}, ({"a": 0.4}, 200_000)),
+        ({"a": 2.0}, {"a": 1.3}, {"a": 0.4}),
     )
     add(
         "I04",
@@ -452,11 +421,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: p["g"] > 0 and p["b"] > 0,
         lambda p: _wei(p["g"] * p["b"]),
         lambda p: Power(_wei(p["b"]), 1.0 / p["g"]),
-        _gp(
-            200_000,
+        (
             {"g": 1.0, "b": 1.0},
             {"g": 2.5, "b": 0.8},
-            ({"g": 0.4, "b": 0.5}, 200_000),
+            {"g": 0.4, "b": 0.5},
         ),
     )
     add(
@@ -467,7 +435,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["g"] <= 1,
         lambda p: _wei(p["g"]),
         lambda p: _prod(_w1(), Reciprocal(_pos(p["g"]))),
-        _gp(200_000, {"g": 1.0}, {"g": 0.6}, ({"g": 0.25}, 200_000)),
+        ({"g": 1.0}, {"g": 0.6}, {"g": 0.25}),
     )
     add(
         "I06",
@@ -477,11 +445,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["r"] < 1 and p["m"] > 0,
         lambda p: _gam(p["r"], p["m"]),
         lambda p: _prod(_w1(), Reciprocal(_z(p["r"], p["m"]))),
-        _gp(
-            200_000,
+        (
             {"r": 0.9, "m": 1.0},
             {"r": 0.5, "m": 2.0},
-            ({"r": 0.15, "m": 1.0}, 200_000),
+            {"r": 0.15, "m": 1.0},
         ),
     )
     add(
@@ -495,11 +462,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
             _w1(),
             Reciprocal(_prod(_pos(p["a"]), Power(_z(p["r"], p["m"]), 1.0 / p["a"]))),
         ),
-        _gp(
-            200_000,
+        (
             {"r": 0.5, "a": 1.0, "m": 1.0},
             {"r": 0.7, "a": 0.6, "m": 2.0},
-            ({"r": 0.2, "a": 0.3, "m": 1.0}, 200_000),
+            {"r": 0.2, "a": 0.3, "m": 1.0},
         ),
     )
     add(
@@ -510,7 +476,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["d"] <= 1,
         lambda p: _ml(p["d"]),
         lambda p: _prod(_pos(p["d"]), _wei(p["d"])),
-        _gp(200_000, {"d": 1.0}, {"d": 0.7}, ({"d": 0.25}, 200_000)),
+        ({"d": 1.0}, {"d": 0.7}, {"d": 0.25}),
     )
     add(
         "I09",
@@ -520,7 +486,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["d"] <= 1,
         lambda p: _ml(p["d"]),
         lambda p: _prod(_w1(), _ratio_opt(p["d"])),
-        _gp(200_000, {"d": 1.0}, {"d": 0.6}, ({"d": 0.2}, 200_000)),
+        ({"d": 1.0}, {"d": 0.6}, {"d": 0.2}),
     )
     add(
         "I10",
@@ -533,11 +499,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
             _ml(p["d"]),
             None if p["b"] == 1.0 else Power(_ratio(p["b"]), 1.0 / p["d"]),
         ),
-        _gp(
-            200_000,
+        (
             {"d": 1.0, "b": 1.0},
             {"d": 0.7, "b": 0.8},
-            ({"d": 0.3, "b": 0.4}, 200_000),
+            {"d": 0.3, "b": 0.4},
         ),
     )
     add(
@@ -548,7 +513,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2,
         lambda p: _lin(p["a"]),
         lambda p: _prod(_sym(p["a"]), Power(_w1(), 1.0 / p["a"])),
-        _gp(200_000, {"a": 2.0}, {"a": 1.4}, ({"a": 0.5}, 200_000)),
+        ({"a": 2.0}, {"a": 1.4}, {"a": 0.5}),
     )
     add(
         "I12",
@@ -561,11 +526,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
             _lin(p["a"]),
             None if p["b"] == 1.0 else Power(_ratio(p["b"]), 1.0 / p["a"]),
         ),
-        _gp(
-            200_000,
+        (
             {"a": 2.0, "b": 1.0},
             {"a": 1.5, "b": 0.7},
-            ({"a": 0.6, "b": 0.4}, 200_000),
+            {"a": 0.6, "b": 0.4},
         ),
     )
     add(
@@ -576,7 +540,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] < 2,
         lambda p: _lin(p["a"]),
         lambda p: _prod(_lap(), _sqrt(_ratio(p["a"] / 2))),
-        _gp(200_000, {"a": 1.9}, {"a": 1.2}, ({"a": 0.5}, 200_000)),
+        ({"a": 1.9}, {"a": 1.2}, {"a": 0.5}),
     )
     add(
         "I14",
@@ -586,11 +550,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2 and 0 < p["b"] <= 1,
         lambda p: _lin(p["a"] * p["b"]),
         lambda p: _prod(_sym(p["a"]), Power(_ml(p["b"]), 1.0 / p["a"])),
-        _gp(
-            200_000,
+        (
             {"a": 2.0, "b": 1.0},
             {"a": 1.6, "b": 0.75},
-            ({"a": 0.7, "b": 0.35}, 200_000),
+            {"a": 0.7, "b": 0.35},
         ),
     )
     add(
@@ -601,7 +564,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2,
         lambda p: _lin(p["a"]),
         lambda p: _prod(_normal(), _sqrt(_times2(_ml(p["a"] / 2)))),
-        _gp(200_000, {"a": 2.0}, {"a": 1.2}, ({"a": 0.45}, 200_000)),
+        ({"a": 2.0}, {"a": 1.2}, {"a": 0.45}),
     )
     add(
         "I16",
@@ -613,7 +576,7 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: _prod(
             Scale(Abs(_normal()), _SQRT2), _ratio_opt(p["d"]), _wei(2.0)
         ),
-        _gp(200_000, {"d": 1.0}, {"d": 0.65}, ({"d": 0.25}, 200_000)),
+        ({"d": 1.0}, {"d": 0.65}, {"d": 0.25}),
     )
     add(
         "I17",
@@ -623,12 +586,11 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2 and p["v"] > 0,
         lambda p: _glin(p["a"], p["v"]),
         lambda p: _prod(_sym(p["a"]), Power(_gam(p["v"]), 1.0 / p["a"])),
-        _gp(
-            200_000,
+        (
             {"a": 1.0, "v": 1.0},
             {"a": 2.0, "v": 2.5},
             {"a": 1.5, "v": 0.8},
-            ({"a": 0.5, "v": 3.0}, 200_000),
+            {"a": 0.5, "v": 3.0},
         ),
     )
     add(
@@ -639,11 +601,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2 and p["v"] > 0,
         lambda p: _glin(p["a"], p["v"]),
         lambda p: _prod(_sym(p["a"]), Power(_dpow(p["v"]), 1.0 / (p["a"] * p["v"]))),
-        _gp(
-            200_000,
+        (
             {"a": 2.0, "v": 1.0},
             {"a": 1.3, "v": 2.0},
-            ({"a": 0.6, "v": 0.5}, 200_000),
+            {"a": 0.6, "v": 0.5},
         ),
     )
     add(
@@ -654,11 +615,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["d"] <= 1 and p["v"] > 0,
         lambda p: _gml(p["d"], p["v"]),
         lambda p: _prod(_pos(p["d"]), _gg(p["v"], p["d"])),
-        _gp(
-            200_000,
+        (
             {"d": 1.0, "v": 2.0},
             {"d": 0.75, "v": 1.5},
-            ({"d": 0.3, "v": 0.7}, 200_000),
+            {"d": 0.3, "v": 0.7},
         ),
     )
     add(
@@ -669,11 +629,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2 and p["v"] > 0,
         lambda p: _glin(p["a"], p["v"]),
         lambda p: _prod(_normal(), _sqrt(_times2(_gml(p["a"] / 2, p["v"])))),
-        _gp(
-            200_000,
+        (
             {"a": 2.0, "v": 1.0},
             {"a": 1.5, "v": 2.0},
-            ({"a": 0.6, "v": 0.5}, 200_000),
+            {"a": 0.6, "v": 0.5},
         ),
     )
     add(
@@ -684,11 +643,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2 and 0 < p["b"] < 1 and p["v"] > 0,
         lambda p: _glin(p["a"] * p["b"], p["v"]),
         lambda p: _prod(_sym(p["a"]), Power(_gml(p["b"], p["v"]), 1.0 / p["a"])),
-        _gp(
-            200_000,
+        (
             {"a": 2.0, "b": 0.95, "v": 1.5},
             {"a": 1.4, "b": 0.6, "v": 2.5},
-            ({"a": 0.8, "b": 0.3, "v": 0.6}, 200_000),
+            {"a": 0.8, "b": 0.3, "v": 0.6},
         ),
     )
     add(
@@ -699,11 +657,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["a"] <= 2 and 0 < p["v"] <= 1,
         lambda p: _glin(p["a"], p["v"]),
         lambda p: _prod(_lin(p["a"]), Power(_z(p["v"]), -1.0 / p["a"])),
-        _gp(
-            200_000,
+        (
             {"a": 1.5, "v": 1.0},
             {"a": 1.8, "v": 0.6},
-            ({"a": 0.5, "v": 0.3}, 200_000),
+            {"a": 0.5, "v": 0.3},
         ),
     )
     add(
@@ -718,11 +675,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
             Power(_z(p["v"]), -1.0 / p["a"]),
             _sqrt(_times2(_ml(p["a"] / 2))),
         ),
-        _gp(
-            200_000,
+        (
             {"a": 2.0, "v": 1.0},
             {"a": 1.3, "v": 0.7},
-            ({"a": 0.6, "v": 0.35}, 200_000),
+            {"a": 0.6, "v": 0.35},
         ),
     )
     add(
@@ -733,11 +689,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["d"] <= 1 and 0 < p["v"] <= 1,
         lambda p: _gml(p["d"], p["v"]),
         lambda p: _prod(Power(_z(p["v"]), -1.0 / p["d"]), _ml(p["d"])),
-        _gp(
-            200_000,
+        (
             {"d": 1.0, "v": 1.0},
             {"d": 0.7, "v": 0.5},
-            ({"d": 0.25, "v": 0.8}, 200_000),
+            {"d": 0.25, "v": 0.8},
         ),
     )
     add(
@@ -748,11 +703,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: 0 < p["d"] <= 1 and 0 < p["b"] <= 1 and p["v"] > 0,
         lambda p: _gml(p["d"] * p["b"], p["v"]),
         lambda p: _prod(_pos(p["d"]), Power(_gml(p["b"], p["v"]), 1.0 / p["d"])),
-        _gp(
-            200_000,
+        (
             {"d": 1.0, "b": 1.0, "v": 2.0},
             {"d": 0.8, "b": 0.7, "v": 1.5},
-            ({"d": 0.35, "b": 0.45, "v": 0.8}, 200_000),
+            {"d": 0.35, "b": 0.45, "v": 0.8},
         ),
     )
     add(
@@ -763,11 +717,10 @@ def _build_registry() -> tuple[IdentityCase, ...]:
         lambda p: p["r"] > 0 and p["a"] != 0 and p["m"] > 0,
         lambda p: _gg(p["r"], p["a"], p["m"]),
         lambda p: Power(_gam(p["r"], p["m"]), 1.0 / p["a"]),
-        _gp(
-            200_000,
+        (
             {"r": 2.0, "a": 3.0, "m": 1.0},
             {"r": 1.5, "a": 0.4, "m": 0.5},
-            ({"r": 0.5, "a": -1.2, "m": 2.0}, 200_000),
+            {"r": 0.5, "a": -1.2, "m": 2.0},
         ),
     )
 

@@ -286,6 +286,8 @@ class LimitExperiment:
         if self.threshold is None:
             strict = theorem == "lemma14" or (theorem != "thm8" and self.alpha == 2.0)
             object.__setattr__(self, "threshold", 0.01 if strict else 0.015)
+        else:
+            object.__setattr__(self, "threshold", _pos(self.threshold, "threshold"))
 
 
 def _nb_counts(rng: np.random.Generator, nu: float, p: float, size: int) -> np.ndarray:

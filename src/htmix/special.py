@@ -402,13 +402,8 @@ def snedecor_fisher_density(r, x) -> float:
 
 def genlinnik_cf(alpha, nu, t) -> float:
     """Characteristic function (1 + |t|^alpha)^(-nu), alpha in (0, 2], nu > 0."""
-    alpha = _as_float(alpha, "alpha")
-    nu = _as_float(nu, "nu")
+    alpha, nu = _check_inversion_params(alpha, nu)
     t = _as_float(t, "t")
-    if not 0 < alpha <= 2:
-        raise DomainError("alpha must lie in (0, 2]")
-    if nu <= 0 or not math.isfinite(nu):
-        raise DomainError("nu must be positive and finite")
     if not math.isfinite(t):
         raise DomainError("t must be finite")
     return (1.0 + abs(t) ** alpha) ** (-nu)

@@ -125,6 +125,15 @@ def lst_distance(a, lst: Callable[[float], float], s_grid=DEFAULT_S_GRID) -> flo
     return worst
 
 
+def _descending_with_k(a, k: int | None) -> tuple[np.ndarray, int]:
+    x = np.sort(_values(a))[::-1]
+    if k is None:
+        k = int(x.size**0.6)
+    if not 1 <= k < x.size:
+        raise DomainError("k must satisfy 1 <= k < n")
+    return x, k
+
+
 def _hill(sorted_desc: np.ndarray, k: int) -> float:
     top = sorted_desc[: k + 1]
     if top[-1] <= 0:
@@ -138,12 +147,7 @@ def hill_tail_index(a, k: int | None = None) -> float:
 
     k defaults to floor(n^0.6).
     """
-    x = np.sort(_values(a))[::-1]
-    n = x.size
-    if k is None:
-        k = int(n**0.6)
-    if not 1 <= k < n:
-        raise DomainError("k must satisfy 1 <= k < n")
+    x, k = _descending_with_k(a, k)
     return _hill(x, k)
 
 
@@ -153,13 +157,8 @@ def hill_is_unstable(a, k: int | None = None) -> bool:
     A light-tailed sample has no Hill plateau, so the doubled-k estimate
     drifts; heavy-tailed samples at reasonable n stay within the band.
     """
-    x = np.sort(_values(a))[::-1]
-    n = x.size
-    if k is None:
-        k = int(n**0.6)
-    if not 1 <= k < n:
-        raise DomainError("k must satisfy 1 <= k < n")
-    k2 = min(2 * k, n - 1)
+    x, k = _descending_with_k(a, k)
+    k2 = min(2 * k, x.size - 1)
     at_k = _hill(x, k)
     at_2k = _hill(x, k2)
     return abs(at_2k - at_k) > 0.25 * at_k

@@ -252,6 +252,14 @@ class TestLimit:
         assert captured.out == ""
         assert flag in captured.err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+    def test_bad_threshold_rejected(self, threshold, capsys):
+        assert run("limit", "--theorem", "lemma14", "--nu", "1", "--p-grid",
+                   "0.1", "--reps", "1000", "--threshold", threshold) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
+
     def test_missing_grid(self, capsys):
         assert run("limit", "--theorem", "thm7", "--alpha", "2",
                    "--nu", "1", "--reps", "1000") == 2

@@ -86,6 +86,40 @@ class TestDistSpec:
         with pytest.raises(DomainError):
             DistSpec("normal", {"mu": 0.0})
 
+    @pytest.mark.parametrize(
+        "family,params,message",
+        [
+            ("neg_binom", {"nu": 1.5}, "needs: p"),
+            ("gen_gamma", {}, "needs: alpha, r"),
+            ("weibull", {"gamma": 1.0, "alpha": 2.0}, "does not take: alpha"),
+            ("stable", {"alpha": 1.0, "beta": 0.0, "mu": 1.0},
+             "does not take: beta, mu"),
+        ],
+    )
+    def test_mapping_fields_named(self, family, params, message):
+        with pytest.raises(DomainError, match=message):
+            DistSpec(family, params)
+
+    @pytest.mark.parametrize(
+        "family,params,positive",
+        [
+            ("normal", None, False),
+            ("exponential", None, True),
+            ("neg_binom", {"nu": 2.0, "p": 0.3}, True),
+            ("stable", {"alpha": 0.7}, False),
+            ("stable", {"alpha": 0.7, "theta": "one_sided"}, True),
+            ("z_mix", {"r": 0.5}, True),
+            ("mittag_leffler", {"delta": 0.7}, True),
+            ("gen_mittag_leffler", {"delta": 0.7, "nu": 2.0}, True),
+            ("linnik", {"alpha": 1.5}, False),
+            ("gen_linnik", {"alpha": 1.5, "nu": 0.8}, False),
+        ],
+    )
+    def test_positive_matches_draws(self, family, params, positive):
+        spec = DistSpec(family, params)
+        assert spec.positive is positive
+        assert bool(np.all(sample(spec, 2000, STREAM).values > 0)) is positive
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             DistSpec("linnik", {"alpha": 1.0}, "quantile")

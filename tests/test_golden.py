@@ -1,10 +1,11 @@
-"""Byte-level determinism: SHA-256 digests of limit reports and CLI output.
+"""Byte-level determinism: SHA-256 digests of samples, reports and CLI output.
 
 The package promises that the same seed and the same numpy version give the
-same bytes. These digests pin that promise for every limit theorem and mode
-(report JSON plus the raw bytes of the retained final sample) and for the
-CLI's ``limit``, ``list`` and ``sample`` output. A refactor that keeps the
-digests keeps the output.
+same bytes. These digests pin that promise for every family and sampling
+route, for the closed transforms, for every limit theorem and mode (report
+JSON plus the raw bytes of the retained final sample), for the identity
+registry and for the CLI's ``limit``, ``list``, ``sample`` and ``verify``
+output. A refactor that keeps the digests keeps the output.
 
 numpy's Generator streams are stable within a numpy release but not
 guaranteed across releases, and its special functions may move in the last
@@ -17,11 +18,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
-from htmix import cli
+from htmix import cli, identities
+from htmix.distributions import DistSpec, analytic_cf, analytic_lst, sample
 from htmix.limits import (
     LimitExperiment,
     run_experiment,
@@ -30,12 +33,83 @@ from htmix.limits import (
     run_thm7,
     run_thm8,
 )
+from htmix.streams import RandomStream
 
 GOLDEN_NUMPY = "2.4.6"
 
 pytestmark = pytest.mark.skipif(
     np.__version__ != GOLDEN_NUMPY,
     reason=f"digests were captured under numpy {GOLDEN_NUMPY}",
+)
+
+
+# Every family and every sampling route: key, family, params, method. Spec i
+# draws SAMPLE_N values on RandomStream(SAMPLE_SEED, i).
+SAMPLE_SPECS = (
+    ("normal", "normal", None, None),
+    ("laplace", "laplace", None, None),
+    ("exponential", "exponential", None, None),
+    ("weibull", "weibull", {"gamma": 0.7}, None),
+    ("gamma", "gamma", {"r": 2.5}, None),
+    ("gen_gamma", "gen_gamma", {"r": 2.0, "alpha": 1.5}, None),
+    ("exp_power", "exp_power", {"nu": 0.5}, None),
+    ("neg_binom", "neg_binom", {"nu": 2.0, "p": 0.01}, None),
+    ("stable.symmetric", "stable", {"alpha": 1.5}, None),
+    ("stable.one_sided", "stable", {"alpha": 0.6, "theta": "one_sided"}, None),
+    ("stable_ratio", "stable_ratio", {"delta": 0.6}, None),
+    ("z_mix", "z_mix", {"r": 0.5}, None),
+    ("mittag_leffler.stable_weibull", "mittag_leffler", {"delta": 0.7},
+     "stable_weibull"),
+    ("mittag_leffler.exp_ratio", "mittag_leffler", {"delta": 0.7}, "exp_ratio"),
+    ("gen_mittag_leffler", "gen_mittag_leffler", {"delta": 0.7, "nu": 2.0}, None),
+    ("linnik.stable_weibull", "linnik", {"alpha": 1.5}, "stable_weibull"),
+    ("linnik.normal_ml", "linnik", {"alpha": 1.5}, "normal_ml"),
+    ("linnik.laplace_ratio", "linnik", {"alpha": 1.5}, "laplace_ratio"),
+    ("gen_linnik.stable_gamma", "gen_linnik", {"alpha": 1.5, "nu": 0.8},
+     "stable_gamma"),
+    ("gen_linnik.normal_genml", "gen_linnik", {"alpha": 1.5, "nu": 0.8},
+     "normal_genml"),
+    ("gen_linnik.linnik_z", "gen_linnik", {"alpha": 1.5, "nu": 0.8}, "linnik_z"),
+    ("gen_linnik.stable_genml", "gen_linnik", {"alpha": 1.5, "nu": 0.8},
+     "stable_genml"),
+)
+SAMPLE_N = 2000
+SAMPLE_SEED = 11
+
+SAMPLE_DIGESTS = {
+    "normal": "8f9d1b72260b1812049fad4f232d859c72dd9313baad2a5a422dfa55fa9b0497",
+    "laplace": "db184c836835214d82c7281418c0e2e0000169534658f0cc7b8399906ff093ef",
+    "exponential": "0958e55c89de01efefbfd6919ed6d0d2f652e1a55f20cde09b67c55701035b91",
+    "weibull": "5c4b422122bff1d612e84668cd3975dc4c00efeaded3f3db9a4d148c9f5ed368",
+    "gamma": "b576f5d71b2909a3c067edc5aa9d63e2eafab61eb7c9d6e110b75d6441c54f8c",
+    "gen_gamma": "7f53940d5eba2741ba374f681926ff39a819bc880fc9d0d28a610548a807c890",
+    "exp_power": "b900fb2d213fccdf8636c669325a8d575e38b68a0dffe479c55178b49df463f8",
+    "neg_binom": "4bc62da194ff57a32d790a3e08159b05c9cbf652a86311dbc2566fb6fc74a666",
+    "stable.symmetric": "4d47e5e806345e96e7f30687233f507412d7627c29c164337eca977ec892b74d",
+    "stable.one_sided": "a25ddc661ab7445b4a19a366f990165c110bb66f1bbb2d856ab1400bfb6ef073",
+    "stable_ratio": "7240e1ed3af74400cb79b1a7aae0374523d5f535503e7f25cb516ed072e69abf",
+    "z_mix": "486edba6628a14a7ac07a2a3f0136a73174805e382e3b69916f7ca2bcec1c6b1",
+    "mittag_leffler.stable_weibull": "bcd183c886c8344ffa87c19ec5ffc5c5920fe4aba6dd4b5f181267bc1d18df09",
+    "mittag_leffler.exp_ratio": "075ac4123686729974f0f984d59c011b7c6e9528e8ab4b51153175e3bdd087bf",
+    "gen_mittag_leffler": "8f969e48defb9fbe7e075d57ac37cdd3c5e6a8defb405b4dcd43fd708de8d9c9",
+    "linnik.stable_weibull": "ae24875e71ed2abebc83fa06948e4cd1480350e86ea39385f1c236ce95444226",
+    "linnik.normal_ml": "1446decee6c3c4bc3360016abb3a0c05e9d7dcbed0fd440864b3d49f649ae26a",
+    "linnik.laplace_ratio": "d06ae65cb63972a0c42c9a00cf853cc4a1774f52f9a2ae4caaf353dc9092d790",
+    "gen_linnik.stable_gamma": "1ab252c3c74bdd06692b612a4e7eb20c62681dc4347589e15c7a1fb4d7a5ed12",
+    "gen_linnik.normal_genml": "3f82f42efe88eabc9d5d44af8dabf6c604c1798fb9e99f4618c22489a02c9fbc",
+    "gen_linnik.linnik_z": "d158bba58b74f92eb30a5095d37b912857d445faa655ac71439a27a8d22bfb4a",
+    "gen_linnik.stable_genml": "dd16f80c0c9e070250b579ccb9db9209ca33f617db2070d8c549ea1c07dd3ac8",
+}
+
+TRANSFORM_POINTS = (0.5, 1.0, 2.0)
+TRANSFORM_DIGEST = (
+    "12e73db384b03905a5cb0ba1cda69d6ec78256268143967e91fe29e9beff4ded"
+)
+REGISTRY_DIGEST = (
+    "08f6e6d58f83e89c8b05076e6a77c6f29238c7465b8d908313551e423424dde3"
+)
+GRID_DIGEST = (
+    "a70f3792600da4b48fa28ecb3e5900e0ec27bbf159a79f6a1e4fdc2e8f54b950"
 )
 
 
@@ -96,6 +170,8 @@ CLI_RUNS = {
                "--n", "200", "--seed", "3"],
     "sample_method": ["sample", "--dist", "linnik", "--alpha", "1.2",
                       "--method", "laplace-ratio", "--n", "200", "--seed", "4"],
+    "verify_I22": ["verify", "--identity", "I22", "--alpha", "1.5", "--nu", "0.6",
+                   "--n", "20000", "--seed", "3", "--format", "json"],
 }
 
 CLI_DIGESTS = {
@@ -106,6 +182,7 @@ CLI_DIGESTS = {
     "list": "1d14b1896bb5d39160ae98232ff96b0560e0278d008b1527c2264eb28eeeb94b",
     "sample": "b7c0fe05c73829007ff39c1125600ed68485ef1217aca896e3ab9370dd540a77",
     "sample_method": "11d4e3d78e97b446f06fdd4963651a1d64a814e395abf730b08ebbfcf20619e5",
+    "verify_I22": "ace6e7c7d35d6be9ac4cbb9cd4ced1dd175c40781696396ea420abea3cebc719",
 }
 
 
@@ -133,3 +210,40 @@ def test_report_bytes(name):
 def test_cli_bytes(name, monkeypatch):
     monkeypatch.delenv("HTM_SEED", raising=False)
     assert _sha(_cli_bytes(CLI_RUNS[name])) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("index", range(len(SAMPLE_SPECS)))
+def test_sample_bytes(index):
+    key, family, params, method = SAMPLE_SPECS[index]
+    batch = sample(DistSpec(family, params, method), SAMPLE_N,
+                   RandomStream(SAMPLE_SEED, index))
+    assert _sha(batch.values.tobytes()) == SAMPLE_DIGESTS[key]
+
+
+def _transform_values(transform):
+    if transform is None:
+        return None
+    return [repr(transform(x)) for x in TRANSFORM_POINTS]
+
+
+def test_transform_values():
+    table = {}
+    for key, family, params, _ in SAMPLE_SPECS:
+        spec = DistSpec(family, params)
+        table[key] = [
+            _transform_values(analytic_cf(spec)),
+            _transform_values(analytic_lst(spec)),
+        ]
+    assert _sha(json.dumps(table).encode()) == TRANSFORM_DIGEST
+
+
+def test_registry_json():
+    assert _sha(json.dumps(identities.registry_json()).encode()) == REGISTRY_DIGEST
+
+
+def test_registry_grids():
+    grids = [
+        [case.id, [[sorted(point.params.items()), point.n] for point in case.grid]]
+        for case in identities.registry()
+    ]
+    assert _sha(json.dumps(grids).encode()) == GRID_DIGEST

@@ -325,6 +325,19 @@ class TestExperimentRecord:
             LimitExperiment(**kwargs)
 
     @pytest.mark.parametrize(
+        "threshold", ["x", object(), float("nan"), float("inf"), -1.0, 0.0]
+    )
+    def test_rejects_bad_threshold_before_drawing(self, threshold, monkeypatch):
+        def no_draws(stream):
+            raise AssertionError("drew before validating the threshold")
+
+        monkeypatch.setattr(limits.RandomStream, "generator", no_draws)
+        with pytest.raises(DomainError, match="threshold"):
+            LimitExperiment("thm6", 1.0, alpha=2.0, grid=(100,), threshold=threshold)
+        with pytest.raises(DomainError, match="threshold"):
+            run_lemma14(1.0, (0.1,), 1000, threshold=threshold)
+
+    @pytest.mark.parametrize(
         "kwargs,field",
         [
             ({"theorem": "lemma14", "alpha": 2.0, "grid": (0.1,)}, "alpha"),
