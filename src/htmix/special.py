@@ -10,7 +10,12 @@ oscillatory tail beyond it is integrated one half period at a time and summed
 to its limit by repeated averaging of the alternating partial sums (the Euler
 transform; Longman 1956). Both error estimates, the change between two
 refinement rounds and the change made by the last averaging step, are held
-below Accuracy.abs_tol, or AccuracyError is raised.
+below Accuracy.abs_tol, or AccuracyError is raised. One pass evaluates a
+whole vector of abscissae: points with the same panel layout run as one
+array batch, in blocks of at most about 1024 panels, each point refining
+until it alone converges. InversionCdf fills its grid that way; the scalar
+cdf_by_inversion and pdf_by_inversion are batches of one, and a point's
+value does not depend on the batch it is part of.
 
 Branch selection for the Mittag-Leffler family is tolerance-aware: the power
 series is used only where float64 cancellation stays inside the error budget,
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -426,9 +432,17 @@ def genml_lst(delta, nu, s) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 2_000_000
-_CHUNK = 1 << 15  # panels per vectorized block, to bound memory
+_BLOCK = 1024  # panels per vectorized block, to bound memory
 _REFINE_ROUNDS = 7
 _TAIL_HALF_PERIODS = 40
+
+
+class _Inversion(NamedTuple):
+    """Per-abscissa results of one batched inversion pass."""
+
+    values: np.ndarray
+    panels: np.ndarray  # head panels evaluated, over all refinement rounds
+    rounds: np.ndarray  # refinement rounds until two agreed to abs_tol
 
 
 def _cf_phi(t: np.ndarray, alpha: float, nu: float) -> np.ndarray:
@@ -447,48 +461,99 @@ def _check_inversion_params(alpha, nu):
     return alpha, nu
 
 
-def _panel_values(fn, edges: np.ndarray) -> np.ndarray:
-    """16-point Gauss-Legendre integral of fn over each panel between edges."""
-    out = np.empty(edges.size - 1)
-    for lo in range(0, out.size, _CHUNK):
-        e = edges[lo : lo + _CHUNK + 1]
-        mid = 0.5 * (e[:-1] + e[1:])
-        half = 0.5 * (e[1:] - e[:-1])
-        t = mid[:, None] + half[:, None] * _GL_NODES
-        out[lo : lo + _CHUNK] = half * (fn(t) @ _GL_WEIGHTS)
+def _panel_values(fn, edges: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre integral of fn over each panel between edges.
+
+    Row i of edges holds the panel edges for |x| = ax[i]; fn(t, ax) takes t
+    of shape (rows, panels, 16) and the matching ax of shape (rows, 1, 1).
+    The panels are taken in blocks of at most _BLOCK, a long row in pieces.
+    """
+    rows, n = edges.shape[0], edges.shape[1] - 1
+    out = np.empty((rows, n))
+    step = max(1, _BLOCK // n)
+    for r in range(0, rows, step):
+        for c in range(0, n, _BLOCK):
+            e = edges[r : r + step, c : c + _BLOCK + 1]
+            mid = 0.5 * (e[:, :-1] + e[:, 1:])
+            half = 0.5 * (e[:, 1:] - e[:, :-1])
+            t = mid[..., None] + half[..., None] * _GL_NODES
+            vals = fn(t, ax[r : r + step, None, None]) @ _GL_WEIGHTS
+            out[r : r + step, c : c + _BLOCK] = half * vals
     return out
 
 
-def _panel_edges(ax: float, shift: float, k0: int) -> np.ndarray:
-    # Zeros of the oscillation up to the k0-th, plus geometric grading
-    # towards the cusp of the cf at t = 0.
-    zeros = (np.arange(k0 + 1) + shift) * (math.pi / ax)
-    t_head = float(zeros[-1])
-    grading = np.geomspace(max(t_head * 1e-10, 1e-300), t_head, 60)
-    return np.unique(np.concatenate([[0.0], zeros, grading]))
+def _panel_edges(ax: np.ndarray, shift: float, k0: int) -> list:
+    """Head panel edges for |x| values that share k0, one row each.
+
+    A row holds the zeros of the oscillation up to the k0-th, plus geometric
+    grading towards the cusp of the cf at t = 0, sorted and without repeats.
+    A grading point may coincide with a zero, so rows come back grouped by
+    length, as (row indices, edges) pairs.
+    """
+    zeros = (np.arange(k0 + 1) + shift) * (np.pi / ax)[:, None]
+    t_head = zeros[:, -1]
+    grading = np.geomspace(np.maximum(t_head * 1e-10, 1e-300), t_head, 60, axis=1)
+    edges = np.sort(np.concatenate([np.zeros((ax.size, 1)), zeros, grading], axis=1))
+    fresh = np.ones(edges.shape, dtype=bool)
+    fresh[:, 1:] = edges[:, 1:] != edges[:, :-1]
+    counts = fresh.sum(axis=1)
+    out = []
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        out.append((rows, edges[rows][fresh[rows]].reshape(rows.size, count)))
+    return out
 
 
-def _refined_integral(fn, edges: np.ndarray, tol: float) -> float:
-    vals = _panel_values(fn, edges)
+def _refined_integral(fn, edges: np.ndarray, ax: np.ndarray, tol: float):
+    """Integral over each row of edges, bisected until two rounds agree to tol.
+
+    Returns the integrals and the refinement rounds each row took. A row
+    leaves the batch once it converges; the others refine on.
+    """
+    vals = _panel_values(fn, edges, ax)
     # Float64 roundoff in the sum scales with the sum of panel magnitudes.
-    if tol < _EPS * float(np.sum(np.abs(vals))):
+    if (tol < _EPS * np.abs(vals).sum(axis=1)).any():
         raise AccuracyError("abs_tol is below the float64 roundoff of the inversion sum")
-    val = float(np.sum(vals))
-    for _ in range(_REFINE_ROUNDS):
-        if 2 * (edges.size - 1) > _MAX_PANELS:
+    val = vals.sum(axis=1)
+    out = np.empty(ax.size)
+    rounds = np.empty(ax.size, dtype=np.int64)
+    active = np.arange(ax.size)
+    for r in range(1, _REFINE_ROUNDS + 1):
+        if 2 * (edges.shape[1] - 1) > _MAX_PANELS:
             raise AccuracyError("inversion panel budget exceeded")
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate([edges, mids]))
-        new_val = float(np.sum(_panel_values(fn, edges)))
-        if abs(new_val - val) <= tol:
-            return new_val
-        val = new_val
+        # Each midpoint lies between its edges: interleaving them sorts them.
+        finer = np.empty((active.size, 2 * edges.shape[1] - 1))
+        finer[:, ::2] = edges
+        finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        new_val = _panel_values(fn, finer, ax[active]).sum(axis=1)
+        done = np.abs(new_val - val) <= tol
+        out[active[done]] = new_val[done]
+        rounds[active[done]] = r
+        active, edges, val = active[~done], finer[~done], new_val[~done]
+        if active.size == 0:
+            return out, rounds
     raise AccuracyError("inversion quadrature did not converge to abs_tol")
 
 
-def _oscillatory_integral(fn, ax: float, shift: float, acc: Accuracy) -> float:
-    """Integral over (0, inf) of fn = g(t) sin(t ax) (shift 0) or
-    g(t) cos(t ax) (shift 1/2), whose zeros lie at (k + shift) pi / ax.
+def _euler_tail(fn, ax: np.ndarray, start: float, tol: float) -> np.ndarray:
+    """Tail integral of each row from t = start * pi / ax on (see
+    _oscillatory_integral)."""
+    edges = (start + np.arange(_TAIL_HALF_PERIODS + 1)) * (np.pi / ax)[:, None]
+    # Partial sums down the columns: averaging whole rows is the cheaper loop.
+    sums = np.cumsum(_panel_values(fn, edges, ax), axis=1).T
+    sums = np.concatenate([np.zeros((1, ax.size)), sums])
+    while sums.shape[0] > 2:
+        sums = 0.5 * (sums[:-1] + sums[1:])
+    if (0.5 * np.abs(sums[1] - sums[0]) > tol).any():
+        raise AccuracyError("oscillatory tail did not settle to abs_tol")
+    return 0.5 * (sums[0] + sums[1])
+
+
+def _oscillatory_integral(fn, ax: np.ndarray, shift: float,
+                          acc: Accuracy) -> _Inversion:
+    """Integral over (0, inf) of fn(t, ax) = g(t) sin(t ax) (shift 0) or
+    g(t) cos(t ax) (shift 1/2), whose zeros lie at (k + shift) pi / ax, for
+    each positive |x| in the array ax.
 
     Head: graded panels, refined by bisection until two rounds agree to
     abs_tol, up to the k0-th zero, k0 = max(8, ceil(ax / pi)), so that the
@@ -497,19 +562,51 @@ def _oscillatory_integral(fn, ax: float, shift: float, acc: Accuracy) -> float:
     to the limit by repeated averaging (the Euler transform). AccuracyError
     is raised when the last averaging step moves the value by more than
     abs_tol.
+
+    Points that share k0 share a panel layout. They run as array batches of
+    about _BLOCK head panels, each row in the same order of float operations
+    as a batch of one, so a value does not depend on the other points it is
+    evaluated with.
     """
-    period = math.pi / ax
-    k0 = max(8, math.ceil(ax / math.pi))
-    if not math.isfinite(period) or k0 > _MAX_PANELS:
+    with np.errstate(over="ignore"):
+        period = np.pi / ax
+    k0 = np.maximum(8.0, np.ceil(ax / np.pi))
+    if not np.isfinite(period).all() or (k0 > _MAX_PANELS).any():
         raise AccuracyError("inversion panel budget exceeded")
-    head = _refined_integral(fn, _panel_edges(ax, shift, k0), acc.abs_tol)
-    tail_edges = (k0 + shift + np.arange(_TAIL_HALF_PERIODS + 1)) * period
-    sums = np.concatenate([[0.0], np.cumsum(_panel_values(fn, tail_edges))])
-    while sums.size > 2:
-        sums = 0.5 * (sums[:-1] + sums[1:])
-    if 0.5 * abs(sums[1] - sums[0]) > acc.abs_tol:
-        raise AccuracyError("oscillatory tail did not settle to abs_tol")
-    return head + 0.5 * float(sums[0] + sums[1])
+    res = _Inversion(np.empty(ax.size), np.empty(ax.size, dtype=np.int64),
+                     np.empty(ax.size, dtype=np.int64))
+    for k in sorted(set(k0.tolist())):
+        group = np.flatnonzero(k0 == k)
+        step = max(1, _BLOCK // (int(k) + 60))  # k0 + 59 or 60 head panels a row
+        for b in range(0, group.size, step):
+            block = group[b : b + step]
+            for rows, edges in _panel_edges(ax[block], shift, int(k)):
+                idx = block[rows]
+                res.values[idx], res.rounds[idx] = _refined_integral(
+                    fn, edges, ax[idx], acc.abs_tol
+                )
+                first = edges.shape[1] - 1  # each refinement round doubles it
+                res.panels[idx] = first * (2 ** (res.rounds[idx] + 1) - 1)
+            res.values[block] += _euler_tail(fn, ax[block], k + shift, acc.abs_tol)
+    return res
+
+
+def _cdf_values(alpha: float, nu: float, xs: np.ndarray,
+                accuracy: Accuracy | None) -> _Inversion:
+    """cdf_by_inversion at every finite x in xs, in one batched pass."""
+    inv = _Inversion(np.full(xs.size, 0.5), np.zeros(xs.size, dtype=np.int64),
+                     np.zeros(xs.size, dtype=np.int64))
+    nonzero = xs != 0.0
+    x = xs[nonzero]
+
+    def fn(t, ax):
+        return np.sin(t * ax) / t * _cf_phi(t, alpha, nu)
+
+    res = _oscillatory_integral(fn, np.abs(x), 0.0, accuracy or DEFAULT_ACCURACY)
+    inv.values[nonzero] = np.clip(0.5 + np.copysign(res.values / np.pi, x), 0.0, 1.0)
+    inv.panels[nonzero] = res.panels
+    inv.rounds[nonzero] = res.rounds
+    return inv
 
 
 def cdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
@@ -526,16 +623,7 @@ def cdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
     x = _as_float(x, "x")
     if not math.isfinite(x):
         raise DomainError("x must be finite")
-    if x == 0.0:
-        return 0.5
-    ax = abs(x)
-
-    def fn(t):
-        return np.sin(t * ax) / t * _cf_phi(t, alpha, nu)
-
-    val = _oscillatory_integral(fn, ax, 0.0, accuracy or DEFAULT_ACCURACY)
-    out = 0.5 + math.copysign(val / math.pi, x)
-    return min(max(out, 0.0), 1.0)
+    return float(_cdf_values(alpha, nu, np.array([x]), accuracy).values[0])
 
 
 def pdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
@@ -563,21 +651,28 @@ def pdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
             / (sc.gamma(nu) * alpha * math.pi)
         )
 
-    def fn(t):
+    def fn(t, ax):
         return np.cos(t * ax) * _cf_phi(t, alpha, nu)
 
-    val = _oscillatory_integral(fn, ax, 0.5, accuracy or DEFAULT_ACCURACY)
-    return max(val / math.pi, 0.0)
+    res = _oscillatory_integral(fn, np.array([ax]), 0.5, accuracy or DEFAULT_ACCURACY)
+    return float(max(res.values[0] / math.pi, 0.0))
 
 
 class InversionCdf:
     """Vectorized distribution function of the cf (1+|t|^alpha)^(-nu).
 
-    Monotone interpolation of pointwise inversion values over a mixed
-    linear/log abscissa grid on [0, x_max], extended to the whole line by
-    symmetry. Arguments beyond x_max are clamped to the boundary value, so
-    build with x_max at least as large as the largest |x| to be evaluated.
-    Every grid value comes from cdf_by_inversion under the given accuracy.
+    Monotone interpolation of inversion values over a mixed linear/log
+    abscissa grid on [0, x_max], extended to the whole line by symmetry.
+    Arguments beyond x_max are clamped to the boundary value, so build with
+    x_max at least as large as the largest |x| to be evaluated. At
+    alpha * nu < 2 the grid adds n_linear log-spaced points on [1e-8, 2],
+    which resolve the singular term of the density at 0. The whole grid is
+    inverted in one batched pass under the given accuracy, and every grid
+    value equals cdf_by_inversion at that point bit for bit.
+
+    Deterministic build counters: points (grid abscissae), head_panels (head
+    quadrature panels evaluated over all points and refinement rounds) and
+    max_rounds (the most refinement rounds any point needed).
     """
 
     def __init__(
@@ -596,15 +691,18 @@ class InversionCdf:
         self.alpha = alpha
         self.nu = nu
         hi = max(x_max * 1.0001, 2.5)
-        xs = np.unique(
-            np.concatenate(
-                [np.linspace(0.0, 2.0, n_linear), np.geomspace(2.0, hi, n_log)]
-            )
-        )
-        vals = np.array(
-            [cdf_by_inversion(alpha, nu, xi, accuracy=accuracy) for xi in xs]
-        )
-        vals = np.clip(np.maximum.accumulate(vals), 0.5, 1.0)
+        parts = [np.linspace(0.0, 2.0, n_linear), np.geomspace(2.0, hi, n_log)]
+        if alpha * nu < 2.0:
+            # Below alpha nu = 2 the density carries a |x|^(alpha nu - 1) term
+            # at 0 (a pole below 1, a log at 1, a cusp above), too sharp for
+            # the linear grid alone.
+            parts.append(np.geomspace(1e-8, 2.0, n_linear))
+        xs = np.unique(np.concatenate(parts))
+        inv = _cdf_values(alpha, nu, xs, accuracy)
+        vals = np.clip(np.maximum.accumulate(inv.values), 0.5, 1.0)
+        self.points = int(xs.size)
+        self.head_panels = int(inv.panels.sum())
+        self.max_rounds = int(inv.rounds.max())
         self.x_max = float(xs[-1])
         self._interp = interpolate.PchipInterpolator(xs, vals)
 

@@ -2,10 +2,11 @@
 
 The package promises that the same seed and the same numpy version give the
 same bytes. These digests pin that promise for every family and sampling
-route, for the closed transforms, for every limit theorem and mode (report
-JSON plus the raw bytes of the retained final sample), for the identity
-registry and for the CLI's ``limit``, ``list``, ``sample`` and ``verify``
-output. A refactor that keeps the digests keeps the output.
+route, for the closed transforms, for the characteristic-function inversion
+(scalar values and ``InversionCdf`` builds), for every limit theorem and mode
+(report JSON plus the raw bytes of the retained final sample), for the
+identity registry and for the CLI's ``limit``, ``list``, ``sample`` and
+``verify`` output. A refactor that keeps the digests keeps the output.
 
 numpy's Generator streams are stable within a numpy release but not
 guaranteed across releases, and its special functions may move in the last
@@ -33,6 +34,7 @@ from htmix.limits import (
     run_thm7,
     run_thm8,
 )
+from htmix.special import InversionCdf, cdf_by_inversion, pdf_by_inversion
 from htmix.streams import RandomStream
 
 GOLDEN_NUMPY = "2.4.6"
@@ -111,6 +113,28 @@ REGISTRY_DIGEST = (
 GRID_DIGEST = (
     "a70f3792600da4b48fa28ecb3e5900e0ec27bbf159a79f6a1e4fdc2e8f54b950"
 )
+
+
+# Characteristic-function inversion: scalar values over alpha * nu on both
+# sides of 1 and |x| up to 5e3, and InversionCdf builds over the x_max range
+# the limit theorems reach, evaluated on INVERSION_PROBE.
+INVERSION_PARAMS = ((0.6, 0.5), (1.0, 0.3), (2.0, 0.25), (0.8, 3.0), (1.5, 2.0),
+                    (2.0, 1.0))
+INVERSION_X = (-5000.0, -37.5, -1.0, -1e-3, 0.0, 0.05, 0.7, 3.0, 25.0, 26.0,
+               310.0, 5000.0)
+INVERSION_PROBE = np.sinh(np.linspace(-9.0, 9.0, 181))
+
+CDF_INVERSION_DIGEST = (
+    "2c842c53a8455906cd89315224cd1b076a2410a9e0aad53a80fd4f0f0aaa93b9"
+)
+PDF_INVERSION_DIGEST = (
+    "7474dd13fa874549369d8ee21202b34ec6ec5038a2a99590e155adce46dc428c"
+)
+INVERSION_CDF_DIGESTS = {
+    (2.0, 1.0, 12.2): "747a2804def63bf832c1acb085b4bcab074d74d124f420d4b97d9c2aade01d80",
+    (1.5, 2.0, 929.4): "96a05cc861203d5295fa802f8d64bbfdc159a4ee9f61a9444188b94150f6c284",
+    (1.5, 2.0, 2642.4): "5e2ab11d25ecbcda5d129970f03535996dc641bdb2e0bd88a4ac15d4d0d38b02",
+}
 
 
 def _normal_summand(rng, m):
@@ -247,3 +271,17 @@ def test_registry_grids():
         for case in identities.registry()
     ]
     assert _sha(json.dumps(grids).encode()) == GRID_DIGEST
+
+
+def test_inversion_values():
+    cdf = [cdf_by_inversion(a, v, x) for a, v in INVERSION_PARAMS for x in INVERSION_X]
+    pdf = [pdf_by_inversion(a, v, x) for a, v in INVERSION_PARAMS if a * v > 1
+           for x in INVERSION_X]
+    assert _sha(np.array(cdf).tobytes()) == CDF_INVERSION_DIGEST
+    assert _sha(np.array(pdf).tobytes()) == PDF_INVERSION_DIGEST
+
+
+@pytest.mark.parametrize("build", sorted(INVERSION_CDF_DIGESTS))
+def test_inversion_cdf_bytes(build):
+    cdf = InversionCdf(*build)
+    assert _sha(cdf(INVERSION_PROBE).tobytes()) == INVERSION_CDF_DIGESTS[build]

@@ -432,6 +432,8 @@ class TestInversionAccuracy:
             pdf_by_inversion(1.5, 2.0, 3.0, accuracy=tight)
         with pytest.raises(AccuracyError):
             InversionCdf(1.5, 2.0, 5.0, n_linear=4, n_log=4, accuracy=tight)
+        with pytest.raises(AccuracyError):
+            special._cdf_values(1.5, 2.0, np.linspace(-40.0, 40.0, 81), tight)
 
     def test_small_alpha_nu_interpolant(self):
         cdf = InversionCdf(0.6, 0.5, 1e3)
@@ -443,6 +445,57 @@ class TestInversionAccuracy:
             assert float(cdf(x)) == pytest.approx(
                 cdf_by_inversion(0.6, 0.5, x), abs=3e-4
             )
+
+
+class TestBatchedInversion:
+    """One batched pass gives each point the bits of a batch of one."""
+
+    def test_batch_matches_pointwise(self):
+        # |x| <= 8 pi shares k0 = 8 (about 190 rows, many row blocks); up to
+        # 40 spans five more k0 groups; 5000 and -3210.5 have more panels per
+        # row than one block holds.
+        side = np.linspace(0.1, 40.0, 150)
+        xs = np.concatenate([-side, [0.0], side, [5000.0, -3210.5]])
+        got = special._cdf_values(1.5, 2.0, xs, None).values
+        want = np.array([cdf_by_inversion(1.5, 2.0, x) for x in xs])
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_refining_longer_than_their_neighbours(self):
+        # Near the roundoff floor the rows of one k0 = 8 block (68 edges a
+        # row) stop after different numbers of refinement rounds.
+        tight = Accuracy(abs_tol=1e-15)
+        xs = np.linspace(0.05, 25.0, 60)
+        inv = special._cdf_values(0.1, 0.3, xs, tight)
+        assert np.unique(inv.rounds[: special._BLOCK // 68]).size > 1
+        want = np.array([cdf_by_inversion(0.1, 0.3, x, accuracy=tight) for x in xs])
+        assert inv.values.tobytes() == want.tobytes()
+
+    def test_grid_values_are_pointwise_values(self):
+        cdf = InversionCdf(2.0, 1.0, 30.0, n_linear=20, n_log=30)
+        xs = cdf._interp.x
+        want = np.maximum.accumulate([cdf_by_inversion(2.0, 1.0, x) for x in xs])
+        assert cdf._interp(xs).tobytes() == np.clip(want, 0.5, 1.0).tobytes()
+
+    @pytest.mark.parametrize("alpha,nu",
+                             [(0.6, 0.5), (1.0, 1.0), (2.0, 0.5), (1.5, 1.0)])
+    def test_interpolant_resolves_the_cusp(self, alpha, nu):
+        cdf = InversionCdf(alpha, nu, 1e3)
+        xs = np.union1d(np.geomspace(1e-6, 2.0, 60), np.linspace(0.01, 2.0, 50))
+        want = special._cdf_values(alpha, nu, xs, None).values
+        np.testing.assert_allclose(cdf(xs), want, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(cdf(-xs), 1.0 - want, rtol=0, atol=2e-5)
+
+    def test_build_counters_are_deterministic(self):
+        first = InversionCdf(0.6, 0.5, 50.0)
+        second = InversionCdf(0.6, 0.5, 50.0)
+        counters = ("points", "head_panels", "max_rounds")
+        assert [getattr(first, c) for c in counters] == [
+            getattr(second, c) for c in counters
+        ]
+        assert first.points == first._interp.x.size
+        # Each point past 0 evaluates at least 67 head panels, then 134.
+        assert first.head_panels >= 3 * 67 * (first.points - 1)
+        assert 1 <= first.max_rounds <= 7
 
 
 @settings(max_examples=50, deadline=None)
