@@ -20,7 +20,12 @@ thm6, thm7 and thm8 are one construction, a normalized sum of a random
 number N of summands, and share one driver, ``_random_sums``. Only the law
 of N, the summands and the normalization differ. For grid value n at index
 i the driver draws N on substream 2i and the summands on substream 2i+1;
-lemma14 draws grid value i on substream i. Every experiment is a
+lemma14 draws grid value i on substream i. Summands other than Rademacher
+signs are drawn in blocks of at most ``_BLOCK`` draws, block b from the
+child stream ``RandomStream(seed, 2i+1).block_generator(b)``. The blocks
+run on a thread pool that is created on first use with one worker per CPU
+the process may run on. They are added up in block order, so a report
+depends on the seed alone, never on the thread count. Every experiment is a
 ``LimitExperiment``, which alone validates its inputs, and runs through
 ``run_experiment``; ``run_lemma14`` ... ``run_thm8`` are shorthands for it.
 
@@ -40,6 +45,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -71,8 +79,10 @@ SUMMANDS = ("rademacher", "uniform")
 
 NONCONVERGENCE_FLOOR = 0.05
 _NORMAL_CONTROL_THRESHOLD = 0.01
-_CHUNK = 20_000_000
+_BLOCK = 1 << 18
 _TOTAL_DRAW_BUDGET = 5_000_000_000
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -186,20 +196,20 @@ def _check_p_grid(p_grid) -> tuple[float, ...]:
     return grid
 
 
-def _summand_drawer(summand, rng: np.random.Generator | None):
-    """Zero-mean unit-variance summand source; None means Rademacher signs."""
+def _summand_drawer(summand):
+    """Zero-mean unit-variance summands as draw(rng, m); None means Rademacher signs."""
     if summand == "rademacher":
         return None
     if summand == "uniform":
         half = math.sqrt(3.0)
-        return lambda m: rng.uniform(-half, half, m)
+        return lambda rng, m: rng.uniform(-half, half, m)
     if isinstance(summand, tuple) and len(summand) == 3:
         draw, mean, var = summand
         if float(mean) != 0.0:
             raise DomainError("summand law must have zero mean")
         if not (float(var) > 0) or not math.isfinite(float(var)):
             raise DomainError("summand law must declare a positive finite variance")
-        return lambda m: np.asarray(draw(rng, m), dtype=float)
+        return lambda rng, m: np.asarray(draw(rng, m), dtype=float)
     raise DomainError(
         f"unknown summand law {summand!r}; use 'rademacher', 'uniform', "
         "or a (draw, mean, variance) triple"
@@ -274,7 +284,7 @@ class LimitExperiment:
         if theorem == "thm7":
             if self.summand is None:
                 object.__setattr__(self, "summand", "rademacher")
-            _summand_drawer(self.summand, None)
+            _summand_drawer(self.summand)
         elif self.summand is not None:
             raise DomainError("summand applies only to thm7")
         if theorem == "thm8":
@@ -295,8 +305,31 @@ def _nb_counts(rng: np.random.Generator, nu: float, p: float, size: int) -> np.n
     return 1 + rng.poisson(lam)
 
 
-def _grouped_sums(draw: Callable[[int], np.ndarray], counts: np.ndarray) -> np.ndarray:
-    """Sum count[i] fresh draws per replication, in bounded blocks."""
+def _pool() -> ThreadPoolExecutor:
+    """The module's worker pool, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:
+                workers = os.cpu_count() or 1
+            _POOL = ThreadPoolExecutor(workers, thread_name_prefix="htmix-sums")
+        return _POOL
+
+
+def _grouped_sums(
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    counts: np.ndarray,
+    stream: RandomStream,
+) -> np.ndarray:
+    """Sum counts[i] >= 1 fresh draws per replication, summand by summand.
+
+    The draws of all replications, laid end to end, are cut into blocks of
+    _BLOCK (the last block may be shorter); block b is
+    draw(stream.block_generator(b), size). Workers sum each block's pieces
+    of the replications, and the pieces are added in block order.
+    """
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total > _TOTAL_DRAW_BUDGET:
@@ -304,29 +337,22 @@ def _grouped_sums(draw: Callable[[int], np.ndarray], counts: np.ndarray) -> np.n
             f"experiment would need {total} summand draws, over the "
             f"{_TOTAL_DRAW_BUDGET} budget"
         )
-    sums = np.empty(counts.size, dtype=float)
-    csum = np.cumsum(counts)
-    start = 0
-    base = 0
-    while start < counts.size:
-        end = int(np.searchsorted(csum, base + _CHUNK, side="right"))
-        if end == start:
-            # One replication alone exceeds the block size.
-            need = int(counts[start])
-            acc = 0.0
-            while need > 0:
-                m = min(_CHUNK, need)
-                acc += float(draw(m).sum())
-                need -= m
-            sums[start] = acc
-            base = int(csum[start])
-            start += 1
-            continue
-        block = draw(int(csum[end - 1]) - base)
-        offsets = (csum[start:end] - counts[start:end] - base).astype(np.int64)
-        sums[start:end] = np.add.reduceat(block, offsets)
-        base = int(csum[end - 1])
-        start = end
+    ends = np.cumsum(counts)
+    starts = ends - counts
+
+    def block_sums(block: int) -> tuple[int, np.ndarray]:
+        lo = block * _BLOCK
+        hi = min(lo + _BLOCK, total)
+        # Replications first..last-1 overlap the draws [lo, hi).
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(starts, hi, side="left"))
+        values = draw(stream.block_generator(block), hi - lo)
+        offsets = np.maximum(starts[first:last], lo) - lo
+        return first, np.add.reduceat(values, offsets)
+
+    sums = np.zeros(counts.size)
+    for first, pieces in _pool().map(block_sums, range(-(-total // _BLOCK))):
+        sums[first:first + pieces.size] += pieces
     return sums
 
 
@@ -363,7 +389,8 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
     """The one driver of thm6, thm7 and thm8 and their fixed-index controls.
 
     For grid value n at index i, the index N is drawn on substream 2i and
-    the summands on substream 2i+1.
+    the summands on substream 2i+1, Rademacher signs from its generator and
+    any other summand from its blocks (``_grouped_sums``).
     """
     theorem, alpha, nu, reps = exp.theorem, exp.alpha, exp.nu, exp.replications
     fixed = exp.control == "fixed-index"
@@ -376,7 +403,7 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
     rows = []
     for index, n in enumerate(exp.grid):
         idx_rng = RandomStream(exp.seed, 2 * index).generator()
-        sum_rng = RandomStream(exp.seed, 2 * index + 1).generator()
+        sum_stream = RandomStream(exp.seed, 2 * index + 1)
         if fixed:
             counts = np.full(reps, int(n), dtype=np.int64)
         elif theorem == "thm6":
@@ -386,14 +413,14 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
             v = 2.0 * g if theorem == "thm7" else 1.0 / (2.0 * g)
             counts = np.maximum(1, np.round(float(n) * v)).astype(np.int64)
         if theorem == "thm6":
-            draw = lambda m: _stable_symmetric_values(sum_rng, m, alpha)
+            draw = lambda rng, m: _stable_symmetric_values(rng, m, alpha)
         else:
             # thm8's statistic is a mean of Rademacher signs.
-            draw = _summand_drawer(exp.summand or "rademacher", sum_rng)
+            draw = _summand_drawer(exp.summand or "rademacher")
         if draw is None:
-            sums = _rademacher_sums(sum_rng, counts)
+            sums = _rademacher_sums(sum_stream.generator(), counts)
         else:
-            sums = _grouped_sums(draw, counts)
+            sums = _grouped_sums(draw, counts, sum_stream)
         if theorem == "thm6":
             stat = sums * float(n) ** (-1.0 / alpha)
         elif theorem == "thm7":

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from htmix.distributions import (
+    _stable_one_sided_values,
+    _stable_symmetric_values,
     DistSpec,
     FAMILIES,
     GammaParams,
@@ -458,13 +461,61 @@ class TestDispatcherGuards:
             sample(spec_of("normal"), 10, np.random.default_rng(0))
 
 
+# The log-form Chambers-Mallows-Stuck kernels the direct-form ones replaced,
+# kept as oracles: same draws, same order, the transform summed in logs.
+def log_form_symmetric(rng, n, alpha):
+    phi = rng.uniform(-math.pi / 2, math.pi / 2, n)
+    w = rng.standard_exponential(n)
+    ln_abs = (
+        np.log(np.abs(np.sin(alpha * phi)))
+        - np.log(np.cos(phi)) / alpha
+        + ((1.0 - alpha) / alpha)
+        * (np.log(np.cos((1.0 - alpha) * phi)) - np.log(w))
+    )
+    return np.sign(np.sin(alpha * phi)) * np.exp(ln_abs)
+
+
+def log_form_one_sided(rng, n, alpha):
+    u = rng.random(n)
+    u = np.clip(u, 1e-300, 1.0 - 1e-16)
+    w = rng.standard_exponential(n)
+    ln_a = (
+        np.log(np.sin((1.0 - alpha) * math.pi * u))
+        + (alpha / (1.0 - alpha)) * np.log(np.sin(alpha * math.pi * u))
+        - (1.0 / (1.0 - alpha)) * np.log(np.sin(math.pi * u))
+    )
+    return np.exp(((1.0 - alpha) / alpha) * (ln_a - np.log(w)))
+
+
+@pytest.mark.parametrize(
+    "kernel,oracle,alpha",
+    [(_stable_symmetric_values, log_form_symmetric, a)
+     for a in (0.05, 0.1, 0.3, 0.6, 1.5, 1.99)]
+    + [(_stable_one_sided_values, log_form_one_sided, a)
+       for a in (0.05, 0.3, 0.6, 0.95)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_direct_form_kernel_matches_log_form(kernel, oracle, alpha):
+    n = 1_000_000
+    with np.errstate(all="ignore"):
+        want = oracle(RandomStream(99, 0).generator(), n, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernel(RandomStream(99, 0).generator(), n, alpha)
+    assert not np.isnan(got).any()
+    assert (~np.isfinite(got)).sum() <= (~np.isfinite(want)).sum()
+    both = np.isfinite(got) & np.isfinite(want)
+    rel = np.abs(got[both] - want[both]) / np.abs(want[both])
+    assert rel.max() <= 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     alpha=st.floats(min_value=0.05, max_value=2.0),
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_symmetric_stable_always_finite(alpha, seed):
-    """Log-form sampler stays finite at extreme exponents."""
+    """The direct-form sampler stays finite down to alpha = 0.05."""
     b = sample(DistSpec("stable", StableParams(alpha)), 500, RandomStream(seed, 0))
     assert np.all(np.isfinite(b.values))
 

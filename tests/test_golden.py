@@ -87,20 +87,20 @@ SAMPLE_DIGESTS = {
     "gen_gamma": "7f53940d5eba2741ba374f681926ff39a819bc880fc9d0d28a610548a807c890",
     "exp_power": "b900fb2d213fccdf8636c669325a8d575e38b68a0dffe479c55178b49df463f8",
     "neg_binom": "4bc62da194ff57a32d790a3e08159b05c9cbf652a86311dbc2566fb6fc74a666",
-    "stable.symmetric": "4d47e5e806345e96e7f30687233f507412d7627c29c164337eca977ec892b74d",
-    "stable.one_sided": "a25ddc661ab7445b4a19a366f990165c110bb66f1bbb2d856ab1400bfb6ef073",
-    "stable_ratio": "7240e1ed3af74400cb79b1a7aae0374523d5f535503e7f25cb516ed072e69abf",
+    "stable.symmetric": "4b7335d438e49d31b90b03d76f8405e4820fe04fabbd84d26eba28e99ad012fa",
+    "stable.one_sided": "fa8d5da5d94cf061130e7a9d0f2f45ae47a13d6fd74eaee007716295dbdd15b1",
+    "stable_ratio": "6137d3fdc2b20f979c67f2a8b1927bd8ea7cd54903c95b31526d43e5dd250678",
     "z_mix": "486edba6628a14a7ac07a2a3f0136a73174805e382e3b69916f7ca2bcec1c6b1",
-    "mittag_leffler.stable_weibull": "bcd183c886c8344ffa87c19ec5ffc5c5920fe4aba6dd4b5f181267bc1d18df09",
-    "mittag_leffler.exp_ratio": "075ac4123686729974f0f984d59c011b7c6e9528e8ab4b51153175e3bdd087bf",
-    "gen_mittag_leffler": "8f969e48defb9fbe7e075d57ac37cdd3c5e6a8defb405b4dcd43fd708de8d9c9",
-    "linnik.stable_weibull": "ae24875e71ed2abebc83fa06948e4cd1480350e86ea39385f1c236ce95444226",
-    "linnik.normal_ml": "1446decee6c3c4bc3360016abb3a0c05e9d7dcbed0fd440864b3d49f649ae26a",
-    "linnik.laplace_ratio": "d06ae65cb63972a0c42c9a00cf853cc4a1774f52f9a2ae4caaf353dc9092d790",
-    "gen_linnik.stable_gamma": "1ab252c3c74bdd06692b612a4e7eb20c62681dc4347589e15c7a1fb4d7a5ed12",
-    "gen_linnik.normal_genml": "3f82f42efe88eabc9d5d44af8dabf6c604c1798fb9e99f4618c22489a02c9fbc",
-    "gen_linnik.linnik_z": "d158bba58b74f92eb30a5095d37b912857d445faa655ac71439a27a8d22bfb4a",
-    "gen_linnik.stable_genml": "dd16f80c0c9e070250b579ccb9db9209ca33f617db2070d8c549ea1c07dd3ac8",
+    "mittag_leffler.stable_weibull": "2d2ce7cc8ba758aa5439682f405feddc59588363c23ace726e883b6a46aa1080",
+    "mittag_leffler.exp_ratio": "531e1cce5acf6372f73f790453b87c9f46e60ff38e2fe13230670cfdf62365ba",
+    "gen_mittag_leffler": "c3eaf6fd61acef169f33b979c312a28875f1714d054da3a1246da13a1e670dd8",
+    "linnik.stable_weibull": "c10cf421feed309c39dcafc613f6850fed75a8c5a8b2caee2a5e22a4207c92d8",
+    "linnik.normal_ml": "fed11e6e91dbd9c7a0ec1c7fa1ac7acc9ab859342414ae3349d9e609918c1cab",
+    "linnik.laplace_ratio": "ae617a5d918acf1782828150ec3cce27d12cb36a2424a8429d0eee63066d305a",
+    "gen_linnik.stable_gamma": "853ea03d974cb130cbeb1ff92d78767dd4579abf48bcd40205a63c4305f08a0f",
+    "gen_linnik.normal_genml": "21dc8e1dc7c2739b8a0357fa7c3fa00add27ac3d3cb3931eb7892e34e34ec107",
+    "gen_linnik.linnik_z": "c2849a7ce9de1bfa8d079bf26fbbcf15256d8995e624086ad2e46c53363afc95",
+    "gen_linnik.stable_genml": "88e5d11599610851fe7544e3af9b71275222189929e50cd180eb2b004b042406",
 }
 
 TRANSFORM_POINTS = (0.5, 1.0, 2.0)
@@ -166,13 +166,13 @@ REPORTS = {
 }
 
 REPORT_DIGESTS = {
-    "experiment_thm6": "be421cf6f52bb78d86272fab1e54d56f1f3b1881484d141f43f827059e947567",
+    "experiment_thm6": "2cb40d307c0f62fb5bab87a80c9b38b0cd0ea5b93992494cdaabcae9b786adf5",
     "lemma14": "749c487ce4cc7f933dded7f05a71a2f85e66a4a8de59bb29708cd7a68d83e06a",
-    "thm6": "7d7b3695705a0065f4938753b7a22ba8ba68519f99007d54116122017c5d5e8d",
+    "thm6": "9b6415e9abe8a490163c741ec56dafd2d5875c909cef3ee1665500be85f21fe5",
     "thm7_control": "79eb434cdcbadecd72615b9e8ab7d4132527238952fa52584fb1dbcac68dcae7",
-    "thm7_custom": "5e578b0323ee845a21929bb7233068f7e15a077ff3eeaa65878b46a43b300432",
+    "thm7_custom": "9a7b38917202c729c1e21ef2e391e8c3e686653778a8cbc577c0112294248705",
     "thm7_rademacher": "1f18246d3fd1d042d6c681979a9b8ecb3ace4d1390b5dd83093daeb44da87217",
-    "thm7_uniform": "415c9d66427c1b7de9f29c82266b660108e913e86283c1f558e67fec4abb6511",
+    "thm7_uniform": "7f7b5f86623f68cb2893663f6a5df2488b011a46f9767406c2a093f477ed8a04",
     "thm8": "8b05964b42389d47c5a92774d1b2da714b433b133b8d5b43315dd79b218bcdd2",
     "thm8_control": "70f00584c5757d512feee61e6dd7bd7130edd9bb5d02c51940908c4e562fdb9e",
     "thm8_sigma": "93a8c3d8fead4bedd1449daa6efe2a0b97d7fa5bb0a907c5e4777999c8e52fb1",
@@ -199,14 +199,14 @@ CLI_RUNS = {
 }
 
 CLI_DIGESTS = {
-    "limit_control": "b1bd0e356d0017e66f81133585ac0b037992369c3b7ab7ec21a19579b75bb2d2",
-    "limit_csv": "3d1863681c99e26fd17655fb53ae613644d3c443b4dbf130ccd9b0736af884a5",
+    "limit_control": "775c199606a04936c9f817a92269a9955b1ed0ac52a886fa830fb2057a222f95",
+    "limit_csv": "5165c8726e8b6ceb65f89d945f37e25c3361516bf9f0af2d9175cbffa57acc93",
     "limit_json": "cf67f9d5daae3145e20dec82b52909c9e251d200b54cdfab10b8ff0bcd6c4191",
     "limit_lemma14": "9f26821aae32878f854643300103042464236996fe902b304e746b162e2fcd50",
     "list": "1d14b1896bb5d39160ae98232ff96b0560e0278d008b1527c2264eb28eeeb94b",
     "sample": "b7c0fe05c73829007ff39c1125600ed68485ef1217aca896e3ab9370dd540a77",
     "sample_method": "11d4e3d78e97b446f06fdd4963651a1d64a814e395abf730b08ebbfcf20619e5",
-    "verify_I22": "ace6e7c7d35d6be9ac4cbb9cd4ced1dd175c40781696396ea420abea3cebc719",
+    "verify_I22": "3f8bcb7fbf7d9cec12da1ddfac322a182f7b0615d0c7162fc5f14a67af8d62fb",
 }
 
 

@@ -5,6 +5,8 @@ small and mostly exercise plumbing, validation, and the verdict rules.
 """
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from htmix.limits import (
     run_thm7,
     run_thm8,
 )
+from htmix.streams import RandomStream
 
 
 def make_report(ks_values, threshold=0.5, replications=100_000, mode="convergence"):
@@ -119,44 +122,101 @@ class TestSerialization:
         assert lines[1] == "100,0.2,0.015,false,0.004"
 
 
+GROUPED_STREAM = RandomStream(31, 5)
+
+
+def integer_draws(rng, m):
+    # Integer-valued floats: every summation order gives the same sums.
+    return rng.integers(0, 1000, m).astype(float)
+
+
+def block_draws(stream, total, block):
+    """The draws of _grouped_sums laid end to end, cut every `block` draws."""
+    return np.concatenate([
+        integer_draws(stream.block_generator(b), min(block, total - b * block))
+        for b in range(-(-total // block))
+    ])
+
+
 class TestGroupedSums:
-    def test_matches_direct_loop(self):
-        rng = np.random.default_rng(7)
-        counts = rng.integers(1, 60, size=300)
-        state = {"next": 0}
-
-        def draw(m):
-            block = np.arange(state["next"], state["next"] + m, dtype=float)
-            state["next"] += m
-            return block
-
-        sums = limits._grouped_sums(draw, counts)
-        direct = np.empty(counts.size)
-        pos = 0
-        for i, c in enumerate(counts):
-            direct[i] = np.arange(pos, pos + c, dtype=float).sum()
-            pos += c
-        assert np.array_equal(sums, direct)
+    def test_matches_direct_loop(self, monkeypatch):
+        counts = np.random.default_rng(7).integers(1, 60, size=300)
+        total = int(counts.sum())
+        # The default block holds every draw; 997 cuts through replications.
+        for block in (limits._BLOCK, 997):
+            monkeypatch.setattr(limits, "_BLOCK", block)
+            sums = limits._grouped_sums(integer_draws, counts, GROUPED_STREAM)
+            flat = block_draws(GROUPED_STREAM, total, block)
+            direct = np.empty(counts.size)
+            pos = 0
+            for i, c in enumerate(counts):
+                direct[i] = flat[pos:pos + c].sum()
+                pos += c
+            assert np.array_equal(sums, direct)
 
     def test_single_huge_count_path(self, monkeypatch):
-        monkeypatch.setattr(limits, "_CHUNK", 1000)
+        monkeypatch.setattr(limits, "_BLOCK", 1000)
         counts = np.array([5, 2500, 3])
-        state = {"next": 0}
+        sizes = []
 
-        def draw(m):
-            block = np.arange(state["next"], state["next"] + m, dtype=float)
-            state["next"] += m
-            return block
+        def draw(rng, m):
+            sizes.append(m)
+            return integer_draws(rng, m)
 
-        sums = limits._grouped_sums(draw, counts)
-        assert sums[0] == sum(range(5))
-        assert sums[1] == sum(range(5, 2505))
-        assert sums[2] == sum(range(2505, 2508))
+        sums = limits._grouped_sums(draw, counts, GROUPED_STREAM)
+        flat = block_draws(GROUPED_STREAM, 2508, 1000)
+        assert sums[0] == flat[:5].sum()
+        assert sums[1] == flat[5:2505].sum()
+        assert sums[2] == flat[2505:].sum()
+        # The 2500-draw replication is drawn across three blocks, none over _BLOCK.
+        assert sorted(sizes) == [508, 1000, 1000]
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setattr(limits, "_TOTAL_DRAW_BUDGET", 10_000)
         with pytest.raises(AccuracyError):
-            limits._grouped_sums(lambda m: np.zeros(m), np.array([6000, 6000]))
+            limits._grouped_sums(
+                lambda rng, m: np.zeros(m), np.array([6000, 6000]), GROUPED_STREAM
+            )
+
+    def test_same_bytes_on_one_and_two_workers(self, monkeypatch):
+        monkeypatch.setattr(limits, "_BLOCK", 4096)
+        counts = np.random.default_rng(8).integers(1, 400, size=2000)
+
+        def draw(rng, m):
+            return limits._stable_symmetric_values(rng, m, 1.5)
+
+        out = []
+        # 8 workers on a short switch interval stress the hand-over of blocks.
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 8):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(limits, "_POOL", pool)
+                    sums = limits._grouped_sums(draw, counts, GROUPED_STREAM)
+                    report = run_thm6(1.5, 2.0, (20,), 2000, 5)
+                out.append(sums.tobytes() + report.final_sample.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert out[0] == out[1] == out[2]
+
+    def test_block_keys_never_alias_a_stream(self):
+        def key(generator):
+            return generator.bit_generator.state["state"]["state"]
+
+        streams = {key(RandomStream(1729, s).generator()) for s in range(64)}
+        blocks = {
+            key(RandomStream(1729, s).block_generator(b))
+            for s in range(64)
+            for b in range(64)
+        }
+        assert len(streams) == 64
+        assert len(blocks) == 64 * 64
+        assert not streams & blocks
+        # numpy splits spawn keys into 32-bit words, so substream
+        # 3 + 2**32 would alias block 1 of substream 3.
+        with pytest.raises(DomainError):
+            RandomStream(1729, 3 + 2**32)
 
 
 class TestRademacherSums:

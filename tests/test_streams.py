@@ -47,7 +47,7 @@ def test_default_seed_is_stable():
 
 @pytest.mark.parametrize(
     "seed,sub",
-    [(-1, 0), (2**64, 0), (1.5, 0), (0, -1), (0, 2.5), ("x", 0)],
+    [(-1, 0), (2**64, 0), (1.5, 0), (0, -1), (0, 2.5), ("x", 0), (0, 2**32)],
 )
 def test_invalid_construction(seed, sub):
     with pytest.raises(DomainError):
@@ -57,3 +57,9 @@ def test_invalid_construction(seed, sub):
 def test_shifted_rejects_negative_offset():
     with pytest.raises(DomainError):
         RandomStream(0, 3).shifted(-1)
+
+
+@pytest.mark.parametrize("block", [-1, 2**32, 1.0])
+def test_block_generator_rejects_bad_index(block):
+    with pytest.raises(DomainError):
+        RandomStream(7, 3).block_generator(block)
