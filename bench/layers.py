@@ -1,22 +1,29 @@
-"""Per-layer timings of the random-sum path, printed as one JSON object.
+"""Per-layer timings of the random-sum and identity paths, as one JSON object.
 
     PYTHONPATH=src python bench/layers.py
 
-Measures, best of REPEATS runs each:
+Measures, best of REPEATS runs each unless noted:
 
 * ns per draw of the stable kernels, symmetric at alpha = 1.5 and one-sided
   at alpha = 0.6, at 2^18 and 10^6 draws;
 * ``_grouped_sums`` throughput in draws/s on thm6-like counts (1 + Poisson
   of gamma(2) * 99 over 10^5 replications, about 2e7 symmetric-stable draws
-  at alpha = 1.5), once on a 1-worker pool and once on the default pool.
+  at alpha = 1.5), once on a 1-worker pool and once on the default pool;
+* ms per call of ``ks_two_sample`` and ``ecf_distance`` on two independent
+  2e5-draw symmetric-stable samples at alpha = 1.5;
+* ``verify`` ms per point over the 80 canonical identity points (the
+  ``identity_registry`` benchmark's calls), best of VERIFY_REPEATS passes,
+  once on a 1-worker pool and once on the default pool.
 
 Run it against another checkout's ``src`` to compare. A ``_grouped_sums``
 without a stream argument (the single-stream version) is timed once, as
-``serial``.
+``serial``; a checkout whose pool still lives in ``limits`` is handled too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 import inspect
 import json
 import time
@@ -24,21 +31,27 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from htmix import limits
+from htmix import identities, limits, verification
 from htmix.distributions import _stable_one_sided_values, _stable_symmetric_values
 from htmix.streams import RandomStream
 
+try:
+    POOL_HOME = importlib.import_module("htmix._pool")
+except ImportError:
+    POOL_HOME = limits
 REPEATS = 5
+VERIFY_REPEATS = 3
+METRIC_N = 200_000
 KERNELS = {
     "stable.symmetric": (_stable_symmetric_values, 1.5),
     "stable.one_sided": (_stable_one_sided_values, 0.6),
 }
 
 
-def best_seconds(fn) -> float:
+def best_seconds(fn, repeats: int = REPEATS) -> float:
     fn()
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -70,17 +83,64 @@ def grouped_sums_draws_per_s() -> dict:
         return _stable_symmetric_values(rng, m, 1.5)
 
     out = {"draws": total}
-    saved = limits._POOL
+    with one_worker():
+        seconds = best_seconds(lambda: limits._grouped_sums(draw, counts, stream))
+        out["workers_1"] = round(total / seconds)
+    seconds = best_seconds(lambda: limits._grouped_sums(draw, counts, stream))
+    out[f"workers_{default_workers()}_default"] = round(total / seconds)
+    return out
+
+
+@contextlib.contextmanager
+def one_worker():
+    saved = POOL_HOME._POOL
     try:
         with ThreadPoolExecutor(1) as pool:
-            limits._POOL = pool
-            seconds = best_seconds(lambda: limits._grouped_sums(draw, counts, stream))
-            out["workers_1"] = round(total / seconds)
+            POOL_HOME._POOL = pool
+            yield
     finally:
-        limits._POOL = saved
-    workers = limits._pool()._max_workers
-    seconds = best_seconds(lambda: limits._grouped_sums(draw, counts, stream))
-    out[f"workers_{workers}_default"] = round(total / seconds)
+        POOL_HOME._POOL = saved
+
+
+def default_workers() -> int:
+    pool = POOL_HOME.executor() if POOL_HOME is not limits else limits._pool()
+    return pool._max_workers
+
+
+def metric_ms_per_call() -> dict:
+    a = _stable_symmetric_values(np.random.default_rng(3), METRIC_N, 1.5)
+    b = _stable_symmetric_values(np.random.default_rng(4), METRIC_N, 1.5)
+
+    def cf(t):
+        return float(np.exp(-t**1.5))
+
+    return {
+        f"ks_two_sample.n{METRIC_N}": round(
+            1e3 * best_seconds(lambda: verification.ks_two_sample(a, b)), 3),
+        f"ecf_distance.n{METRIC_N}": round(
+            1e3 * best_seconds(lambda: verification.ecf_distance(a, cf)), 3),
+    }
+
+
+def verify_ms_per_point() -> dict:
+    points = [
+        (case, index, point)
+        for case in identities.registry()
+        for index, point in enumerate(case.grid)
+    ]
+
+    def one_pass():
+        for case, index, point in points:
+            identities.verify(case, point.params, point.n, 1729,
+                              substream_base=1000 * index, q=0.01)
+
+    def ms_per_point() -> float:
+        return round(1e3 * best_seconds(one_pass, VERIFY_REPEATS) / len(points), 2)
+
+    out = {"points": len(points)}
+    with one_worker():
+        out["workers_1"] = ms_per_point()
+    out[f"workers_{default_workers()}_default"] = ms_per_point()
     return out
 
 
@@ -88,4 +148,6 @@ if __name__ == "__main__":
     print(json.dumps({
         "ns_per_draw": kernel_ns_per_draw(),
         "grouped_sums_draws_per_s": grouped_sums_draws_per_s(),
+        "metric_ms_per_call": metric_ms_per_call(),
+        "verify_ms_per_point": verify_ms_per_point(),
     }))

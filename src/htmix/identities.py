@@ -35,6 +35,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
+from . import _pool
 from .distributions import (
     DistSpec,
     GammaParams,
@@ -220,6 +221,14 @@ def evaluate(
     if offsets is None:
         offsets = itertools.count()
     return _eval(expr, int(n), stream, offsets)
+
+
+def _leaf_count(expr) -> int:
+    if isinstance(expr, Draw):
+        return 1
+    if isinstance(expr, Product):
+        return sum(_leaf_count(factor) for factor in expr.factors)
+    return _leaf_count(expr.base)
 
 
 def _eval(expr, n, stream, offsets) -> np.ndarray:
@@ -752,7 +761,11 @@ def instantiate(
     """Draw both sides of one case at given parameters.
 
     Leaves on the two sides take consecutive substream offsets off the same
-    stream, so every leaf is independent of every other.
+    stream, so every leaf is independent of every other. The offsets are
+    taken up front, first the lhs leaves and then the rhs leaves, each side
+    depth-first as in ``evaluate``; the two sides are then drawn
+    concurrently on the package's worker pool, each with its own offsets.
+    The values depend on the seed alone, never on the thread count.
     """
     if not case.in_domain(params):
         raise DomainError(
@@ -763,15 +776,14 @@ def instantiate(
     if n < 1:
         raise DomainError("n must be a positive integer")
     offsets = itertools.count()
-    lhs_expr = case.lhs(params)
-    rhs_expr = case.rhs(params)
-    lhs_vals = evaluate(lhs_expr, n, stream, offsets)
-    rhs_vals = evaluate(rhs_expr, n, stream, offsets)
-    lhs = SampleBatch(
-        lhs_vals, f"{case.id}:lhs {lhs_expr.describe()}", stream.seed, stream.substream, n
-    )
-    rhs = SampleBatch(
-        rhs_vals, f"{case.id}:rhs {rhs_expr.describe()}", stream.seed, stream.substream, n
+    sides = []
+    for side, expr in (("lhs", case.lhs(params)), ("rhs", case.rhs(params))):
+        taken = iter(list(itertools.islice(offsets, _leaf_count(expr))))
+        values = _pool.submit(evaluate, expr, n, stream, taken)
+        sides.append((f"{case.id}:{side} {expr.describe()}", values))
+    lhs, rhs = (
+        SampleBatch(values.result(), label, stream.seed, stream.substream, n)
+        for label, values in sides
     )
     return lhs, rhs
 
@@ -792,14 +804,18 @@ def verify(
     KS runs always. When the lhs law has a closed characteristic function
     or Laplace transform, both sides are also checked against it with
     bounded-kernel envelopes (4/sqrt(n) for the CF, 1.5/sqrt(n) for the
-    Laplace transform).
+    Laplace transform). The two sides are drawn concurrently (see
+    ``instantiate``), then every metric is computed concurrently on the
+    package's worker pool; the report lists them in the order ks, ecf_lhs,
+    ecf_rhs, lst_lhs, lst_rhs and is the same for any thread count.
     """
     stream = RandomStream(seed, substream_base)
     lhs, rhs = instantiate(case, params, n, stream)
-    metrics = [
-        MetricEntry(
+    # (name, pending value, threshold), in report order.
+    pending = [
+        (
             "ks",
-            ks_two_sample(lhs, rhs),
+            _pool.submit(ks_two_sample, lhs, rhs),
             ks_two_sample_threshold(lhs.n, rhs.n, q),
         )
     ]
@@ -808,23 +824,27 @@ def verify(
     cf = analytic_cf(lhs_spec) if lhs_spec is not None else None
     if cf is not None:
         for name, batch in (("ecf_lhs", lhs), ("ecf_rhs", rhs)):
-            metrics.append(
-                MetricEntry(
+            pending.append(
+                (
                     name,
-                    ecf_distance(batch, cf, t_grid),
+                    _pool.submit(ecf_distance, batch, cf, t_grid),
                     4.0 / math.sqrt(batch.n),
                 )
             )
     lst = analytic_lst(lhs_spec) if lhs_spec is not None else None
     if lst is not None:
         for name, batch in (("lst_lhs", lhs), ("lst_rhs", rhs)):
-            metrics.append(
-                MetricEntry(
+            pending.append(
+                (
                     name,
-                    lst_distance(batch, lst, s_grid),
+                    _pool.submit(lst_distance, batch, lst, s_grid),
                     1.5 / math.sqrt(batch.n),
                 )
             )
+    metrics = [
+        MetricEntry(name, value.result(), threshold)
+        for name, value, threshold in pending
+    ]
     return VerificationReport(
         label=case.id,
         params={k: float(params[k]) for k in case.param_names},

@@ -23,11 +23,12 @@ i the driver draws N on substream 2i and the summands on substream 2i+1;
 lemma14 draws grid value i on substream i. Summands other than Rademacher
 signs are drawn in blocks of at most ``_BLOCK`` draws, block b from the
 child stream ``RandomStream(seed, 2i+1).block_generator(b)``. The blocks
-run on a thread pool that is created on first use with one worker per CPU
-the process may run on. They are added up in block order, so a report
-depends on the seed alone, never on the thread count. Every experiment is a
-``LimitExperiment``, which alone validates its inputs, and runs through
-``run_experiment``; ``run_lemma14`` ... ``run_thm8`` are shorthands for it.
+run on the package's worker pool (``htmix._pool``), created on first use
+with one worker per CPU the process may run on. They are added up in block
+order, so a report depends on the seed alone, never on the thread count.
+Every experiment is a ``LimitExperiment``, which alone validates its
+inputs, and runs through ``run_experiment``; ``run_lemma14`` ...
+``run_thm8`` are shorthands for it.
 
 Sums are computed honestly (summand by summand); the only shortcuts are
 exact lattice facts: a sum of N Rademacher signs is 2*Binomial(N, 1/2) - N.
@@ -45,15 +46,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 import scipy.special as sc
 
+from . import _pool
 from .distributions import _gen_ml_values, _pos, _stable_symmetric_values
 from .errors import AccuracyError, DomainError
 from .special import InversionCdf
@@ -81,8 +80,6 @@ NONCONVERGENCE_FLOOR = 0.05
 _NORMAL_CONTROL_THRESHOLD = 0.01
 _BLOCK = 1 << 18
 _TOTAL_DRAW_BUDGET = 5_000_000_000
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -305,19 +302,6 @@ def _nb_counts(rng: np.random.Generator, nu: float, p: float, size: int) -> np.n
     return 1 + rng.poisson(lam)
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The module's worker pool, created on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:
-                workers = os.cpu_count() or 1
-            _POOL = ThreadPoolExecutor(workers, thread_name_prefix="htmix-sums")
-        return _POOL
-
-
 def _grouped_sums(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     counts: np.ndarray,
@@ -351,7 +335,7 @@ def _grouped_sums(
         return first, np.add.reduceat(values, offsets)
 
     sums = np.zeros(counts.size)
-    for first, pieces in _pool().map(block_sums, range(-(-total // _BLOCK))):
+    for first, pieces in _pool.imap(block_sums, range(-(-total // _BLOCK))):
         sums[first:first + pieces.size] += pieces
     return sums
 

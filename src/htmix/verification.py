@@ -3,7 +3,9 @@
 Exact sup-norm KS statistics with fixed critical values (no p-values, no
 retries), empirical characteristic-function and Laplace-transform distances
 on small fixed grids, and a Hill tail-index estimator with a plateau
-stability flag. All metrics are deterministic functions of their inputs.
+stability flag. All metrics are deterministic functions of their inputs,
+and every one rejects a sample holding NaN, which would otherwise drop out
+of the comparisons silently.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ def _values(batch) -> np.ndarray:
     values = np.asarray(getattr(batch, "values", batch), dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("expected a nonempty 1-d sample")
+    nans = np.count_nonzero(np.isnan(values))
+    if nans:
+        raise DomainError(f"sample holds {nans} NaN values of {values.size}")
     return values
 
 
@@ -49,14 +54,28 @@ def _critical(q: float) -> float:
     return math.sqrt(-math.log(q / 2.0) / 2.0)
 
 
+def _right_ranks(x: np.ndarray) -> np.ndarray:
+    """searchsorted(x, x, side="right") for sorted x: last tie's index + 1."""
+    ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.size)
+    return np.repeat(ends, np.diff(ends, prepend=0))
+
+
+def _ecdf_gaps(own: np.ndarray, other: np.ndarray) -> float:
+    """Largest |F_own - F_other| over the points of own; both sorted."""
+    gaps = _right_ranks(own) / own.size
+    gaps -= np.searchsorted(other, own, side="right") / other.size
+    return float(np.abs(gaps, out=gaps).max())
+
+
 def ks_two_sample(a, b) -> float:
-    """Exact sup distance between the empirical CDFs of two samples."""
+    """Exact sup distance between the empirical CDFs of two samples.
+
+    The sup is attained at a sample point, so it is the larger of the
+    largest gaps over each sample's own points.
+    """
     x = np.sort(_values(a))
     y = np.sort(_values(b))
-    both = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, both, side="right") / x.size
-    cdf_y = np.searchsorted(y, both, side="right") / y.size
-    return float(np.abs(cdf_x - cdf_y).max())
+    return max(_ecdf_gaps(x, y), _ecdf_gaps(y, x))
 
 
 def ks_two_sample_threshold(n: int, m: int, q: float = 0.01) -> float:

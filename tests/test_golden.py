@@ -5,7 +5,8 @@ same bytes. These digests pin that promise for every family and sampling
 route, for the closed transforms, for the characteristic-function inversion
 (scalar values and ``InversionCdf`` builds), for every limit theorem and mode
 (report JSON plus the raw bytes of the retained final sample), for the
-identity registry and for the CLI's ``limit``, ``list``, ``sample`` and
+identity registry, for every identity case's reports over its canonical
+grid and for the CLI's ``limit``, ``list``, ``sample`` and
 ``verify`` output. A refactor that keeps the digests keeps the output.
 
 numpy's Generator streams are stable within a numpy release but not
@@ -17,6 +18,7 @@ captured with (``GOLDEN_NUMPY``); under any other version the test skips.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,6 +28,7 @@ import pytest
 
 from htmix import cli, identities
 from htmix.distributions import DistSpec, analytic_cf, analytic_lst, sample
+from htmix.identities import GridPoint
 from htmix.limits import (
     LimitExperiment,
     run_experiment,
@@ -209,6 +212,39 @@ CLI_DIGESTS = {
     "verify_I22": "3f8bcb7fbf7d9cec12da1ddfac322a182f7b0615d0c7162fc5f14a67af8d62fb",
 }
 
+# Every identity case over its canonical grid, as run_grid runs it (seed
+# DEFAULT_SEED, substream 1000 * index), at VERIFY_N draws per side: the
+# report JSONs of a case, concatenated.
+VERIFY_N = 20_000
+VERIFY_DIGESTS = {
+    "I01": "3324f01e8449236462963f2a33563db05171f90c7ebd9586319223770e5d5d10",
+    "I02": "93b0bcfbf89f49cd5ff049ef41f65be9fe1a4766414b16dbaeb4c45c36ef6be6",
+    "I03": "4f0fe5b879bc940a0275013650ef9b47d33837484c3f6fa64123c6a04a4ade29",
+    "I04": "10ae898b678fa2753c6d4f907907ff07590434760295b63b4265cc6c1bce31f3",
+    "I05": "4c0492ee5273a9a6376f73e05db44b3ac9ccd794e4a35b2923c41c4a099463de",
+    "I06": "53ce1cd13ce1554447ffb6ed7a08b9eb856e658d980da9745e28e485e00d264b",
+    "I07": "860ef47dcedfa0774d165f3a92959548f1988887730221723a039b81cef09207",
+    "I08": "fa6a5b66bf0449cc4f60623ccd507335df400f0fe9a62200eb32037367b41685",
+    "I09": "1ac6018f8501ca5dd2210371f28a41c5d0a41934054c0f23c9e32edf984376f5",
+    "I10": "0568a60bc7fa439b728caaf0b7fa4281b65b86ccc733ea358ddaaa840b3bdcc2",
+    "I11": "e717c73e64105891fd1f1a13188e2eb1df59d5f5ee9237a05d55e4e98c9a0088",
+    "I12": "2425b8339623c0cefc4ac4c3ffaf296de416c50b7c07027d525d70a4503a72de",
+    "I13": "394d78268ecaaedd24b34d22b9df179451167f6c8a033ed90bc04ed4cd971121",
+    "I14": "f3c03ca7f88f63ef4c59631b3acd794941311a139cdc1383dbd74de2e011834b",
+    "I15": "55f30468296263875c407cd67ebce116a5f973a6f46a914d65356feaf102b170",
+    "I16": "5b4a01c7e507f93c3ddd2f2dbd987c3e7337c451f99abf15ac847adea1aa4e6e",
+    "I17": "840fdd1cc9c90cd9979117f68a45e3342f88ba5d4d93766608e5e68f4b74355f",
+    "I18": "eda0dfdd21ffa32daddcf1026000d14cb43a0ab6e73711c6241cfef50bec0448",
+    "I19": "8d75829e633fab2755cdde112cdbd993c5e50a65dfb89e9155558d512f74ce53",
+    "I20": "5fbae402790eb8696ab4cb780f4bfcf1ab54b3d72faff193d14c04ce8f07abd4",
+    "I21": "cc4fe3647c96039f7cb13eb6998473e37dd87bd73a3b6bc2b1e0c59a49bb0123",
+    "I22": "707c1899b0810d2a4767b30341418c97df0505ff1be95a9470575ab1a254f74f",
+    "I23": "fb302ace008589a519f8b8c20e011f004fab4e3ed4da497f2c01e94ddb389b3d",
+    "I24": "c9559521f90a1ef233d992202b8deabd267442c2a9048a044acc349adbf04b87",
+    "I25": "bead552cdf1b6074d363e91ad710865995d8169c1c68f73b534aa319afbc769a",
+    "I26": "a93f69612d7a154aea498212d2d4fd01dcb9949dc5184fef4a932688c7000485",
+}
+
 
 def _report_bytes(report) -> bytes:
     return report.to_json().encode() + report.final_sample.tobytes()
@@ -228,6 +264,16 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_bytes(name):
     assert _sha(_report_bytes(REPORTS[name]())) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("case_id", sorted(VERIFY_DIGESTS))
+def test_verify_grid_bytes(case_id):
+    case = identities.get_case(case_id)
+    small = dataclasses.replace(
+        case, grid=tuple(GridPoint(p.params, VERIFY_N) for p in case.grid)
+    )
+    data = b"".join(r.to_json().encode() for r in identities.run_grid(small))
+    assert _sha(data) == VERIFY_DIGESTS[case_id]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))

@@ -1,10 +1,13 @@
 """Tests for the distributional-identity registry and its checker."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from htmix import _pool
 from htmix.distributions import DistSpec, sample
 from htmix.errors import DomainError
 from htmix.identities import (
@@ -258,6 +261,31 @@ class TestVerify:
         d = report.to_dict()
         assert d["label"] == "I05"
         assert d["n"] == {"lhs": 10_000, "rhs": 10_000}
+
+    def test_same_bytes_on_one_two_and_eight_workers(self, monkeypatch):
+        # Sides and metrics run on the pool; the report must not depend on
+        # how many workers there are or on how their steps interleave.
+        points = (
+            ("I15", {"a": 1.3}),
+            ("I08", {"d": 0.6}),
+            ("I07", {"r": 0.7, "a": 0.6, "m": 2.0}),
+            ("I23", {"a": 1.3, "v": 0.7}),
+        )
+        out = []
+        # 8 workers on a short switch interval stress the hand-over of tasks.
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 8):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(_pool, "_POOL", pool)
+                    out.append(b"".join(
+                        verify(get_case(case_id), params, 20_000, 5).to_json().encode()
+                        for case_id, params in points
+                    ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out[0] == out[1] == out[2]
 
     def test_run_grid_covers_canonical_points(self):
         case = get_case("I03")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import htmix.limits as limits
+from htmix import _pool
 from htmix.errors import AccuracyError, DomainError
 from htmix.limits import (
     NONCONVERGENCE_FLOOR,
@@ -192,7 +193,7 @@ class TestGroupedSums:
             sys.setswitchinterval(1e-6)
             for workers in (1, 2, 8):
                 with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(limits, "_POOL", pool)
+                    monkeypatch.setattr(_pool, "_POOL", pool)
                     sums = limits._grouped_sums(draw, counts, GROUPED_STREAM)
                     report = run_thm6(1.5, 2.0, (20,), 2000, 5)
                 out.append(sums.tobytes() + report.final_sample.tobytes())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from htmix.distributions import DistSpec, NegBinParams, sample
 from htmix.errors import DomainError
 from htmix.streams import RandomStream
 from htmix.verification import (
@@ -22,7 +23,50 @@ from htmix.verification import (
     lst_distance,
 )
 
+
+def ks_two_sample_oracle(a, b):
+    # The searchsorted-over-both formula: both ECDFs at every point of the
+    # concatenated sample.
+    x = np.sort(np.asarray(a, dtype=float))
+    y = np.sort(np.asarray(b, dtype=float))
+    both = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, both, side="right") / x.size
+    cdf_y = np.searchsorted(y, both, side="right") / y.size
+    return float(np.abs(cdf_x - cdf_y).max())
+
+
+def _oracle_pairs():
+    rng = RandomStream(77, 0).generator()
+    nb = DistSpec("neg_binom", NegBinParams(2.0, 0.2))
+    ties_a = sample(nb, 50_000, RandomStream(77, 1)).values
+    ties_b = sample(nb, 30_000, RandomStream(77, 2)).values
+    normal = rng.standard_normal(200_000)
+    zeros = np.array([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0, -0.0])
+    return {
+        "heavy_ties": (ties_a, ties_b),
+        "ties_shifted": (ties_a, ties_b + 1.0),
+        "one_vs_seven": (np.array([0.3]), rng.standard_normal(7)),
+        "seven_vs_one": (rng.standard_normal(7), np.array([-0.2])),
+        "1000_vs_200000": (rng.standard_normal(1000) + 0.1, normal),
+        "identical": (normal[:5000], normal[:5000].copy()),
+        "disjoint": (rng.uniform(0, 1, 300), rng.uniform(2, 3, 500)),
+        "signed_zeros": (zeros, np.array([0.0, -0.0, 0.0, 2.0])),
+        "signed_zeros_only": (np.array([-0.0, -0.0]), np.array([0.0])),
+    }
+
+
+ORACLE_PAIRS = _oracle_pairs()
+
+
 class TestKsTwoSample:
+    @pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+    def test_matches_concatenated_oracle_bitwise(self, name):
+        a, b = ORACLE_PAIRS[name]
+        want = ks_two_sample_oracle(a, b)
+        got = ks_two_sample(a, b)
+        assert got.hex() == want.hex()
+        assert ks_two_sample(b, a).hex() == want.hex()
+
     def test_matches_scipy(self):
         rng = RandomStream(2024, 0).generator()
         a = rng.standard_normal(700)
@@ -216,3 +260,32 @@ class TestInputShapes:
     def test_multidim_rejected(self):
         with pytest.raises(DomainError):
             ks_one_sample(np.zeros((3, 3)), lambda v: v)
+
+
+class TestNanRejected:
+    # A NaN compares false with everything, so it would silently drop out of
+    # every metric; each metric rejects it and says how many there are.
+    SAMPLE = np.array([1.0, 2.0, np.nan, 0.5, np.nan])
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            lambda a: ks_two_sample(a, np.array([1.0, 2.0])),
+            lambda a: ks_two_sample(np.array([1.0, 2.0]), a),
+            lambda a: ks_one_sample(a, lambda v: np.clip(v, 0, 1)),
+            lambda a: ecf_distance(a, lambda t: 1.0),
+            lambda a: lst_distance(a, lambda s: 1.0),
+            lambda a: hill_tail_index(a, k=2),
+        ],
+        ids=["ks_two_sample_lhs", "ks_two_sample_rhs", "ks_one_sample",
+             "ecf_distance", "lst_distance", "hill_tail_index"],
+    )
+    def test_nan_raises_with_count(self, metric):
+        with pytest.raises(DomainError, match="2 NaN values of 5"):
+            metric(self.SAMPLE)
+
+    def test_ecf_and_lst_no_longer_pass_silently(self):
+        with pytest.raises(DomainError, match="1 NaN"):
+            ecf_distance(np.array([1.0, 2.0, np.nan]), lambda t: 1.0)
+        with pytest.raises(DomainError, match="1 NaN"):
+            lst_distance(np.array([1.0, np.nan]), lambda s: 1.0)
