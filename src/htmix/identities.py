@@ -1,16 +1,17 @@
 """Registry of distributional equalities between mixture representations.
 
 Each case pairs a directly-sampled law (lhs) with a product-form mixture
-expression (rhs) that should follow the same law, together with the exact
-parameter hypothesis under which the equality holds. Cases are checked
+expression (rhs) that should follow the same law. Cases are checked
 statistically: two-sample KS always, plus empirical CF or Laplace-transform
 distance when the lhs law has a closed transform.
 
-Anchor notation (used in the `anchor` strings):
+A case is stated once, by its anchor: both sides are built from it, and the
+case's domain is where the param records of every law on both sides accept
+the parameters. The anchor notation, which is the builder's grammar:
 
     X          standard normal
     Lam        standard Laplace
-    W(g)       Weibull with shape g; W(1) is the standard exponential
+    W(g)       Weibull with shape g; the literal W(1) is the standard exponential
     G(r,m)     gamma with shape r and rate m
     GG(r,a,m)  generalized gamma, the 1/a power of G(r,m)
     D(v)       one-sided exponential-power law, the v-th power of G(v,1)
@@ -20,18 +21,26 @@ Anchor notation (used in the `anchor` strings):
     Z(r,m)     gamma-ratio mixing law supported on [m, inf)
     M(d)       Mittag-Leffler; M(d,v) its generalized form
     L(a)       Linnik; L(a,v) its generalized form
+    A * B      product of independent factors; A / B is A times 1/B
+    A^(e)      power, with sqrt(A) for A^(0.5); |A| is the absolute value
+    c * A      the law A scaled by a numeric constant c, such as 2 or sqrt(2)
 
-"=d=" is equality in distribution; distinct factors are independent.
-Degenerate endpoints are exact: S(1,1) and R(1) are the constant 1, and
-builders drop a ratio factor R(1) rather than sample it.
+Parameters are single lowercase letters, listed in order of first
+appearance; arithmetic on them (a*b, a/2, 1/(a*v), -1/a) runs in floats
+from left to right. "=d=" is equality in distribution; distinct factors are
+independent. S(1,1) and R(1) are the constant 1: a factor R(d) with d
+exactly 1 is dropped rather than sampled, and so is anything built only on
+it.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+import re
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -256,487 +265,396 @@ class GridPoint:
     n: int = 200_000
 
 
+# Law symbol and argument count -> family and param record. S reads its
+# second argument as the side: 0 symmetric, 1 one-sided.
+_LAWS = {
+    ("X", 0): ("normal", None),
+    ("Lam", 0): ("laplace", None),
+    ("W", 1): ("weibull", WeibullParams),
+    ("G", 2): ("gamma", GammaParams),
+    ("GG", 3): ("gen_gamma", GGParams),
+    ("D", 1): ("exp_power", ExpPowerParams),
+    ("S", 2): ("stable", lambda a, side: StableParams(a, _THETA.get(side))),
+    ("R", 1): ("stable_ratio", StableRatioParams),
+    ("Z", 2): ("z_mix", ZParams),
+    ("M", 1): ("mittag_leffler", MLParams),
+    ("M", 2): ("gen_mittag_leffler", MLParams),
+    ("L", 1): ("linnik", LinnikParams),
+    ("L", 2): ("gen_linnik", LinnikParams),
+}
+_THETA = {0.0: "symmetric", 1.0: "one_sided"}
+_CALLS = set(_LAWS) | {("sqrt", 1), ("abs", 1)}
+_SYNTAX = (
+    ast.BinOp, ast.UnaryOp, ast.Call, ast.Name, ast.Constant,
+    ast.Load, ast.Mult, ast.Div, ast.Pow, ast.USub,
+)
+
+
+def _read_anchor(anchor: str):
+    """Parameter names in order of first appearance, and one tree per side.
+
+    With |A| as abs(A) and ^ as **, a side is a Python expression: it is
+    parsed, never run, and held to the notation of the module docstring.
+    """
+    sides = [
+        re.sub(r"\|([^|]*)\|", r"abs(\1)", side.strip()).replace("^", "**")
+        for side in anchor.split("=d=")
+    ]
+    try:
+        if len(sides) != 2:
+            raise SyntaxError("needs exactly one '=d='")
+        trees = tuple(ast.parse(side, mode="eval").body for side in sides)
+        called = set()  # names in call position, whose arity _CALLS checks
+        for node in (node for tree in trees for node in ast.walk(tree)):
+            if isinstance(node, ast.Call):
+                known = (getattr(node.func, "id", None), len(node.args)) in _CALLS
+                called.add(node.func)
+            elif isinstance(node, ast.Name) and node not in called:
+                known = (node.id, 0) in _LAWS or len(node.id) == 1 and node.id.islower()
+            else:
+                known = isinstance(node, _SYNTAX)
+            if not known:
+                what = ast.unparse(node) or type(node).__name__
+                raise SyntaxError(f"{what} is not in the notation")
+    except SyntaxError as exc:
+        raise DomainError(f"malformed anchor {anchor!r}: {exc.msg}") from None
+    names = re.findall(r"\b[a-z]\b", " ".join(sides))
+    return tuple(dict.fromkeys(names)), trees
+
+
+def _lift(node, law, *numbers):
+    # Anything built only on a dropped law is dropped too.
+    return None if law is None else node(law, *numbers)
+
+
+def _build(tree, p):
+    """A float for arithmetic, else an expression node, or None if dropped."""
+    if isinstance(tree, ast.Constant):
+        return float(tree.value)
+    if isinstance(tree, ast.Name):
+        return p[tree.id] if tree.id in p else _law(tree.id, [], p)
+    if isinstance(tree, ast.UnaryOp):
+        return -_build(tree.operand, p)
+    if isinstance(tree, ast.Call):
+        return _law(tree.func.id, tree.args, p)
+    left, right = _build(tree.left, p), _build(tree.right, p)
+    divide = isinstance(tree.op, ast.Div)
+    if isinstance(tree.op, ast.Pow):
+        return _lift(Power, left, right)
+    if isinstance(left, float) and isinstance(right, float):
+        return left / right if divide else left * right
+    if isinstance(left, float) and not divide:
+        return _lift(Scale, right, left)
+    # A run of * and / is one product; a dropped factor leaves it.
+    right = _lift(Reciprocal, right) if divide else right
+    factors = left.factors if isinstance(left, Product) else (left,)
+    kept = [factor for factor in (*factors, right) if factor is not None]
+    return Product(tuple(kept)) if len(kept) > 1 else kept[0] if kept else None
+
+
+def _law(symbol: str, args: list, p):
+    if symbol == "W" and [ast.unparse(arg) for arg in args] == ["1"]:
+        return Draw(DistSpec("exponential"))
+    values = [_build(arg, p) for arg in args]
+    if symbol == "sqrt":
+        x = values[0]
+        return math.sqrt(x) if isinstance(x, float) else _lift(Power, x, 0.5)
+    if symbol == "abs":
+        return _lift(Abs, values[0])
+    if symbol == "R" and values == [1.0]:
+        return None  # R(1) is the constant 1.
+    family, record = _LAWS[symbol, len(values)]
+    return Draw(DistSpec(family, record(*values) if record else None))
+
+
 @dataclass(frozen=True)
 class IdentityCase:
-    """One distributional equality with its hypothesis and canonical grid."""
+    """One distributional equality, stated once by its anchor, and its grid.
+
+    Both sides are built from the anchor (notation in the module docstring).
+    The domain is where every law on both sides accepts the parameters, so
+    the param records alone decide it; domain_text states it for readers.
+    """
 
     id: str
     anchor: str
-    param_names: tuple[str, ...]
     domain_text: str
-    domain: Callable[[Mapping[str, float]], bool]
-    lhs: Callable[[Mapping[str, float]], object]
-    rhs: Callable[[Mapping[str, float]], object]
     grid: tuple[GridPoint, ...]
+    param_names: tuple[str, ...] = field(init=False)
+    _trees: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names, trees = _read_anchor(self.anchor)
+        object.__setattr__(self, "param_names", names)
+        object.__setattr__(self, "_trees", trees)
+
+    def lhs(self, params: Mapping[str, float]):
+        """The left side's expression at these parameters."""
+        return self._side(0, params)
+
+    def rhs(self, params: Mapping[str, float]):
+        """The right side's expression at these parameters."""
+        return self._side(1, params)
+
+    def _side(self, index: int, params: Mapping[str, float]):
+        if set(params) != set(self.param_names):
+            raise DomainError(f"{self.id} takes {', '.join(self.param_names)}")
+        try:
+            values = {name: float(params[name]) for name in self.param_names}
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{self.id}: parameters must be real numbers") from exc
+        try:
+            expr = _build(self._trees[index], values)
+        except ZeroDivisionError as exc:
+            raise DomainError(f"{self.id}: division by zero in {self.anchor}") from exc
+        if expr is None:
+            raise DomainError(f"{self.id}: every factor of one side was dropped")
+        return expr
 
     def in_domain(self, params: Mapping[str, float]) -> bool:
-        if set(params) != set(self.param_names):
+        try:
+            self.lhs(params)
+            self.rhs(params)
+        except DomainError:
             return False
-        vals = {}
-        for name in self.param_names:
-            try:
-                v = float(params[name])
-            except (TypeError, ValueError):
-                return False
-            if not math.isfinite(v):
-                return False
-            vals[name] = v
-        return bool(self.domain(vals))
+        return True
 
 
-# Leaf shorthands for the registry builders.
-
-
-def _normal():
-    return Draw(DistSpec("normal"))
-
-
-def _lap():
-    return Draw(DistSpec("laplace"))
-
-
-def _w1():
-    return Draw(DistSpec("exponential"))
-
-
-def _wei(g):
-    return Draw(DistSpec("weibull", WeibullParams(g)))
-
-
-def _gam(r, m=1.0):
-    return Draw(DistSpec("gamma", GammaParams(r, m)))
-
-
-def _gg(r, a, m=1.0):
-    return Draw(DistSpec("gen_gamma", GGParams(r, a, m)))
-
-
-def _dpow(v):
-    return Draw(DistSpec("exp_power", ExpPowerParams(v)))
-
-
-def _sym(a):
-    return Draw(DistSpec("stable", StableParams(a, "symmetric")))
-
-
-def _pos(a):
-    return Draw(DistSpec("stable", StableParams(a, "one_sided")))
-
-
-def _ratio(d):
-    return Draw(DistSpec("stable_ratio", StableRatioParams(d)))
-
-
-def _ratio_opt(d):
-    # R(1) is the constant 1; drop the factor instead of sampling it.
-    return None if d == 1.0 else _ratio(d)
-
-
-def _z(r, m=1.0):
-    return Draw(DistSpec("z_mix", ZParams(r, m)))
-
-
-def _ml(d):
-    return Draw(DistSpec("mittag_leffler", MLParams(d)))
-
-
-def _gml(d, v):
-    return Draw(DistSpec("gen_mittag_leffler", MLParams(d, v)))
-
-
-def _lin(a):
-    return Draw(DistSpec("linnik", LinnikParams(a)))
-
-
-def _glin(a, v):
-    return Draw(DistSpec("gen_linnik", LinnikParams(a, v)))
-
-
-def _prod(*factors):
-    kept = tuple(f for f in factors if f is not None)
-    if not kept:
-        raise DomainError("empty product")
-    if len(kept) == 1:
-        return kept[0]
-    return Product(kept)
-
-
-def _sqrt(expr):
-    return Power(expr, 0.5)
-
-
-def _times2(expr):
-    return Scale(expr, 2.0)
-
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def _build_registry() -> tuple[IdentityCase, ...]:
-    cases = []
-
-    def add(case_id, anchor, names, domain_text, domain, lhs, rhs, grid):
-        points = tuple(GridPoint(params) for params in grid)
-        cases.append(
-            IdentityCase(
-                case_id, anchor, tuple(names), domain_text, domain, lhs, rhs, points
-            )
-        )
-
-    add(
-        "I01",
-        "S(a*b,0) =d= S(a,0) * S(b,1)^(1/a)",
-        ("a", "b"),
-        "a in (0,2], b in (0,1]",
-        lambda p: 0 < p["a"] <= 2 and 0 < p["b"] <= 1,
-        lambda p: _sym(p["a"] * p["b"]),
-        lambda p: _prod(_sym(p["a"]), Power(_pos(p["b"]), 1.0 / p["a"])),
+_REGISTRY = tuple(
+    IdentityCase(case_id, anchor, domain_text, tuple(GridPoint(p) for p in grid))
+    for case_id, anchor, domain_text, grid in (
         (
-            {"a": 2.0, "b": 1.0},
-            {"a": 2.0, "b": 0.6},
-            {"a": 1.1, "b": 0.85},
-            {"a": 0.5, "b": 0.3},
-        ),
-    )
-    add(
-        "I02",
-        "S(a*b,1) =d= S(a,1) * S(b,1)^(1/a)",
-        ("a", "b"),
-        "a in (0,1], b in (0,1]",
-        lambda p: 0 < p["a"] <= 1 and 0 < p["b"] <= 1,
-        lambda p: _pos(p["a"] * p["b"]),
-        lambda p: _prod(_pos(p["a"]), Power(_pos(p["b"]), 1.0 / p["a"])),
-        (
-            {"a": 1.0, "b": 1.0},
-            {"a": 0.9, "b": 0.7},
-            {"a": 0.4, "b": 0.35},
-        ),
-    )
-    add(
-        "I03",
-        "S(a,0) =d= X * sqrt(2*S(a/2,1))",
-        ("a",),
-        "a in (0,2]",
-        lambda p: 0 < p["a"] <= 2,
-        lambda p: _sym(p["a"]),
-        lambda p: _prod(_normal(), _sqrt(_times2(_pos(p["a"] / 2)))),
-        ({"a": 2.0}, {"a": 1.3}, {"a": 0.4}),
-    )
-    add(
-        "I04",
-        "W(g*b) =d= W(b)^(1/g)",
-        ("g", "b"),
-        "g > 0, b > 0",
-        lambda p: p["g"] > 0 and p["b"] > 0,
-        lambda p: _wei(p["g"] * p["b"]),
-        lambda p: Power(_wei(p["b"]), 1.0 / p["g"]),
-        (
-            {"g": 1.0, "b": 1.0},
-            {"g": 2.5, "b": 0.8},
-            {"g": 0.4, "b": 0.5},
-        ),
-    )
-    add(
-        "I05",
-        "W(g) =d= W(1) / S(g,1)",
-        ("g",),
-        "g in (0,1]",
-        lambda p: 0 < p["g"] <= 1,
-        lambda p: _wei(p["g"]),
-        lambda p: _prod(_w1(), Reciprocal(_pos(p["g"]))),
-        ({"g": 1.0}, {"g": 0.6}, {"g": 0.25}),
-    )
-    add(
-        "I06",
-        "G(r,m) =d= W(1) / Z(r,m)",
-        ("r", "m"),
-        "r in (0,1), m > 0",
-        lambda p: 0 < p["r"] < 1 and p["m"] > 0,
-        lambda p: _gam(p["r"], p["m"]),
-        lambda p: _prod(_w1(), Reciprocal(_z(p["r"], p["m"]))),
-        (
-            {"r": 0.9, "m": 1.0},
-            {"r": 0.5, "m": 2.0},
-            {"r": 0.15, "m": 1.0},
-        ),
-    )
-    add(
-        "I07",
-        "GG(r,a,m) =d= W(1) / (S(a,1) * Z(r,m)^(1/a))",
-        ("r", "a", "m"),
-        "a in (0,1], r in (0,1), m > 0",
-        lambda p: 0 < p["a"] <= 1 and 0 < p["r"] < 1 and p["m"] > 0,
-        lambda p: _gg(p["r"], p["a"], p["m"]),
-        lambda p: _prod(
-            _w1(),
-            Reciprocal(_prod(_pos(p["a"]), Power(_z(p["r"], p["m"]), 1.0 / p["a"]))),
+            "I01",
+            "S(a*b,0) =d= S(a,0) * S(b,1)^(1/a)",
+            "a in (0,2], b in (0,1]",
+            (
+                {"a": 2.0, "b": 1.0},
+                {"a": 2.0, "b": 0.6},
+                {"a": 1.1, "b": 0.85},
+                {"a": 0.5, "b": 0.3},
+            ),
         ),
         (
-            {"r": 0.5, "a": 1.0, "m": 1.0},
-            {"r": 0.7, "a": 0.6, "m": 2.0},
-            {"r": 0.2, "a": 0.3, "m": 1.0},
-        ),
-    )
-    add(
-        "I08",
-        "M(d) =d= S(d,1) * W(d)",
-        ("d",),
-        "d in (0,1]",
-        lambda p: 0 < p["d"] <= 1,
-        lambda p: _ml(p["d"]),
-        lambda p: _prod(_pos(p["d"]), _wei(p["d"])),
-        ({"d": 1.0}, {"d": 0.7}, {"d": 0.25}),
-    )
-    add(
-        "I09",
-        "M(d) =d= W(1) * R(d)",
-        ("d",),
-        "d in (0,1]",
-        lambda p: 0 < p["d"] <= 1,
-        lambda p: _ml(p["d"]),
-        lambda p: _prod(_w1(), _ratio_opt(p["d"])),
-        ({"d": 1.0}, {"d": 0.6}, {"d": 0.2}),
-    )
-    add(
-        "I10",
-        "M(d*b) =d= M(d) * R(b)^(1/d)",
-        ("d", "b"),
-        "d in (0,1], b in (0,1]",
-        lambda p: 0 < p["d"] <= 1 and 0 < p["b"] <= 1,
-        lambda p: _ml(p["d"] * p["b"]),
-        lambda p: _prod(
-            _ml(p["d"]),
-            None if p["b"] == 1.0 else Power(_ratio(p["b"]), 1.0 / p["d"]),
+            "I02",
+            "S(a*b,1) =d= S(a,1) * S(b,1)^(1/a)",
+            "a in (0,1], b in (0,1]",
+            (
+                {"a": 1.0, "b": 1.0},
+                {"a": 0.9, "b": 0.7},
+                {"a": 0.4, "b": 0.35},
+            ),
         ),
         (
-            {"d": 1.0, "b": 1.0},
-            {"d": 0.7, "b": 0.8},
-            {"d": 0.3, "b": 0.4},
-        ),
-    )
-    add(
-        "I11",
-        "L(a) =d= S(a,0) * W(1)^(1/a)",
-        ("a",),
-        "a in (0,2]",
-        lambda p: 0 < p["a"] <= 2,
-        lambda p: _lin(p["a"]),
-        lambda p: _prod(_sym(p["a"]), Power(_w1(), 1.0 / p["a"])),
-        ({"a": 2.0}, {"a": 1.4}, {"a": 0.5}),
-    )
-    add(
-        "I12",
-        "L(a*b) =d= L(a) * R(b)^(1/a)",
-        ("a", "b"),
-        "a in (0,2], b in (0,1]",
-        lambda p: 0 < p["a"] <= 2 and 0 < p["b"] <= 1,
-        lambda p: _lin(p["a"] * p["b"]),
-        lambda p: _prod(
-            _lin(p["a"]),
-            None if p["b"] == 1.0 else Power(_ratio(p["b"]), 1.0 / p["a"]),
+            "I03",
+            "S(a,0) =d= X * sqrt(2*S(a/2,1))",
+            "a in (0,2]",
+            ({"a": 2.0}, {"a": 1.3}, {"a": 0.4}),
         ),
         (
-            {"a": 2.0, "b": 1.0},
-            {"a": 1.5, "b": 0.7},
-            {"a": 0.6, "b": 0.4},
-        ),
-    )
-    add(
-        "I13",
-        "L(a) =d= Lam * sqrt(R(a/2))",
-        ("a",),
-        "a in (0,2)",
-        lambda p: 0 < p["a"] < 2,
-        lambda p: _lin(p["a"]),
-        lambda p: _prod(_lap(), _sqrt(_ratio(p["a"] / 2))),
-        ({"a": 1.9}, {"a": 1.2}, {"a": 0.5}),
-    )
-    add(
-        "I14",
-        "L(a*b) =d= S(a,0) * M(b)^(1/a)",
-        ("a", "b"),
-        "a in (0,2], b in (0,1]",
-        lambda p: 0 < p["a"] <= 2 and 0 < p["b"] <= 1,
-        lambda p: _lin(p["a"] * p["b"]),
-        lambda p: _prod(_sym(p["a"]), Power(_ml(p["b"]), 1.0 / p["a"])),
-        (
-            {"a": 2.0, "b": 1.0},
-            {"a": 1.6, "b": 0.75},
-            {"a": 0.7, "b": 0.35},
-        ),
-    )
-    add(
-        "I15",
-        "L(a) =d= X * sqrt(2*M(a/2))",
-        ("a",),
-        "a in (0,2]",
-        lambda p: 0 < p["a"] <= 2,
-        lambda p: _lin(p["a"]),
-        lambda p: _prod(_normal(), _sqrt(_times2(_ml(p["a"] / 2)))),
-        ({"a": 2.0}, {"a": 1.2}, {"a": 0.45}),
-    )
-    add(
-        "I16",
-        "M(d) =d= sqrt(2) * |X| * R(d) * W(2)",
-        ("d",),
-        "d in (0,1]",
-        lambda p: 0 < p["d"] <= 1,
-        lambda p: _ml(p["d"]),
-        lambda p: _prod(
-            Scale(Abs(_normal()), _SQRT2), _ratio_opt(p["d"]), _wei(2.0)
-        ),
-        ({"d": 1.0}, {"d": 0.65}, {"d": 0.25}),
-    )
-    add(
-        "I17",
-        "L(a,v) =d= S(a,0) * G(v,1)^(1/a)",
-        ("a", "v"),
-        "a in (0,2], v > 0",
-        lambda p: 0 < p["a"] <= 2 and p["v"] > 0,
-        lambda p: _glin(p["a"], p["v"]),
-        lambda p: _prod(_sym(p["a"]), Power(_gam(p["v"]), 1.0 / p["a"])),
-        (
-            {"a": 1.0, "v": 1.0},
-            {"a": 2.0, "v": 2.5},
-            {"a": 1.5, "v": 0.8},
-            {"a": 0.5, "v": 3.0},
-        ),
-    )
-    add(
-        "I18",
-        "L(a,v) =d= S(a,0) * D(v)^(1/(a*v))",
-        ("a", "v"),
-        "a in (0,2], v > 0",
-        lambda p: 0 < p["a"] <= 2 and p["v"] > 0,
-        lambda p: _glin(p["a"], p["v"]),
-        lambda p: _prod(_sym(p["a"]), Power(_dpow(p["v"]), 1.0 / (p["a"] * p["v"]))),
-        (
-            {"a": 2.0, "v": 1.0},
-            {"a": 1.3, "v": 2.0},
-            {"a": 0.6, "v": 0.5},
-        ),
-    )
-    add(
-        "I19",
-        "M(d,v) =d= S(d,1) * GG(v,d,1)",
-        ("d", "v"),
-        "d in (0,1], v > 0",
-        lambda p: 0 < p["d"] <= 1 and p["v"] > 0,
-        lambda p: _gml(p["d"], p["v"]),
-        lambda p: _prod(_pos(p["d"]), _gg(p["v"], p["d"])),
-        (
-            {"d": 1.0, "v": 2.0},
-            {"d": 0.75, "v": 1.5},
-            {"d": 0.3, "v": 0.7},
-        ),
-    )
-    add(
-        "I20",
-        "L(a,v) =d= X * sqrt(2*M(a/2,v))",
-        ("a", "v"),
-        "a in (0,2], v > 0",
-        lambda p: 0 < p["a"] <= 2 and p["v"] > 0,
-        lambda p: _glin(p["a"], p["v"]),
-        lambda p: _prod(_normal(), _sqrt(_times2(_gml(p["a"] / 2, p["v"])))),
-        (
-            {"a": 2.0, "v": 1.0},
-            {"a": 1.5, "v": 2.0},
-            {"a": 0.6, "v": 0.5},
-        ),
-    )
-    add(
-        "I21",
-        "L(a*b,v) =d= S(a,0) * M(b,v)^(1/a)",
-        ("a", "b", "v"),
-        "a in (0,2], b in (0,1), v > 0",
-        lambda p: 0 < p["a"] <= 2 and 0 < p["b"] < 1 and p["v"] > 0,
-        lambda p: _glin(p["a"] * p["b"], p["v"]),
-        lambda p: _prod(_sym(p["a"]), Power(_gml(p["b"], p["v"]), 1.0 / p["a"])),
-        (
-            {"a": 2.0, "b": 0.95, "v": 1.5},
-            {"a": 1.4, "b": 0.6, "v": 2.5},
-            {"a": 0.8, "b": 0.3, "v": 0.6},
-        ),
-    )
-    add(
-        "I22",
-        "L(a,v) =d= L(a) * Z(v,1)^(-1/a)",
-        ("a", "v"),
-        "a in (0,2], v in (0,1]",
-        lambda p: 0 < p["a"] <= 2 and 0 < p["v"] <= 1,
-        lambda p: _glin(p["a"], p["v"]),
-        lambda p: _prod(_lin(p["a"]), Power(_z(p["v"]), -1.0 / p["a"])),
-        (
-            {"a": 1.5, "v": 1.0},
-            {"a": 1.8, "v": 0.6},
-            {"a": 0.5, "v": 0.3},
-        ),
-    )
-    add(
-        "I23",
-        "L(a,v) =d= X * Z(v,1)^(-1/a) * sqrt(2*M(a/2))",
-        ("a", "v"),
-        "a in (0,2], v in (0,1]",
-        lambda p: 0 < p["a"] <= 2 and 0 < p["v"] <= 1,
-        lambda p: _glin(p["a"], p["v"]),
-        lambda p: _prod(
-            _normal(),
-            Power(_z(p["v"]), -1.0 / p["a"]),
-            _sqrt(_times2(_ml(p["a"] / 2))),
+            "I04",
+            "W(g*b) =d= W(b)^(1/g)",
+            "g > 0, b > 0",
+            (
+                {"g": 1.0, "b": 1.0},
+                {"g": 2.5, "b": 0.8},
+                {"g": 0.4, "b": 0.5},
+            ),
         ),
         (
-            {"a": 2.0, "v": 1.0},
-            {"a": 1.3, "v": 0.7},
-            {"a": 0.6, "v": 0.35},
+            "I05",
+            "W(g) =d= W(1) / S(g,1)",
+            "g in (0,1]",
+            ({"g": 1.0}, {"g": 0.6}, {"g": 0.25}),
         ),
-    )
-    add(
-        "I24",
-        "M(d,v) =d= Z(v,1)^(-1/d) * M(d)",
-        ("d", "v"),
-        "d in (0,1], v in (0,1]",
-        lambda p: 0 < p["d"] <= 1 and 0 < p["v"] <= 1,
-        lambda p: _gml(p["d"], p["v"]),
-        lambda p: _prod(Power(_z(p["v"]), -1.0 / p["d"]), _ml(p["d"])),
         (
-            {"d": 1.0, "v": 1.0},
-            {"d": 0.7, "v": 0.5},
-            {"d": 0.25, "v": 0.8},
+            "I06",
+            "G(r,m) =d= W(1) / Z(r,m)",
+            "r in (0,1], m > 0",
+            (
+                {"r": 0.9, "m": 1.0},
+                {"r": 0.5, "m": 2.0},
+                {"r": 0.15, "m": 1.0},
+            ),
         ),
-    )
-    add(
-        "I25",
-        "M(d*b,v) =d= S(d,1) * M(b,v)^(1/d)",
-        ("d", "b", "v"),
-        "d in (0,1], b in (0,1], v > 0",
-        lambda p: 0 < p["d"] <= 1 and 0 < p["b"] <= 1 and p["v"] > 0,
-        lambda p: _gml(p["d"] * p["b"], p["v"]),
-        lambda p: _prod(_pos(p["d"]), Power(_gml(p["b"], p["v"]), 1.0 / p["d"])),
         (
-            {"d": 1.0, "b": 1.0, "v": 2.0},
-            {"d": 0.8, "b": 0.7, "v": 1.5},
-            {"d": 0.35, "b": 0.45, "v": 0.8},
+            "I07",
+            "GG(r,a,m) =d= W(1) / (S(a,1) * Z(r,m)^(1/a))",
+            "a in (0,1], r in (0,1], m > 0",
+            (
+                {"r": 0.5, "a": 1.0, "m": 1.0},
+                {"r": 0.7, "a": 0.6, "m": 2.0},
+                {"r": 0.2, "a": 0.3, "m": 1.0},
+            ),
         ),
-    )
-    add(
-        "I26",
-        "GG(r,a,m) =d= G(r,m)^(1/a)",
-        ("r", "a", "m"),
-        "r > 0, a != 0, m > 0",
-        lambda p: p["r"] > 0 and p["a"] != 0 and p["m"] > 0,
-        lambda p: _gg(p["r"], p["a"], p["m"]),
-        lambda p: Power(_gam(p["r"], p["m"]), 1.0 / p["a"]),
         (
-            {"r": 2.0, "a": 3.0, "m": 1.0},
-            {"r": 1.5, "a": 0.4, "m": 0.5},
-            {"r": 0.5, "a": -1.2, "m": 2.0},
+            "I08",
+            "M(d) =d= S(d,1) * W(d)",
+            "d in (0,1]",
+            ({"d": 1.0}, {"d": 0.7}, {"d": 0.25}),
+        ),
+        (
+            "I09",
+            "M(d) =d= W(1) * R(d)",
+            "d in (0,1]",
+            ({"d": 1.0}, {"d": 0.6}, {"d": 0.2}),
+        ),
+        (
+            "I10",
+            "M(d*b) =d= M(d) * R(b)^(1/d)",
+            "d in (0,1], b in (0,1]",
+            (
+                {"d": 1.0, "b": 1.0},
+                {"d": 0.7, "b": 0.8},
+                {"d": 0.3, "b": 0.4},
+            ),
+        ),
+        (
+            "I11",
+            "L(a) =d= S(a,0) * W(1)^(1/a)",
+            "a in (0,2]",
+            ({"a": 2.0}, {"a": 1.4}, {"a": 0.5}),
+        ),
+        (
+            "I12",
+            "L(a*b) =d= L(a) * R(b)^(1/a)",
+            "a in (0,2], b in (0,1]",
+            (
+                {"a": 2.0, "b": 1.0},
+                {"a": 1.5, "b": 0.7},
+                {"a": 0.6, "b": 0.4},
+            ),
+        ),
+        (
+            "I13",
+            "L(a) =d= Lam * sqrt(R(a/2))",
+            "a in (0,2]",
+            ({"a": 1.9}, {"a": 1.2}, {"a": 0.5}),
+        ),
+        (
+            "I14",
+            "L(a*b) =d= S(a,0) * M(b)^(1/a)",
+            "a in (0,2], b in (0,1]",
+            (
+                {"a": 2.0, "b": 1.0},
+                {"a": 1.6, "b": 0.75},
+                {"a": 0.7, "b": 0.35},
+            ),
+        ),
+        (
+            "I15",
+            "L(a) =d= X * sqrt(2*M(a/2))",
+            "a in (0,2]",
+            ({"a": 2.0}, {"a": 1.2}, {"a": 0.45}),
+        ),
+        (
+            "I16",
+            "M(d) =d= sqrt(2) * |X| * R(d) * W(2)",
+            "d in (0,1]",
+            ({"d": 1.0}, {"d": 0.65}, {"d": 0.25}),
+        ),
+        (
+            "I17",
+            "L(a,v) =d= S(a,0) * G(v,1)^(1/a)",
+            "a in (0,2], v > 0",
+            (
+                {"a": 1.0, "v": 1.0},
+                {"a": 2.0, "v": 2.5},
+                {"a": 1.5, "v": 0.8},
+                {"a": 0.5, "v": 3.0},
+            ),
+        ),
+        (
+            "I18",
+            "L(a,v) =d= S(a,0) * D(v)^(1/(a*v))",
+            "a in (0,2], v > 0",
+            (
+                {"a": 2.0, "v": 1.0},
+                {"a": 1.3, "v": 2.0},
+                {"a": 0.6, "v": 0.5},
+            ),
+        ),
+        (
+            "I19",
+            "M(d,v) =d= S(d,1) * GG(v,d,1)",
+            "d in (0,1], v > 0",
+            (
+                {"d": 1.0, "v": 2.0},
+                {"d": 0.75, "v": 1.5},
+                {"d": 0.3, "v": 0.7},
+            ),
+        ),
+        (
+            "I20",
+            "L(a,v) =d= X * sqrt(2*M(a/2,v))",
+            "a in (0,2], v > 0",
+            (
+                {"a": 2.0, "v": 1.0},
+                {"a": 1.5, "v": 2.0},
+                {"a": 0.6, "v": 0.5},
+            ),
+        ),
+        (
+            "I21",
+            "L(a*b,v) =d= S(a,0) * M(b,v)^(1/a)",
+            "a in (0,2], b in (0,1], v > 0",
+            (
+                {"a": 2.0, "b": 0.95, "v": 1.5},
+                {"a": 1.4, "b": 0.6, "v": 2.5},
+                {"a": 0.8, "b": 0.3, "v": 0.6},
+            ),
+        ),
+        (
+            "I22",
+            "L(a,v) =d= L(a) * Z(v,1)^(-1/a)",
+            "a in (0,2], v in (0,1]",
+            (
+                {"a": 1.5, "v": 1.0},
+                {"a": 1.8, "v": 0.6},
+                {"a": 0.5, "v": 0.3},
+            ),
+        ),
+        (
+            "I23",
+            "L(a,v) =d= X * Z(v,1)^(-1/a) * sqrt(2*M(a/2))",
+            "a in (0,2], v in (0,1]",
+            (
+                {"a": 2.0, "v": 1.0},
+                {"a": 1.3, "v": 0.7},
+                {"a": 0.6, "v": 0.35},
+            ),
+        ),
+        (
+            "I24",
+            "M(d,v) =d= Z(v,1)^(-1/d) * M(d)",
+            "d in (0,1], v in (0,1]",
+            (
+                {"d": 1.0, "v": 1.0},
+                {"d": 0.7, "v": 0.5},
+                {"d": 0.25, "v": 0.8},
+            ),
+        ),
+        (
+            "I25",
+            "M(d*b,v) =d= S(d,1) * M(b,v)^(1/d)",
+            "d in (0,1], b in (0,1], v > 0",
+            (
+                {"d": 1.0, "b": 1.0, "v": 2.0},
+                {"d": 0.8, "b": 0.7, "v": 1.5},
+                {"d": 0.35, "b": 0.45, "v": 0.8},
+            ),
+        ),
+        (
+            "I26",
+            "GG(r,a,m) =d= G(r,m)^(1/a)",
+            "r > 0, a != 0, m > 0",
+            (
+                {"r": 2.0, "a": 3.0, "m": 1.0},
+                {"r": 1.5, "a": 0.4, "m": 0.5},
+                {"r": 0.5, "a": -1.2, "m": 2.0},
+            ),
         ),
     )
-
-    return tuple(cases)
-
-
-_REGISTRY = _build_registry()
+)
 _BY_ID = {case.id: case for case in _REGISTRY}
 
 
@@ -767,17 +685,18 @@ def instantiate(
     concurrently on the package's worker pool, each with its own offsets.
     The values depend on the seed alone, never on the thread count.
     """
-    if not case.in_domain(params):
+    try:
+        exprs = case.lhs(params), case.rhs(params)
+    except DomainError as exc:
         raise DomainError(
             f"{case.id}: parameters {dict(params)} violate domain {case.domain_text}"
-        )
-    params = {k: float(params[k]) for k in case.param_names}
+        ) from exc
     n = int(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
     offsets = itertools.count()
     sides = []
-    for side, expr in (("lhs", case.lhs(params)), ("rhs", case.rhs(params))):
+    for side, expr in zip(("lhs", "rhs"), exprs):
         taken = iter(list(itertools.islice(offsets, _leaf_count(expr))))
         values = _pool.submit(evaluate, expr, n, stream, taken)
         sides.append((f"{case.id}:{side} {expr.describe()}", values))
@@ -819,7 +738,7 @@ def verify(
             ks_two_sample_threshold(lhs.n, rhs.n, q),
         )
     ]
-    lhs_expr = case.lhs({k: float(params[k]) for k in case.param_names})
+    lhs_expr = case.lhs(params)
     lhs_spec = lhs_expr.spec if isinstance(lhs_expr, Draw) else None
     cf = analytic_cf(lhs_spec) if lhs_spec is not None else None
     if cf is not None:

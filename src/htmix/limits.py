@@ -53,7 +53,7 @@ import numpy as np
 import scipy.special as sc
 
 from . import _pool
-from .distributions import _gen_ml_values, _pos, _stable_symmetric_values
+from .distributions import LinnikParams, _gen_ml_values, _pos, _stable_symmetric_values
 from .errors import AccuracyError, DomainError
 from .special import InversionCdf
 from .streams import DEFAULT_SEED, RandomStream
@@ -258,17 +258,18 @@ class LimitExperiment:
             )
         if self.nu is None:
             raise DomainError(f"{theorem} needs nu")
-        object.__setattr__(self, "nu", _pos(self.nu, "nu"))
         if theorem == "lemma14":
             if self.alpha is not None:
                 raise DomainError("lemma14 takes no alpha")
+            object.__setattr__(self, "nu", _pos(self.nu, "nu"))
             object.__setattr__(self, "grid", _check_p_grid(self.grid))
         else:
             if self.alpha is None:
                 raise DomainError(f"{theorem} needs alpha")
-            object.__setattr__(self, "alpha", _pos(self.alpha, "alpha"))
-            if self.alpha > 2:
-                raise DomainError("alpha must lie in (0, 2]")
+            # The target law's record holds the theorems' domain.
+            target = LinnikParams(self.alpha, self.nu)
+            object.__setattr__(self, "alpha", target.alpha)
+            object.__setattr__(self, "nu", target.nu)
             object.__setattr__(self, "grid", _check_n_grid(self.grid))
         reps = self.replications
         if not isinstance(reps, (int, np.integer)) or reps < 1000:

@@ -35,6 +35,7 @@ from scipy import integrate
 from scipy import interpolate
 from scipy import special as sc
 
+from .distributions import GGParams, LinnikParams, MLParams, StableRatioParams
 from .errors import AccuracyError, DomainError, UnsupportedRegimeError
 
 __all__ = [
@@ -106,15 +107,6 @@ def gamma_fn(s) -> float:
     if not math.isfinite(out):
         raise AccuracyError(f"gamma({s}) overflows float64")
     return out
-
-
-def _check_delta(delta, *, open_right: bool = False) -> float:
-    delta = _as_float(delta, "delta")
-    hi_ok = delta < 1 if open_right else delta <= 1
-    if not (0 < delta and hi_ok):
-        rng = "(0, 1)" if open_right else "(0, 1]"
-        raise DomainError(f"delta must lie in {rng}")
-    return delta
 
 
 def _resolvent_weight(u: np.ndarray, delta: float) -> np.ndarray:
@@ -236,7 +228,7 @@ def mittag_leffler(delta, z, accuracy: Accuracy | None = None) -> float:
     Completely monotone in -z on the negative half line; E_1(z) = exp(z).
     """
     acc = accuracy or DEFAULT_ACCURACY
-    delta = _check_delta(delta)
+    delta = MLParams(delta).delta
     z = _as_float(z, "z")
     if not math.isfinite(z):
         raise DomainError("z must be finite")
@@ -296,7 +288,7 @@ def ml_density(delta, x, accuracy: Accuracy | None = None) -> float:
     as inf at x = 0); delta = 1 is the unit exponential.
     """
     acc = accuracy or DEFAULT_ACCURACY
-    delta = _check_delta(delta)
+    delta = MLParams(delta).delta
     x = _as_float(x, "x")
     if x < 0 or not math.isfinite(x):
         raise DomainError("x must be nonnegative and finite")
@@ -316,7 +308,7 @@ def ml_density(delta, x, accuracy: Accuracy | None = None) -> float:
 def ml_cdf(delta, x, accuracy: Accuracy | None = None) -> float:
     """Distribution function of the Mittag-Leffler law at x >= 0."""
     acc = accuracy or DEFAULT_ACCURACY
-    delta = _check_delta(delta)
+    delta = MLParams(delta).delta
     x = _as_float(x, "x")
     if x < 0 or not math.isfinite(x):
         raise DomainError("x must be nonnegative and finite")
@@ -337,7 +329,7 @@ def stable_ratio_density(delta, x) -> float:
     The law is self-reciprocal: f(x) = x^(-2) f(1/x). delta = 1 is refused
     (the ratio degenerates to the point mass at 1).
     """
-    delta = _check_delta(delta, open_right=True)
+    delta = StableRatioParams(delta).delta
     x = _as_float(x, "x")
     if x <= 0 or not math.isfinite(x):
         raise DomainError("x must be positive and finite")
@@ -351,14 +343,9 @@ def gg_density(r, alpha, lam, x) -> float:
 
     The power exponent alpha may be negative (reciprocal laws) but not zero.
     """
-    r = _as_float(r, "r")
-    alpha = _as_float(alpha, "alpha")
-    lam = _as_float(lam, "lam")
+    law = GGParams(r, alpha, lam)
+    r, alpha, lam = law.r, law.alpha, law.lam
     x = _as_float(x, "x")
-    if r <= 0 or lam <= 0:
-        raise DomainError("r and lam must be positive")
-    if alpha == 0 or not math.isfinite(alpha):
-        raise DomainError("alpha must be nonzero and finite")
     if x <= 0 or not math.isfinite(x):
         raise DomainError("x must be positive and finite")
     ln = (
@@ -408,7 +395,8 @@ def snedecor_fisher_density(r, x) -> float:
 
 def genlinnik_cf(alpha, nu, t) -> float:
     """Characteristic function (1 + |t|^alpha)^(-nu), alpha in (0, 2], nu > 0."""
-    alpha, nu = _check_inversion_params(alpha, nu)
+    law = LinnikParams(alpha, nu)
+    alpha, nu = law.alpha, law.nu
     t = _as_float(t, "t")
     if not math.isfinite(t):
         raise DomainError("t must be finite")
@@ -417,11 +405,9 @@ def genlinnik_cf(alpha, nu, t) -> float:
 
 def genml_lst(delta, nu, s) -> float:
     """Laplace transform (1 + s^delta)^(-nu), delta in (0, 1], nu > 0, s >= 0."""
-    delta = _check_delta(delta)
-    nu = _as_float(nu, "nu")
+    law = MLParams(delta, nu)
+    delta, nu = law.delta, law.nu
     s = _as_float(s, "s")
-    if nu <= 0 or not math.isfinite(nu):
-        raise DomainError("nu must be positive and finite")
     if s < 0 or not math.isfinite(s):
         raise DomainError("s must be nonnegative and finite")
     return (1.0 + s**delta) ** (-nu)
@@ -449,16 +435,6 @@ def _cf_phi(t: np.ndarray, alpha: float, nu: float) -> np.ndarray:
     # |t|^alpha may overflow to inf far out; the cf is then 0, as it should be.
     with np.errstate(over="ignore"):
         return (1.0 + np.abs(t) ** alpha) ** (-nu)
-
-
-def _check_inversion_params(alpha, nu):
-    alpha = _as_float(alpha, "alpha")
-    nu = _as_float(nu, "nu")
-    if not 0 < alpha <= 2:
-        raise DomainError("alpha must lie in (0, 2]")
-    if nu <= 0 or not math.isfinite(nu):
-        raise DomainError("nu must be positive and finite")
-    return alpha, nu
 
 
 def _panel_values(fn, edges: np.ndarray, ax: np.ndarray) -> np.ndarray:
@@ -619,7 +595,8 @@ def cdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
     accuracy.abs_tol, or AccuracyError is raised; the test suite checks
     this over alpha in (0, 2], nu in [0.05, 10] and |x| in [1e-3, 1e4].
     """
-    alpha, nu = _check_inversion_params(alpha, nu)
+    law = LinnikParams(alpha, nu)
+    alpha, nu = law.alpha, law.nu
     x = _as_float(x, "x")
     if not math.isfinite(x):
         raise DomainError("x must be finite")
@@ -634,7 +611,8 @@ def pdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
     alpha * nu > 1 so that the cf is absolutely integrable; other regimes
     raise UnsupportedRegimeError. The density is even in x.
     """
-    alpha, nu = _check_inversion_params(alpha, nu)
+    law = LinnikParams(alpha, nu)
+    alpha, nu = law.alpha, law.nu
     x = _as_float(x, "x")
     if not math.isfinite(x):
         raise DomainError("x must be finite")
@@ -684,7 +662,8 @@ class InversionCdf:
         n_log: int = 600,
         accuracy: Accuracy | None = None,
     ) -> None:
-        alpha, nu = _check_inversion_params(alpha, nu)
+        law = LinnikParams(alpha, nu)
+        alpha, nu = law.alpha, law.nu
         x_max = _as_float(x_max, "x_max")
         if x_max <= 0:
             raise DomainError("x_max must be positive")

@@ -111,7 +111,7 @@ TRANSFORM_DIGEST = (
     "12e73db384b03905a5cb0ba1cda69d6ec78256268143967e91fe29e9beff4ded"
 )
 REGISTRY_DIGEST = (
-    "08f6e6d58f83e89c8b05076e6a77c6f29238c7465b8d908313551e423424dde3"
+    "a69a67a7d5b3b8c4fa4408ba9567e257b2060b57595cf2b5c31631500d07a7cd"
 )
 GRID_DIGEST = (
     "a70f3792600da4b48fa28ecb3e5900e0ec27bbf159a79f6a1e4fdc2e8f54b950"

@@ -1,6 +1,7 @@
 """Tests for the distributional-identity registry and its checker."""
 
 import itertools
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,7 +27,7 @@ from htmix.identities import (
     run_grid,
     verify,
 )
-from htmix.streams import RandomStream
+from htmix.streams import DEFAULT_SEED, RandomStream
 from htmix.verification import ks_two_sample, ks_two_sample_threshold
 
 EXPECTED_PARAMS = {
@@ -108,16 +109,17 @@ class TestDomains:
             ("I22", {"a": 1.5, "v": 1.5}, False),
             ("I22", {"a": 1.5, "v": 1.0}, True),
             ("I24", {"d": 0.7, "v": 1.2}, False),
-            ("I13", {"a": 2.0}, False),
+            ("I13", {"a": 2.0}, True),
             ("I13", {"a": 1.99}, True),
-            ("I21", {"a": 1.5, "b": 1.0, "v": 2.0}, False),
+            ("I21", {"a": 1.5, "b": 1.0, "v": 2.0}, True),
             ("I21", {"a": 1.5, "b": 0.8, "v": 2.0}, True),
-            ("I06", {"r": 1.0, "m": 1.0}, False),
+            ("I06", {"r": 1.0, "m": 1.0}, True),
             ("I07", {"r": 0.5, "a": 1.2, "m": 1.0}, False),
             ("I26", {"r": 0.5, "a": -1.5, "m": 2.0}, True),
             ("I26", {"r": 0.5, "a": 0.0, "m": 2.0}, False),
             ("I01", {"a": 2.0, "b": 1.0}, True),
             ("I02", {"a": 1.5, "b": 0.5}, False),
+            ("I07", {"r": 1.0, "a": 0.6, "m": 2.0}, True),
         ],
     )
     def test_membership(self, case_id, params, ok):
@@ -131,6 +133,50 @@ class TestDomains:
     def test_non_finite_is_out(self):
         assert not get_case("I03").in_domain({"a": float("nan")})
         assert not get_case("I03").in_domain({"a": float("inf")})
+
+    @pytest.mark.parametrize(
+        "case_id,params",
+        [
+            ("I06", {"r": 1.0, "m": 1.0}),
+            ("I07", {"r": 1.0, "a": 0.6, "m": 2.0}),
+            ("I13", {"a": 2.0}),
+            ("I21", {"a": 1.5, "b": 1.0, "v": 2.0}),
+        ],
+    )
+    def test_closed_endpoints_hold(self, case_id, params):
+        # The records accept these endpoints (Z(1,m) is the point mass at m,
+        # R(1) is dropped, M(1,v) is a gamma power), and the identity holds.
+        report = verify(get_case(case_id), params, 200_000, DEFAULT_SEED)
+        assert report.verdict, report.to_json()
+
+    def test_domain_is_where_both_sides_build(self):
+        # in_domain and instantiate read the same param records, so they
+        # agree at every point of a lattice across the records' bounds.
+        values = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, float("nan"))
+        stream = RandomStream(3, 0)
+        for case in registry():
+            for point in itertools.product(values, repeat=len(case.param_names)):
+                params = dict(zip(case.param_names, point))
+                try:
+                    instantiate(case, params, 1, stream)
+                    built = True
+                except DomainError:
+                    built = False
+                assert case.in_domain(params) is built, (case.id, params)
+
+    @pytest.mark.parametrize(
+        "anchor",
+        [
+            "L(a) =d= Q(a) * W(1)",  # unknown symbol
+            "L(a) =d= S(a,0 * W(1)^(1/a)",  # unbalanced parenthesis
+            "L(a) =d= S(a,0) W(1)",  # trailing tokens
+            "L(a) =d= S(a,0) + W(1)",  # an operator outside the notation
+            "L(a) =d= S(a) * W(1)",  # a law with the wrong argument count
+        ],
+    )
+    def test_malformed_anchor_is_refused(self, anchor):
+        with pytest.raises(DomainError, match=re.escape(anchor)):
+            IdentityCase("T01", anchor, "a in (0,2]", ())
 
 
 class TestExpressionNodes:
