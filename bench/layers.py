@@ -13,7 +13,14 @@ Measures, best of REPEATS runs each unless noted:
   2e5-draw symmetric-stable samples at alpha = 1.5;
 * ``verify`` ms per point over the 80 canonical identity points (the
   ``identity_registry`` benchmark's calls), best of VERIFY_REPEATS passes,
-  once on a 1-worker pool and once on the default pool.
+  once on a 1-worker pool and once on the default pool;
+* ms per ``InversionCdf`` build at the (alpha, nu, x_max) of INVERSION_BUILDS
+  (the reference CDFs of ``limit_lab``: thm7/thm8 at (2, 1), a (1.5, 2)
+  experiment out to x_max = 100 and thm7 (1.5, 2) out to its largest
+  |statistic|), with each build's ``points``, ``head_panels`` and
+  ``max_rounds``;
+* ms per call of ``cdf_by_inversion`` and ``pdf_by_inversion`` at
+  (1.5, 2), averaged over the |x| in INVERSION_X.
 
 Run it against another checkout's ``src`` to compare. A ``_grouped_sums``
 without a stream argument (the single-stream version) is timed once, as
@@ -31,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from htmix import identities, limits, verification
+from htmix import identities, limits, special, verification
 from htmix.distributions import _stable_one_sided_values, _stable_symmetric_values
 from htmix.streams import RandomStream
 
@@ -42,6 +49,8 @@ except ImportError:
 REPEATS = 5
 VERIFY_REPEATS = 3
 METRIC_N = 200_000
+INVERSION_BUILDS = ((2.0, 1.0, 13.27), (1.5, 2.0, 100.0), (1.5, 2.0, 2642.4))
+INVERSION_X = (0.05, 1.0, 3.0, 30.0, 200.0)
 KERNELS = {
     "stable.symmetric": (_stable_symmetric_values, 1.5),
     "stable.one_sided": (_stable_one_sided_values, 0.6),
@@ -144,10 +153,28 @@ def verify_ms_per_point() -> dict:
     return out
 
 
+def inversion_ms() -> dict:
+    out = {}
+    for alpha, nu, x_max in INVERSION_BUILDS:
+        build = special.InversionCdf(alpha, nu, x_max)
+        out[f"InversionCdf({alpha}, {nu}, {x_max})"] = {
+            "ms": round(1e3 * best_seconds(
+                lambda: special.InversionCdf(alpha, nu, x_max)), 1),
+            "points": build.points,
+            "head_panels": build.head_panels,
+            "max_rounds": build.max_rounds,
+        }
+    for fn in (special.cdf_by_inversion, special.pdf_by_inversion):
+        seconds = best_seconds(lambda: [fn(1.5, 2.0, x) for x in INVERSION_X])
+        out[f"{fn.__name__}.ms_per_call"] = round(1e3 * seconds / len(INVERSION_X), 3)
+    return out
+
+
 if __name__ == "__main__":
     print(json.dumps({
         "ns_per_draw": kernel_ns_per_draw(),
         "grouped_sums_draws_per_s": grouped_sums_draws_per_s(),
         "metric_ms_per_call": metric_ms_per_call(),
         "verify_ms_per_point": verify_ms_per_point(),
+        "inversion_ms": inversion_ms(),
     }))

@@ -32,9 +32,13 @@ inputs, and runs through ``run_experiment``; ``run_lemma14`` ...
 
 Sums are computed honestly (summand by summand); the only shortcuts are
 exact lattice facts: a sum of N Rademacher signs is 2*Binomial(N, 1/2) - N.
-Every experiment reports a one-sample KS distance per grid value against
-the inversion CDF of the target and a verdict combining the final distance
-with a nonincreasing-trend check (20% per-step slack).
+A random index round(n*V) past the int64 range raises AccuracyError before
+any summand is drawn. Every experiment reports a one-sample KS distance per
+grid value against the target's inversion CDF, and a verdict combining the
+final distance with a nonincreasing-trend check (20% per-step slack). The
+driver draws every row's statistic first, then builds one reference CDF per
+experiment, out to the largest |statistic| over all rows (at least 2.5), and
+measures every row against it.
 
 The ``fixed-index`` control replaces the random index by N = n. The
 statistic then obeys the classical CLT, so the distance to the normal law
@@ -80,6 +84,7 @@ NONCONVERGENCE_FLOOR = 0.05
 _NORMAL_CONTROL_THRESHOLD = 0.01
 _BLOCK = 1 << 18
 _TOTAL_DRAW_BUDGET = 5_000_000_000
+_INDEX_LIMIT = 2.0**63  # the first float past the int64 range
 
 
 @dataclass(frozen=True)
@@ -348,11 +353,6 @@ def _rademacher_sums(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray
     return (2 * b - counts).astype(float)
 
 
-def _reference_cdf(alpha: float, nu: float, sample: np.ndarray) -> InversionCdf:
-    x_max = float(np.abs(sample).max())
-    return InversionCdf(alpha, nu, max(x_max, 2.5))
-
-
 def _normal_cdf(x):
     return sc.ndtr(np.asarray(x, dtype=float))
 
@@ -375,7 +375,8 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
 
     For grid value n at index i, the index N is drawn on substream 2i and
     the summands on substream 2i+1, Rademacher signs from its generator and
-    any other summand from its blocks (``_grouped_sums``).
+    any other summand from its blocks (``_grouped_sums``). All rows share
+    one reference InversionCdf.
     """
     theorem, alpha, nu, reps = exp.theorem, exp.alpha, exp.nu, exp.replications
     fixed = exp.control == "fixed-index"
@@ -385,7 +386,7 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
     if theorem == "thm8":
         sigma, theta = _statistic_descriptor(exp.statistic)
         params.update(sigma=sigma, theta=theta)
-    rows = []
+    stats = []
     for index, n in enumerate(exp.grid):
         idx_rng = RandomStream(exp.seed, 2 * index).generator()
         sum_stream = RandomStream(exp.seed, 2 * index + 1)
@@ -395,8 +396,16 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
             counts = _nb_counts(idx_rng, nu, 1.0 / n, reps)
         else:
             g = _gen_ml_values(idx_rng, reps, alpha / 2.0, nu)
-            v = 2.0 * g if theorem == "thm7" else 1.0 / (2.0 * g)
-            counts = np.maximum(1, np.round(float(n) * v)).astype(np.int64)
+            with np.errstate(divide="ignore", over="ignore"):
+                v = 2.0 * g if theorem == "thm7" else 1.0 / (2.0 * g)
+                scaled = np.round(float(n) * v)
+            largest = scaled.max()
+            if not largest < _INDEX_LIMIT:
+                raise AccuracyError(
+                    f"{theorem} at n = {n}: random index {largest:.6g} does "
+                    "not fit in a 64-bit integer"
+                )
+            counts = np.maximum(1, scaled).astype(np.int64)
         if theorem == "thm6":
             draw = lambda rng, m: _stable_symmetric_values(rng, m, alpha)
         else:
@@ -416,11 +425,22 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
             stat = sigma * math.sqrt(float(n)) * (
                 sums / (sigma * counts.astype(float))
             )
-        ks_target = ks_one_sample(stat, _reference_cdf(alpha, nu, stat))
-        ks_normal = ks_one_sample(stat, _normal_cdf) if fixed else None
-        rows.append(ConvergenceRow(float(n), ks_target, exp.threshold, ks_normal))
+        stats.append(stat)
+    # One reference for all rows: the interpolation grid on [0, 2] does not
+    # depend on x_max, and past 2 it is built out to the largest |statistic|.
+    x_max = max(float(np.abs(stat).max()) for stat in stats)
+    reference = InversionCdf(alpha, nu, max(x_max, 2.5))
+    rows = tuple(
+        ConvergenceRow(
+            float(n),
+            ks_one_sample(stat, reference),
+            exp.threshold,
+            ks_one_sample(stat, _normal_cdf) if fixed else None,
+        )
+        for n, stat in zip(exp.grid, stats)
+    )
     mode = "negative-control" if fixed else "convergence"
-    return ConvergenceReport(theorem, params, mode, int(exp.seed), tuple(rows), stat)
+    return ConvergenceReport(theorem, params, mode, int(exp.seed), rows, stats[-1])
 
 
 def run_experiment(exp: LimitExperiment) -> ConvergenceReport:

@@ -511,10 +511,11 @@ def _refined_integral(fn, edges: np.ndarray, ax: np.ndarray, tol: float):
     raise AccuracyError("inversion quadrature did not converge to abs_tol")
 
 
-def _euler_tail(fn, ax: np.ndarray, start: float, tol: float) -> np.ndarray:
-    """Tail integral of each row from t = start * pi / ax on (see
-    _oscillatory_integral)."""
-    edges = (start + np.arange(_TAIL_HALF_PERIODS + 1)) * (np.pi / ax)[:, None]
+def _euler_tail(fn, ax: np.ndarray, start: np.ndarray, tol: float) -> np.ndarray:
+    """Tail integral of each row from t = start * pi / ax on, start given per
+    row (see _oscillatory_integral)."""
+    half_periods = start[:, None] + np.arange(_TAIL_HALF_PERIODS + 1)
+    edges = half_periods * (np.pi / ax)[:, None]
     # Partial sums down the columns: averaging whole rows is the cheaper loop.
     sums = np.cumsum(_panel_values(fn, edges, ax), axis=1).T
     sums = np.concatenate([np.zeros((1, ax.size)), sums])
@@ -539,10 +540,13 @@ def _oscillatory_integral(fn, ax: np.ndarray, shift: float,
     is raised when the last averaging step moves the value by more than
     abs_tol.
 
-    Points that share k0 share a panel layout. They run as array batches of
-    about _BLOCK head panels, each row in the same order of float operations
-    as a batch of one, so a value does not depend on the other points it is
-    evaluated with.
+    Points that share k0 share a panel layout: their head edges are built
+    once for the whole group, which is then refined in row blocks of about
+    _BLOCK head panels. The tails of all points are summed in one pass, each
+    from its own k0. Every row keeps the order of float operations of a
+    batch of one, so a value does not depend on the other points it is
+    evaluated with. All heads are refined before any tail, so when points
+    fail in both, the head's AccuracyError is the one raised.
     """
     with np.errstate(over="ignore"):
         period = np.pi / ax
@@ -554,16 +558,16 @@ def _oscillatory_integral(fn, ax: np.ndarray, shift: float,
     for k in sorted(set(k0.tolist())):
         group = np.flatnonzero(k0 == k)
         step = max(1, _BLOCK // (int(k) + 60))  # k0 + 59 or 60 head panels a row
-        for b in range(0, group.size, step):
-            block = group[b : b + step]
-            for rows, edges in _panel_edges(ax[block], shift, int(k)):
-                idx = block[rows]
+        for rows, edges in _panel_edges(ax[group], shift, int(k)):
+            rows = group[rows]
+            for b in range(0, rows.size, step):
+                idx = rows[b : b + step]
                 res.values[idx], res.rounds[idx] = _refined_integral(
-                    fn, edges, ax[idx], acc.abs_tol
+                    fn, edges[b : b + step], ax[idx], acc.abs_tol
                 )
-                first = edges.shape[1] - 1  # each refinement round doubles it
-                res.panels[idx] = first * (2 ** (res.rounds[idx] + 1) - 1)
-            res.values[block] += _euler_tail(fn, ax[block], k + shift, acc.abs_tol)
+            first = edges.shape[1] - 1  # each refinement round doubles it
+            res.panels[rows] = first * (2 ** (res.rounds[rows] + 1) - 1)
+    res.values[:] += _euler_tail(fn, ax, k0 + shift, acc.abs_tol)
     return res
 
 
@@ -645,8 +649,11 @@ class InversionCdf:
     x_max at least as large as the largest |x| to be evaluated. At
     alpha * nu < 2 the grid adds n_linear log-spaced points on [1e-8, 2],
     which resolve the singular term of the density at 0. The whole grid is
-    inverted in one batched pass under the given accuracy, and every grid
-    value equals cdf_by_inversion at that point bit for bit.
+    inverted in one batched pass under the given accuracy (head edges built
+    once per k0 group, one tail pass over all points; see
+    _oscillatory_integral), and every grid value equals cdf_by_inversion at
+    that point bit for bit. The grid on [0, 2] does not depend on x_max, so
+    one build out to the largest |x| of several samples serves them all.
 
     Deterministic build counters: points (grid abscissae), head_panels (head
     quadrature panels evaluated over all points and refinement rounds) and

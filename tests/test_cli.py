@@ -222,6 +222,15 @@ class TestLimit:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,ks,threshold,pass,ks_normal"
 
+    def test_index_overflow_exits_four(self, capsys):
+        code = run("limit", "--theorem", "thm8", "--alpha", "0.5", "--nu", "1",
+                   "--n-grid", "10,100", "--reps", "2000")
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "64-bit integer" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_thm6_rejects_control(self, capsys):
         assert run("limit", "--theorem", "thm6", "--alpha", "2", "--nu", "1",
                    "--n-grid", "100", "--reps", "1000",

@@ -166,6 +166,13 @@ REPORTS = {
         LimitExperiment("thm6", 1.0, alpha=2.0, grid=(20,), replications=2000,
                         seed=11)
     ),
+    # Multi-row (1.5, 2) experiments of the limit_lab benchmark at 20,000
+    # reps: every row's KS distance against one experiment-wide reference.
+    "thm7_multi": lambda: run_thm7(1.5, 2.0, (100, 10000), 20000, 1729),
+    "thm8_multi": lambda: run_thm8(1.5, 2.0, (100, 1000, 10000), 20000, 1729),
+    "thm7_control_multi": lambda: run_thm7(
+        1.5, 2.0, (100, 1000, 10000), 20000, 1729, control="fixed-index"
+    ),
 }
 
 REPORT_DIGESTS = {
@@ -179,6 +186,9 @@ REPORT_DIGESTS = {
     "thm8": "8b05964b42389d47c5a92774d1b2da714b433b133b8d5b43315dd79b218bcdd2",
     "thm8_control": "70f00584c5757d512feee61e6dd7bd7130edd9bb5d02c51940908c4e562fdb9e",
     "thm8_sigma": "93a8c3d8fead4bedd1449daa6efe2a0b97d7fa5bb0a907c5e4777999c8e52fb1",
+    "thm7_multi": "797c09b2d9760e89d8521b077128fa4577337dd84d548c5f82571450722bf94e",
+    "thm8_multi": "d4a6dcf9437a0bb25181e4502702bfb4f5aa6afc3200f526325f622266a5f965",
+    "thm7_control_multi": "f464ed2d8201c877b20f5e289b98a22302253fb230689f8c5d5e76837eab9dc0",
 }
 
 CLI_RUNS = {

@@ -6,6 +6,7 @@ small and mostly exercise plumbing, validation, and the verdict rules.
 
 import json
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -349,6 +350,55 @@ class TestSmallRuns:
         assert run_thm7(2.0, 1.0, (50,), 1000).rows[0].threshold == 0.01
         assert run_thm7(1.5, 1.0, (50,), 1000).rows[0].threshold == 0.015
         assert run_thm8(2.0, 1.0, (50,), 1000).rows[0].threshold == 0.015
+
+
+class TestReferenceCdf:
+    """One reference CDF per experiment, built out to its largest |statistic|."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        builds, samples = [], []
+        real_cdf, real_ks = limits.InversionCdf, limits.ks_one_sample
+
+        def counting_cdf(alpha, nu, x_max):
+            builds.append(x_max)
+            return real_cdf(alpha, nu, x_max)
+
+        def recording_ks(sample, cdf):
+            if cdf is not limits._normal_cdf:
+                samples.append(sample)
+            return real_ks(sample, cdf)
+
+        monkeypatch.setattr(limits, "InversionCdf", counting_cdf)
+        monkeypatch.setattr(limits, "ks_one_sample", recording_ks)
+        return builds, samples
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_thm6(2.0, 1.0, (20, 50), 2000, 5, threshold=0.5),
+        lambda: run_thm7(1.5, 2.0, (50, 150, 400), 2000, 5, threshold=0.5),
+        lambda: run_thm8(1.5, 2.0, (50, 150), 2000, 5, threshold=0.5),
+        lambda: run_thm7(1.5, 2.0, (50, 150), 2000, 5, control="fixed-index"),
+    ], ids=["thm6", "thm7", "thm8", "fixed-index"])
+    def test_one_build_per_experiment(self, recorded, run):
+        builds, samples = recorded
+        report = run()
+        assert len(samples) == len(report.rows) > 1
+        assert samples[-1] is report.final_sample
+        assert builds == [max(2.5, max(float(np.abs(s).max()) for s in samples))]
+
+    def test_lemma14_builds_none(self, recorded):
+        run_lemma14(1.0, (0.05, 0.01), 2000, 7)
+        assert recorded[0] == []
+
+
+class TestIndexOverflow:
+    @pytest.mark.parametrize("run,alpha", [(run_thm7, 0.3), (run_thm8, 0.5)])
+    def test_index_past_int64_is_accuracy_error(self, run, alpha):
+        # At these alpha some round(n * V) pass 2^63; the index must not wrap.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError, match="64-bit integer"):
+                run(alpha, 1.0, (10, 100), 2000, 1729)
 
 
 class TestExperimentRecord:

@@ -460,6 +460,17 @@ class TestBatchedInversion:
         want = np.array([cdf_by_inversion(1.5, 2.0, x) for x in xs])
         assert got.tobytes() == want.tobytes()
 
+    def test_shuffled_points_over_many_k0_groups(self):
+        # |x| up to 300 spans about 90 k0 groups, some of one point; the
+        # shuffle interleaves the groups and their row blocks.
+        side = np.linspace(0.05, 300.0, 500)
+        xs = np.random.default_rng(3).permutation(np.concatenate([-side, side, [0.0]]))
+        got = special._cdf_values(1.5, 2.0, xs, None)
+        one = [special._cdf_values(1.5, 2.0, np.array([x]), None) for x in xs]
+        for field in ("values", "panels", "rounds"):
+            want = np.concatenate([getattr(inv, field) for inv in one])
+            assert getattr(got, field).tobytes() == want.tobytes()
+
     def test_rows_refining_longer_than_their_neighbours(self):
         # Near the roundoff floor the rows of one k0 = 8 block (68 edges a
         # row) stop after different numbers of refinement rounds.
