@@ -6,6 +6,13 @@ Measures, best of REPEATS runs each unless noted:
 
 * ns per draw of the stable kernels, symmetric at alpha = 1.5 and one-sided
   at alpha = 0.6, at 2^18 and 10^6 draws;
+* ns per draw of ``sample`` for each of the 22 family/route specs of the
+  ``sample_bulk`` benchmark (``perfbench/workloads.py``) at 10^6 draws, once
+  on a 1-worker pool and once on the default pool;
+* ns per value of the sample CSV text (rows "i,value" at "%.10g") for the
+  ``sample_bulk`` CLI sample (gen-linnik, alpha 1.5, nu 2, 10^6 draws, seed
+  1729): the package's writer (``cli._sample_csv``, where the checkout has
+  it) on both pools, and the per-value ``_fmt`` join it replaces;
 * ``_grouped_sums`` throughput in draws/s on thm6-like counts (1 + Poisson
   of gamma(2) * 99 over 10^5 replications, about 2e7 symmetric-stable draws
   at alpha = 1.5), once on a 1-worker pool and once on the default pool;
@@ -33,14 +40,24 @@ import contextlib
 import importlib
 import inspect
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
-from htmix import identities, limits, special, verification
-from htmix.distributions import _stable_one_sided_values, _stable_symmetric_values
+from htmix import cli, identities, limits, special, verification
+from htmix.distributions import (
+    DistSpec,
+    _stable_one_sided_values,
+    _stable_symmetric_values,
+    sample,
+)
 from htmix.streams import RandomStream
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import SAMPLE_SPECS  # noqa: E402
 
 try:
     POOL_HOME = importlib.import_module("htmix._pool")
@@ -48,6 +65,7 @@ except ImportError:
     POOL_HOME = limits
 REPEATS = 5
 VERIFY_REPEATS = 3
+SAMPLE_N = 1_000_000
 METRIC_N = 200_000
 INVERSION_BUILDS = ((2.0, 1.0, 13.27), (1.5, 2.0, 100.0), (1.5, 2.0, 2642.4))
 INVERSION_X = (0.05, 1.0, 3.0, 30.0, 200.0)
@@ -74,6 +92,45 @@ def kernel_ns_per_draw() -> dict:
             rng = np.random.default_rng(1)
             seconds = best_seconds(lambda: kernel(rng, n, alpha))
             out[f"{name}.n{n}"] = round(1e9 * seconds / n, 2)
+    return out
+
+
+def sample_ns_per_draw() -> dict:
+    specs = [(key, DistSpec(family, params, method))
+             for key, family, params, method, _ in SAMPLE_SPECS]
+
+    def ns_per_draw():
+        out = {}
+        for index, (key, spec) in enumerate(specs):
+            stream = RandomStream(1729, index)
+            seconds = best_seconds(lambda: sample(spec, SAMPLE_N, stream), 3)
+            out[key] = round(1e9 * seconds / SAMPLE_N, 2)
+        return out
+
+    with one_worker():
+        out = {"workers_1": ns_per_draw()}
+    out[f"workers_{default_workers()}_default"] = ns_per_draw()
+    return out
+
+
+def csv_ns_per_value() -> dict:
+    values = sample(DistSpec("gen_linnik", {"alpha": 1.5, "nu": 2.0}), SAMPLE_N,
+                    RandomStream(1729)).values
+
+    def fmt_join():
+        return "index,value\n" + "".join(
+            f"{i},{cli._fmt(v)}\n" for i, v in enumerate(values))
+
+    def ns_per_value(fn, repeats=REPEATS):
+        return round(1e9 * best_seconds(fn, repeats) / SAMPLE_N, 1)
+
+    out = {"fmt_join": ns_per_value(fmt_join, 2)}
+    writer = getattr(cli, "_sample_csv", None)
+    if writer is not None:
+        with one_worker():
+            out["sample_csv.workers_1"] = ns_per_value(lambda: writer(values))
+        out[f"sample_csv.workers_{default_workers()}_default"] = ns_per_value(
+            lambda: writer(values))
     return out
 
 
@@ -173,6 +230,8 @@ def inversion_ms() -> dict:
 if __name__ == "__main__":
     print(json.dumps({
         "ns_per_draw": kernel_ns_per_draw(),
+        "sample_ns_per_draw": sample_ns_per_draw(),
+        "csv_ns_per_value": csv_ns_per_value(),
         "grouped_sums_draws_per_s": grouped_sums_draws_per_s(),
         "metric_ms_per_call": metric_ms_per_call(),
         "verify_ms_per_point": verify_ms_per_point(),

@@ -3,12 +3,15 @@
 Subcommands: sample (draw a family to CSV), eval (tabulate an analytic
 function over a grid), verify (identity checks), limit (convergence
 experiments), list (registries). Exit codes: 0 pass, 1 statistical fail,
-2 usage or domain error, 3 I/O failure, 4 unsupported regime.
+2 usage or domain error, 3 I/O failure, 4 unsupported regime or accuracy
+limit (the message says which).
 
 All output is deterministic for fixed flags: the seed defaults to the
 HTM_SEED environment variable and then to the package default, numbers are
 printed with 10 significant digits, files are UTF-8 with LF line endings,
-and no timestamps are emitted.
+and no timestamps are emitted. The rows of a sample are formatted in
+blocks on the package's worker pool, and the bytes do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import identities, limits, special
+import numpy as np
+
+from . import _pool, identities, limits, special
 from .distributions import _FAMILY_TABLE, FAMILIES, METHODS, DistSpec, sample
 from .errors import AccuracyError, DomainError, UnsupportedRegimeError
 from .streams import DEFAULT_SEED, RandomStream
@@ -57,6 +62,159 @@ _EVAL_FNS = {
 
 def _fmt(x: float) -> str:
     return f"{float(x):.10g}"
+
+
+# ---------------------------------------------------------------------------
+# The sample CSV writer: "%.10g" for a whole column at once, byte for byte
+# what _fmt gives. For finite 1e-13 <= |x| < 1e10 the ten significant digits
+# come from the exact decimal scaling |x| * 10^(9 - E), E = floor(log10|x|):
+# the product is formed in double precision and, only where the rounding
+# needs it (the scaled value at 1e9 or 1e10, or exactly half way between two
+# integers), also exactly, as Dekker's two-product hi + lo against the exact
+# powers 10^0 ... 10^22. Every other value (0, -0.0, subnormal, tiny or huge
+# magnitudes, inf and nan) goes through _fmt. Rows are laid out as byte
+# columns, one per character slot, where an unused slot holds a NUL byte
+# that is dropped at the end; slot order is output order for every notation.
+
+_ROWS = 1 << 16
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_U8 = np.uint8
+# Value slots: sign, "0.000" lead (fixed notation below 1), ten digits with
+# the decimal point between two of them (11 slots), "e+XX".
+_VALUE_SLOTS = 1 + 5 + 11 + 4
+
+
+def _halves(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _exact_scaled(a, e):
+    """a * 10^(9 - e) as hi + lo exactly (Dekker's two-product)."""
+    k = 9 - e
+    hi = a * _POW10[k]
+    ah, al = _halves(a)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _scientific(a):
+    """Correctly rounded ten-digit mantissas (as floats) and exponents of a.
+
+    Every entry of a must lie in [1e-13, 1e10). Rounding is half-even on the
+    exact binary value, as in Python's float formatting.
+    """
+    e = np.floor(np.log10(a))
+    np.clip(e, -13, 9, out=e)
+    e = e.astype(np.intp)
+    hi = a * _POW10[9 - e]
+    # log10 can be off by one next to a power of ten; the exact product at
+    # the edges of [1e9, 1e10) decides.
+    edge = np.flatnonzero((hi <= 1e9) | (hi >= 1e10))
+    if edge.size:
+        h, lo = _exact_scaled(a[edge], e[edge])
+        step = ((h > 1e10) | ((h == 1e10) & (lo >= 0))).astype(np.intp)
+        step -= (h < 1e9) | ((h == 1e9) & (lo < 0))
+        e[edge] += step
+        hi[edge] = a[edge] * _POW10[9 - e[edge]]
+    mantissa = np.rint(hi)
+    # hi - rint(hi) is exact; at +-0.5 the error term decides the side, and
+    # an exact tie keeps rint's even choice.
+    tie = np.flatnonzero(np.abs(hi - mantissa) == 0.5)
+    if tie.size:
+        h, lo = _exact_scaled(a[tie], e[tie])
+        frac = h - mantissa[tie]
+        mantissa[tie] += (frac == 0.5) & (lo > 0)
+        mantissa[tie] -= (frac == -0.5) & (lo < 0)
+    carry = np.flatnonzero(mantissa == 1e10)
+    mantissa[carry] = 1e9
+    e[carry] += 1
+    return mantissa, e
+
+
+def _rows_block(values, first: int, index_width: int) -> bytes:
+    """The CSV rows "i,value" of values, indexed from first, each ending in LF."""
+    rows = values.size
+    a = np.abs(values)
+    fast = (a >= 1e-13) & (a < 1e10)
+    slow = np.flatnonzero(~fast)
+    a[slow] = 1.0
+    mantissa, e = _scientific(a)
+    cols = np.zeros((index_width + 2 + _VALUE_SLOTS, rows), _U8)
+    index = np.arange(first, first + rows, dtype=np.uint64)
+    for place in range(index_width):
+        rest = index // 10
+        col = cols[index_width - 1 - place]
+        np.add((index - rest * 10).astype(_U8), _U8(48), out=col)
+        if place:
+            col[: max(0, 10**place - first)] = 0  # no leading zeros
+        index = rest
+    cols[index_width] = ord(",")
+    v = index_width + 1
+    np.multiply(values < 0, _U8(ord("-")), out=cols[v])
+    fixed = (e >= -4) & (e <= 9)
+    below_one = fixed & (e < 0)
+    np.multiply(below_one, _U8(ord("0")), out=cols[v + 1])
+    np.multiply(below_one, _U8(ord(".")), out=cols[v + 2])
+    for z in range(3):
+        np.multiply(below_one & (e <= -2 - z), _U8(ord("0")), out=cols[v + 3 + z])
+    # Ten digits from two five-digit halves, and the place of the last
+    # nonzero one (trailing zeros after the point are dropped).
+    top = np.floor(mantissa * 1e-5)
+    halves = [top.astype(np.uint32), (mantissa - top * 1e5).astype(np.uint32)]
+    digits = np.empty((10, rows), _U8)
+    for j in range(9, -1, -1):
+        half = halves[j // 5]
+        rest = half // 10
+        digits[j] = half - rest * 10
+        halves[j // 5] = rest
+    last = np.zeros(rows, _U8)
+    for j in range(1, 10):
+        np.maximum(last, (digits[j] != 0) * _U8(j), out=last)
+    # The point follows digit `point`: digit e in fixed notation at or above
+    # 1, the first digit in scientific notation, and none (-1) below 1, where
+    # the lead slots hold it. Digits up to max(last, point) are printed, and
+    # the point only when a digit follows it.
+    point = np.where(fixed, np.where(below_one, -1, e), 0).astype(np.int8)
+    keep = np.maximum(last.astype(np.int8), point)
+    digits += _U8(48)
+    s = v + 6
+    for j in range(10):
+        digit = digits[j] * (j <= keep)
+        before = j <= point
+        cols[s + j] += digit * before
+        cols[s + j + 1] += digit * ~before
+    for j in range(9):
+        cols[s + j + 1] += ((point == j) & (last > j)) * _U8(ord("."))
+    s += 11
+    sci = ~fixed
+    exp = np.abs(e).astype(_U8)
+    np.multiply(sci, _U8(ord("e")), out=cols[s])
+    cols[s + 1] = np.where(e < 0, _U8(ord("-")), _U8(ord("+"))) * sci
+    cols[s + 2] = (exp // 10 + _U8(48)) * sci
+    cols[s + 3] = (exp % 10 + _U8(48)) * sci
+    cols[-1] = ord("\n")
+    for i in slow:
+        text = _fmt(values[i]).encode()
+        cols[v : v + _VALUE_SLOTS, i] = 0
+        cols[v : v + len(text), i] = np.frombuffer(text, _U8)
+    flat = cols.T.ravel()
+    return np.compress(flat != 0, flat).tobytes()
+
+
+def _sample_csv(values: np.ndarray) -> str:
+    """The sample CSV: "index,value", then f"{i},{_fmt(v)}" per value."""
+    width = len(str(values.size - 1))
+    blocks = _pool.imap(
+        lambda first: _rows_block(values[first : first + _ROWS], first, width),
+        range(0, values.size, _ROWS),
+    )
+    return b"".join([b"index,value\n", *blocks]).decode("ascii")
 
 
 def _flag(name: str) -> str:
@@ -119,9 +277,7 @@ def _cmd_sample(args) -> int:
     spec = DistSpec(_dehyphen(args.dist), params, method)
     seed = args.seed if args.seed is not None else _default_seed()
     batch = sample(spec, args.n, RandomStream(seed))
-    lines = ["index,value"]
-    lines.extend(f"{i},{_fmt(v)}" for i, v in enumerate(batch.values))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _sample_csv(batch.values))
     if args.out is not None:
         meta = {
             "command": "sample",
@@ -365,8 +521,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dash_values(list(argv)))
     try:
         return args.run(args)
-    except (UnsupportedRegimeError, AccuracyError) as exc:
+    except UnsupportedRegimeError as exc:
         print(f"htmix: unsupported regime: {exc}", file=sys.stderr)
+        return 4
+    except AccuracyError as exc:
+        print(f"htmix: accuracy limit: {exc}", file=sys.stderr)
         return 4
     except DomainError as exc:
         print(f"htmix: {exc}", file=sys.stderr)

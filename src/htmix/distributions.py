@@ -17,6 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import _pool
 from .errors import DomainError
 from .streams import RandomStream
 
@@ -303,22 +304,69 @@ class SampleBatch:
 
 
 # ---------------------------------------------------------------------------
-# Core draw kernels. Each consumes the generator sequentially; draw order is
-# part of the determinism contract. The two stable kernels evaluate the
-# Chambers-Mallows-Stuck transform (Chambers, Mallows & Stuck 1976; Weron
-# 1996) in direct form with in-place ufuncs, one power per draw. They agree
-# with the sum-of-logs form (the oracle in tests/test_distributions.py) to
-# about 1e-13 relative at alpha >= 0.05; at alpha = 0.01 the power overflows
-# on a few more draws than that form does (ROADMAP item 4).
+# Kernels. A route draws in two steps. Its draw step (_*_draw) makes every
+# generator call, in a fixed order, on the caller's thread; draw order is
+# part of the determinism contract, and a draw that depends on transformed
+# values (neg_binom's Poisson counts) stays in this step. Its transform step
+# is elementwise in the raw arrays, which it may overwrite, so _transformed
+# can run it over blocks of _BLOCK draws on the package's pool: each value
+# gets the same float operations whatever the block and worker count. The
+# stable transforms evaluate Chambers-Mallows-Stuck (Chambers, Mallows &
+# Stuck 1976; Weron 1996) in direct form with in-place ufuncs, one power
+# per draw. They agree with the sum-of-logs form (the oracle in
+# tests/test_distributions.py) to about 1e-13 relative at alpha >= 0.05; at
+# alpha = 0.01 the power overflows on a few more draws than that form does
+# (ROADMAP item 4). A raw value is an array or a tuple of raw values.
+
+_BLOCK = 1 << 16
 
 
-def _stable_symmetric_values(rng: np.random.Generator, n: int, alpha: float):
+def _cut(raw, lo: int, hi: int):
+    if isinstance(raw, np.ndarray):
+        return raw[lo:hi]
+    return tuple(_cut(part, lo, hi) for part in raw)
+
+
+def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
+    """transform(*raw) for n draws, in blocks on the pool past one block.
+
+    A call from a pool task (verify's sides, limits' summation blocks) runs
+    inline, since a task never waits on the pool. A block's values go into
+    the first raw array when it is float: once its block is transformed, a
+    raw entry is not read again.
+    """
+    if n <= _BLOCK or _pool.in_task():
+        return transform(*raw)
+    out = raw
+    while not isinstance(out, np.ndarray):
+        out = out[0]
+    if out.dtype != np.float64:
+        out = np.empty(n)
+
+    def block(lo: int) -> None:
+        out[lo : lo + _BLOCK] = transform(*_cut(raw, lo, lo + _BLOCK))
+
+    for _ in _pool.imap(block, range(0, n, _BLOCK)):
+        pass
+    return out
+
+
+def _cms_draw(rng: np.random.Generator, n: int, alpha: float):
     if alpha == 2.0:
-        return math.sqrt(2.0) * rng.standard_normal(n)
+        return rng.standard_normal(n)
     phi = rng.uniform(-math.pi / 2, math.pi / 2, n)
     if alpha == 1.0:
-        return np.tan(phi)
-    w = rng.standard_exponential(n)
+        return phi
+    return phi, rng.standard_exponential(n)
+
+
+def _cms(raw, alpha: float):
+    """Symmetric stable values from _cms_draw's draws."""
+    if alpha == 2.0:
+        return math.sqrt(2.0) * raw
+    if alpha == 1.0:
+        return np.tan(raw)
+    phi, w = raw
     # X = sin(a phi)/cos(phi) * (cos((1-a) phi) / (W cos(phi)))^((1-a)/a).
     t = np.multiply(phi, 1.0 - alpha)
     np.cos(t, out=t)
@@ -333,12 +381,18 @@ def _stable_symmetric_values(rng: np.random.Generator, n: int, alpha: float):
     return t
 
 
-def _stable_one_sided_values(rng: np.random.Generator, n: int, alpha: float):
+def _kanter_draw(rng: np.random.Generator, n: int, alpha: float):
     if alpha == 1.0:
         return np.ones(n)
-    u = rng.random(n)
+    return rng.random(n), rng.standard_exponential(n)
+
+
+def _kanter(raw, alpha: float):
+    """One-sided stable values from _kanter_draw's draws (alpha = 1 is 1)."""
+    if alpha == 1.0:
+        return raw
+    u, w = raw
     np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-    w = rng.standard_exponential(n)
     # Kanter's form with U' = pi U:
     # X = sin(a U')/sin(U') * (sin((1-a) U') / (W sin(U')))^((1-a)/a).
     # On (0, pi) the two ratios are at least a and 1-a, so X is positive.
@@ -356,76 +410,125 @@ def _stable_one_sided_values(rng: np.random.Generator, n: int, alpha: float):
     return t
 
 
-def _stable_ratio_values(rng: np.random.Generator, n: int, delta: float):
-    # Internal helper tolerates the degenerate endpoint; the public op does not.
+def _ratio_draw(rng: np.random.Generator, n: int, delta: float):
+    # The degenerate endpoint delta = 1 is tolerated here; the public op
+    # rejects it.
     if delta == 1.0:
         return np.ones(n)
-    num = _stable_one_sided_values(rng, n, delta)
-    den = _stable_one_sided_values(rng, n, delta)
-    return num / den
+    return _kanter_draw(rng, n, delta), _kanter_draw(rng, n, delta)
 
 
-def _z_values(rng: np.random.Generator, n: int, r: float, mu: float):
+def _ratio(raw, delta: float):
+    if delta == 1.0:
+        return raw
+    return _kanter(raw[0], delta) / _kanter(raw[1], delta)
+
+
+def _z_draw(rng: np.random.Generator, n: int, r: float, mu: float):
     if r == 1.0:
         return np.full(n, mu)
-    g1 = rng.standard_gamma(r, n)
-    g2 = rng.standard_gamma(1.0 - r, n)
+    return rng.standard_gamma(r, n), rng.standard_gamma(1.0 - r, n)
+
+
+def _z(raw, r: float, mu: float):
+    if r == 1.0:
+        return raw
+    g1, g2 = raw
     return mu * (g1 + g2) / g1
 
 
-def _ml_stable_weibull(rng: np.random.Generator, n: int, delta: float):
-    s = _stable_one_sided_values(rng, n, delta)
-    w = rng.standard_exponential(n) ** (1.0 / delta)
-    return s * w
+def _ml_draw(rng: np.random.Generator, n: int, delta: float):
+    return _kanter_draw(rng, n, delta), rng.standard_exponential(n)
+
+
+def _gen_ml_draw(rng: np.random.Generator, n: int, delta: float, nu: float):
+    return _kanter_draw(rng, n, delta), rng.standard_gamma(nu, n)
+
+
+def _ml(raw, delta: float):
+    """(Generalized) Mittag-Leffler values: one-sided stable S and an
+    exponential or gamma G, as S * G^(1/delta)."""
+    return _kanter(raw[0], delta) * raw[1] ** (1.0 / delta)
+
+
+def _linnik_draw(rng: np.random.Generator, n: int, alpha: float):
+    return _cms_draw(rng, n, alpha), rng.standard_exponential(n)
+
+
+def _gen_linnik_draw(rng: np.random.Generator, n: int, alpha: float, nu: float):
+    return _cms_draw(rng, n, alpha), rng.standard_gamma(nu, n)
+
+
+def _linnik(raw, alpha: float):
+    """(Generalized) Linnik values: symmetric stable S and an exponential or
+    gamma G, as S * G^(1/alpha)."""
+    return _cms(raw[0], alpha) * raw[1] ** (1.0 / alpha)
+
+
+# The kernels: kernel(rng, n, ...) -> n values. limits calls the symmetric
+# stable and generalized Mittag-Leffler ones directly.
+
+
+def _stable_symmetric_values(rng: np.random.Generator, n: int, alpha: float):
+    return _transformed(n, lambda s: _cms(s, alpha), _cms_draw(rng, n, alpha))
+
+
+def _stable_one_sided_values(rng: np.random.Generator, n: int, alpha: float):
+    return _transformed(n, lambda s: _kanter(s, alpha), _kanter_draw(rng, n, alpha))
+
+
+def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
+    return _transformed(n, lambda m: _ml(m, delta), _gen_ml_draw(rng, n, delta, nu))
 
 
 def _ml_exp_ratio(rng: np.random.Generator, n: int, delta: float):
     w = rng.standard_exponential(n)
-    return w * _stable_ratio_values(rng, n, delta)
-
-
-def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
-    s = _stable_one_sided_values(rng, n, delta)
-    g = rng.standard_gamma(nu, n) ** (1.0 / delta)
-    return s * g
+    return _transformed(
+        n, lambda w, r: w * _ratio(r, delta), w, _ratio_draw(rng, n, delta)
+    )
 
 
 # Linnik and generalized Linnik routes read alpha (and nu) off the record.
 
 
-def _linnik_stable_weibull(rng: np.random.Generator, n: int, p: LinnikParams):
-    s = _stable_symmetric_values(rng, n, p.alpha)
-    w = rng.standard_exponential(n) ** (1.0 / p.alpha)
-    return s * w
-
-
 def _linnik_normal_ml(rng: np.random.Generator, n: int, p: LinnikParams):
     x = rng.standard_normal(n)
-    m = _ml_stable_weibull(rng, n, p.alpha / 2.0)
-    return x * np.sqrt(2.0 * m)
+    return _transformed(
+        n,
+        lambda x, m: x * np.sqrt(2.0 * _ml(m, p.alpha / 2.0)),
+        x,
+        _ml_draw(rng, n, p.alpha / 2.0),
+    )
 
 
 def _linnik_laplace_ratio(rng: np.random.Generator, n: int, p: LinnikParams):
     lap = rng.laplace(0.0, 1.0, n)
-    return lap * np.sqrt(_stable_ratio_values(rng, n, p.alpha / 2.0))
-
-
-def _gen_linnik_stable_gamma(rng: np.random.Generator, n: int, p: LinnikParams):
-    s = _stable_symmetric_values(rng, n, p.alpha)
-    g = rng.standard_gamma(p.nu, n) ** (1.0 / p.alpha)
-    return s * g
+    return _transformed(
+        n,
+        lambda lap, r: lap * np.sqrt(_ratio(r, p.alpha / 2.0)),
+        lap,
+        _ratio_draw(rng, n, p.alpha / 2.0),
+    )
 
 
 def _gen_linnik_normal_genml(rng: np.random.Generator, n: int, p: LinnikParams):
     x = rng.standard_normal(n)
-    m = _gen_ml_values(rng, n, p.alpha / 2.0, p.nu)
-    return x * np.sqrt(2.0 * m)
+    return _transformed(
+        n,
+        lambda x, m: x * np.sqrt(2.0 * _ml(m, p.alpha / 2.0)),
+        x,
+        _gen_ml_draw(rng, n, p.alpha / 2.0, p.nu),
+    )
 
 
 def _gen_linnik_linnik_z(rng: np.random.Generator, n: int, p: LinnikParams):
-    lin = _linnik_stable_weibull(rng, n, p)
-    z = _z_values(rng, n, p.nu, 1.0)
-    return lin * z ** (-1.0 / p.alpha)
+    lin = _linnik_draw(rng, n, p.alpha)
+    return _transformed(
+        n,
+        lambda lin, z: _linnik(lin, p.alpha) * _z(z, p.nu, 1.0) ** (-1.0 / p.alpha),
+        lin,
+        _z_draw(rng, n, p.nu, 1.0),
+    )
 
 
 def _gen_linnik_stable_genml(rng: np.random.Generator, n: int, p: LinnikParams):
@@ -434,14 +537,18 @@ def _gen_linnik_stable_genml(rng: np.random.Generator, n: int, p: LinnikParams):
     # alpha = 2.
     b = (p.alpha + 2.0) / 4.0
     a = 4.0 * p.alpha / (p.alpha + 2.0)
-    s = _stable_symmetric_values(rng, n, a)
-    m = _gen_ml_values(rng, n, b, p.nu)
-    return s * m ** (1.0 / a)
+    s = _cms_draw(rng, n, a)
+    return _transformed(
+        n,
+        lambda s, m: _cms(s, a) * _ml(m, b) ** (1.0 / a),
+        s,
+        _gen_ml_draw(rng, n, b, p.nu),
+    )
 
 
 def _neg_binom_values(rng: np.random.Generator, n: int, p: NegBinParams):
     lam = rng.standard_gamma(p.nu, n) * ((1.0 - p.p) / p.p)
-    return 1.0 + rng.poisson(lam).astype(float)
+    return _transformed(n, lambda k: 1.0 + k.astype(float), rng.poisson(lam))
 
 
 _STABLE_KERNELS = {
@@ -512,13 +619,21 @@ _FAMILY_TABLE: dict[str, _Family] = {
     ),
     "weibull": _Family(
         WeibullParams,
-        {None: lambda rng, n, p: rng.standard_exponential(n) ** (1.0 / p.gamma)},
+        {
+            None: lambda rng, n, p: _transformed(
+                n, lambda e: e ** (1.0 / p.gamma), rng.standard_exponential(n)
+            )
+        },
         "gamma > 0",
         positive=lambda p: True,
     ),
     "gamma": _Family(
         GammaParams,
-        {None: lambda rng, n, p: rng.standard_gamma(p.r, n) / p.lam},
+        {
+            None: lambda rng, n, p: _transformed(
+                n, lambda g: g / p.lam, rng.standard_gamma(p.r, n)
+            )
+        },
         "r > 0, lambda > 0",
         positive=lambda p: True,
         lst=lambda p: lambda s: (1.0 + s / p.lam) ** (-p.r),
@@ -526,15 +641,20 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "gen_gamma": _Family(
         GGParams,
         {
-            None: lambda rng, n, p: (rng.standard_gamma(p.r, n) / p.lam)
-            ** (1.0 / p.alpha)
+            None: lambda rng, n, p: _transformed(
+                n, lambda g: (g / p.lam) ** (1.0 / p.alpha), rng.standard_gamma(p.r, n)
+            )
         },
         "r > 0, alpha != 0, lambda > 0",
         positive=lambda p: True,
     ),
     "exp_power": _Family(
         ExpPowerParams,
-        {None: lambda rng, n, p: rng.standard_gamma(p.nu, n) ** p.nu},
+        {
+            None: lambda rng, n, p: _transformed(
+                n, lambda g: g ** p.nu, rng.standard_gamma(p.nu, n)
+            )
+        },
         "nu > 0",
         positive=lambda p: True,
     ),
@@ -560,20 +680,30 @@ _FAMILY_TABLE: dict[str, _Family] = {
     ),
     "stable_ratio": _Family(
         StableRatioParams,
-        {None: lambda rng, n, p: _stable_ratio_values(rng, n, p.delta)},
+        {
+            None: lambda rng, n, p: _transformed(
+                n, lambda r: _ratio(r, p.delta), _ratio_draw(rng, n, p.delta)
+            )
+        },
         "delta in (0, 1)",
         positive=lambda p: True,
     ),
     "z_mix": _Family(
         ZParams,
-        {None: lambda rng, n, p: _z_values(rng, n, p.r, p.mu)},
+        {
+            None: lambda rng, n, p: _transformed(
+                n, lambda z: _z(z, p.r, p.mu), _z_draw(rng, n, p.r, p.mu)
+            )
+        },
         "r in (0, 1], mu > 0",
         positive=lambda p: True,
     ),
     "mittag_leffler": _Family(
         MLParams,
         {
-            "stable_weibull": lambda rng, n, p: _ml_stable_weibull(rng, n, p.delta),
+            "stable_weibull": lambda rng, n, p: _transformed(
+                n, lambda m: _ml(m, p.delta), _ml_draw(rng, n, p.delta)
+            ),
             "exp_ratio": lambda rng, n, p: _ml_exp_ratio(rng, n, p.delta),
         },
         "delta in (0, 1]",
@@ -591,7 +721,9 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "linnik": _Family(
         LinnikParams,
         {
-            "stable_weibull": _linnik_stable_weibull,
+            "stable_weibull": lambda rng, n, p: _transformed(
+                n, lambda s: _linnik(s, p.alpha), _linnik_draw(rng, n, p.alpha)
+            ),
             "normal_ml": _linnik_normal_ml,
             "laplace_ratio": _linnik_laplace_ratio,
         },
@@ -602,7 +734,11 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "gen_linnik": _Family(
         LinnikParams,
         {
-            "stable_gamma": _gen_linnik_stable_gamma,
+            "stable_gamma": lambda rng, n, p: _transformed(
+                n,
+                lambda s: _linnik(s, p.alpha),
+                _gen_linnik_draw(rng, n, p.alpha, p.nu),
+            ),
             "normal_genml": _gen_linnik_normal_genml,
             "linnik_z": _gen_linnik_linnik_z,
             "stable_genml": _gen_linnik_stable_genml,

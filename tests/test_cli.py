@@ -1,11 +1,15 @@
 """End-to-end tests for the htmix command line, run in-process."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from htmix.cli import main
-from htmix.streams import DEFAULT_SEED
+from htmix.cli import _fmt, _sample_csv, main
+from htmix.distributions import DistSpec, sample
+from htmix.streams import DEFAULT_SEED, RandomStream
 
 
 def run(*argv):
@@ -49,6 +53,20 @@ class TestSample:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "index,value"
         assert len(lines) == 3
+
+    def test_csv_is_the_fmt_join_on_file_and_stdout(self, tmp_path, capsys):
+        # Past several row blocks, with a short last block.
+        n = 300_001
+        argv = ["sample", "--dist", "gen-linnik", "--alpha", "1.5", "--nu", "2",
+                "--n", str(n), "--seed", "1729"]
+        values = sample(DistSpec("gen_linnik", {"alpha": 1.5, "nu": 2.0}), n,
+                        RandomStream(1729)).values
+        out = tmp_path / "g.csv"
+        assert run(*argv, "--out", str(out)) == 0
+        _assert_is_fmt_join(out.read_bytes().decode("ascii"), values)
+        capsys.readouterr()
+        assert run(*argv) == 0
+        _assert_is_fmt_join(capsys.readouterr().out, values)
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "e.csv"
@@ -231,6 +249,21 @@ class TestLimit:
         assert "64-bit integer" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv,label",
+        [
+            (["limit", "--theorem", "thm8", "--alpha", "0.5", "--nu", "1",
+              "--n-grid", "10,100", "--reps", "2000"], "htmix: accuracy limit: "),
+            (["eval", "--fn", "genlinnik-pdf", "--alpha", "0.5", "--nu", "1",
+              "--grid", "0:1:0.5"], "htmix: unsupported regime: "),
+        ],
+    )
+    def test_exit_four_names_its_cause(self, argv, label, capsys):
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(label)
+        assert err.count("htmix:") == 1
+
     def test_thm6_rejects_control(self, capsys):
         assert run("limit", "--theorem", "thm6", "--alpha", "2", "--nu", "1",
                    "--n-grid", "100", "--reps", "1000",
@@ -336,3 +369,60 @@ class TestParsing:
                    "--grid", "-5:5:1") == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 12
+
+
+def _assert_is_fmt_join(text, values):
+    expected = "index,value\n" + "".join(
+        f"{i},{_fmt(v)}\n" for i, v in enumerate(values)
+    )
+    # Rows first, so that a failure names the first differing row cheaply.
+    assert text.splitlines() == expected.splitlines()
+    assert text == expected
+
+
+class TestSampleRows:
+    """The vectorized sample CSV writer against Python's own "%.10g"."""
+
+    # Ties at the 10th digit, roundings that carry into a new exponent, the
+    # edges of the vectorized range and values that take the scalar path.
+    EDGES = [
+        1234567890.5, 1234567891.5, 123456789.25, 12345.678905, 0.5, 2.5e-5,
+        9999999999.5, 9999999998.5, 0.99999999995, 9.9999999995e-5,
+        9.9999999995e-14, 1e-4, 1e-5, 1e-13, 1e10, 1e9, 1.0, 10.0,
+        math.nextafter(1e-13, 0.0), math.nextafter(1e10, 0.0),
+        math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        math.inf, -math.inf, math.nan,
+    ]
+
+    def test_edges(self):
+        values = np.array(self.EDGES + [-x for x in self.EDGES])
+        _assert_is_fmt_join(_sample_csv(values), values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=1, max_size=64))
+    def test_any_float(self, xs):
+        values = np.array(xs, dtype=float)
+        _assert_is_fmt_join(_sample_csv(values), values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        _assert_is_fmt_join(_sample_csv(values), values)
+
+    def test_bulk_across_blocks(self):
+        # Several row blocks of log-uniform magnitudes over the whole fast
+        # range and past both ends, dyadic values with exact ties, and raw
+        # bit patterns.
+        rng = np.random.default_rng(20)
+        n = 150_000
+        values = np.concatenate([
+            np.exp(rng.uniform(math.log(1e-16), math.log(1e12), n))
+            * rng.choice([-1.0, 1.0], n),
+            np.ldexp(rng.integers(1, 2**34, n).astype(float),
+                     rng.integers(-40, 1, n)),
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        ])
+        _assert_is_fmt_join(_sample_csv(values), values)

@@ -106,6 +106,36 @@ SAMPLE_DIGESTS = {
     "gen_linnik.stable_genml": "88e5d11599610851fe7544e3af9b71275222189929e50cd180eb2b004b042406",
 }
 
+# The same specs and streams at BLOCK_SAMPLE_N draws: past one sampling
+# block, so the elementwise transforms run in several blocks, and the last
+# one is short.
+BLOCK_SAMPLE_N = 3 * 2**16 + 5
+
+BLOCK_SAMPLE_DIGESTS = {
+    "normal": "8792a73f0f594af486ad5c13f897f58cb3ca3b01b40b9cebbed852bbbf60567e",
+    "laplace": "dfd880cd8d942eea9be65ba25c9c6bdafc702e8a5f49b06e154ec9a1e4a2c375",
+    "exponential": "f71b3b358532a20a5519eec521001b556f58624513421c77d67b3ffb7e694362",
+    "weibull": "76aa40bc295f1a493582f6fdeeeb01a5f12e00f424da68a068cf8e27b45df227",
+    "gamma": "43fb8a6298b78d62365c2ad31625c1d0c6b0ad005ea5b245e2874f61fdbae99b",
+    "gen_gamma": "173aa3fcc9d11b6eb873c93619d3bfac7df458a9160d51280dcccedd65cec8aa",
+    "exp_power": "36bcab27a2ddab59649a31bceffc9b9beba017af9642134a571ff9670b5ccf23",
+    "neg_binom": "7faa033677a607573321aa54756dfad10c25f5c161ba36b6d887fe655ce12303",
+    "stable.symmetric": "5aa9a9170068877bc7c38915b5bacb44834d4be0e16fbcfb4b513c3f37fa8513",
+    "stable.one_sided": "1f8cbf71acf3abb47d85377b1503e740cadc09145ae53d6b93354792f061a480",
+    "stable_ratio": "523c7932f9ec1c4ffd613031620bbf3820c41b719d70223c556ae59ddaa3ae7a",
+    "z_mix": "2d70fe9ae0c092d5342df656763861284fffb78d41405e04cf22e5b7854f0f2a",
+    "mittag_leffler.stable_weibull": "478041fdc96e7c5d0929b2a9964c5d91f290f10b3ec8c299f3c82f7d926fba13",
+    "mittag_leffler.exp_ratio": "a577cc23b0e31de36ad0e6a008adced282dbf171cba484c57c8fbd41e8653300",
+    "gen_mittag_leffler": "ab6b9fc98052db5e547af5844f987bf7856293f0e6783277233da673e521c022",
+    "linnik.stable_weibull": "6b912dc7f9da656bfd8c0f1dfdbb517b090af887180b79972af4f0a24107ef9b",
+    "linnik.normal_ml": "80ecb1428bd0a38657a99a0c045b6ecdca8474ded8e1a03d121c077da0d630c2",
+    "linnik.laplace_ratio": "d2add5f8aa828c7eda08c87f574d8ed9a582b53e260dfd6972dbba142bd5672c",
+    "gen_linnik.stable_gamma": "7e6c1effaf85218db60085e0eae2d53c9a4c406ec2f086dc84189b50292f319c",
+    "gen_linnik.normal_genml": "c39d9ffe2f3c32c9b3afcc96a90e0c3e6f754daa7c02f6501ae4aef7767a5400",
+    "gen_linnik.linnik_z": "11579ffbc5c314ea3261b522566b3920d968218735578451a3f2db99a326e33a",
+    "gen_linnik.stable_genml": "7d2d9aeb77d3ee42b3482bc6c59f5b21e5159a39f3b449e429f9fef44361f4d2",
+}
+
 TRANSFORM_POINTS = (0.5, 1.0, 2.0)
 TRANSFORM_DIGEST = (
     "12e73db384b03905a5cb0ba1cda69d6ec78256268143967e91fe29e9beff4ded"
@@ -298,6 +328,14 @@ def test_sample_bytes(index):
     batch = sample(DistSpec(family, params, method), SAMPLE_N,
                    RandomStream(SAMPLE_SEED, index))
     assert _sha(batch.values.tobytes()) == SAMPLE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("index", range(len(SAMPLE_SPECS)))
+def test_block_sample_bytes(index):
+    key, family, params, method = SAMPLE_SPECS[index]
+    batch = sample(DistSpec(family, params, method), BLOCK_SAMPLE_N,
+                   RandomStream(SAMPLE_SEED, index))
+    assert _sha(batch.values.tobytes()) == BLOCK_SAMPLE_DIGESTS[key]
 
 
 def _transform_values(transform):
