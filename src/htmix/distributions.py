@@ -5,7 +5,8 @@ gen_gamma, exp_power, neg_binom) and seven structured laws (stable,
 stable_ratio, z_mix, mittag_leffler, gen_mittag_leffler, linnik, gen_linnik).
 Every structured sampler is built from an exact mixture representation, never
 from approximate inversion. Samplers are pure functions of (spec, n, stream):
-same inputs, bit-identical output. Each family is one entry of _FAMILY_TABLE;
+same inputs, bit-identical output, whatever the number of pool workers that
+run their elementwise part. Each family is one entry of _FAMILY_TABLE;
 sampling, the closed transforms and positivity all read that entry.
 """
 
@@ -328,15 +329,15 @@ def _cut(raw, lo: int, hi: int):
 
 
 def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
-    """transform(*raw) for n draws, in blocks on the pool past one block.
+    """transform(*raw) for n draws, one block of _BLOCK draws at a time.
 
-    A call from a pool task (verify's sides, limits' summation blocks) runs
-    inline, since a task never waits on the pool. A block's values go into
+    The blocks run on the pool, except for a single block and in a call from
+    a pool task (verify's sides, limits' summation blocks), which runs them
+    inline since a task never waits on the pool. Each block's values go into
     the first raw array when it is float: once its block is transformed, a
-    raw entry is not read again.
+    raw entry is not read again. So a transform's temporaries are at most a
+    block long.
     """
-    if n <= _BLOCK or _pool.in_task():
-        return transform(*raw)
     out = raw
     while not isinstance(out, np.ndarray):
         out = out[0]
@@ -346,8 +347,13 @@ def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
     def block(lo: int) -> None:
         out[lo : lo + _BLOCK] = transform(*_cut(raw, lo, lo + _BLOCK))
 
-    for _ in _pool.imap(block, range(0, n, _BLOCK)):
-        pass
+    starts = range(0, n, _BLOCK)
+    if n <= _BLOCK or _pool.in_task():
+        for lo in starts:
+            block(lo)
+    else:
+        for _ in _pool.imap(block, starts):
+            pass
     return out
 
 
@@ -361,11 +367,11 @@ def _cms_draw(rng: np.random.Generator, n: int, alpha: float):
 
 
 def _cms(raw, alpha: float):
-    """Symmetric stable values from _cms_draw's draws."""
+    """Symmetric stable values from _cms_draw's draws, in place in them."""
     if alpha == 2.0:
-        return math.sqrt(2.0) * raw
+        return np.multiply(raw, math.sqrt(2.0), out=raw)
     if alpha == 1.0:
-        return np.tan(raw)
+        return np.tan(raw, out=raw)
     phi, w = raw
     # X = sin(a phi)/cos(phi) * (cos((1-a) phi) / (W cos(phi)))^((1-a)/a).
     t = np.multiply(phi, 1.0 - alpha)
@@ -377,8 +383,7 @@ def _cms(raw, alpha: float):
     np.multiply(phi, alpha, out=phi)
     np.sin(phi, out=phi)
     np.divide(phi, cos_phi, out=phi)
-    np.multiply(t, phi, out=t)
-    return t
+    return np.multiply(phi, t, out=phi)
 
 
 def _kanter_draw(rng: np.random.Generator, n: int, alpha: float):
@@ -388,7 +393,8 @@ def _kanter_draw(rng: np.random.Generator, n: int, alpha: float):
 
 
 def _kanter(raw, alpha: float):
-    """One-sided stable values from _kanter_draw's draws (alpha = 1 is 1)."""
+    """One-sided stable values from _kanter_draw's draws, in place in them
+    (alpha = 1 is 1)."""
     if alpha == 1.0:
         return raw
     u, w = raw
@@ -406,8 +412,7 @@ def _kanter(raw, alpha: float):
     np.multiply(u, alpha, out=u)
     np.sin(u, out=u)
     np.divide(u, sin_u, out=u)
-    np.multiply(t, u, out=t)
-    return t
+    return np.multiply(u, t, out=u)
 
 
 def _ratio_draw(rng: np.random.Generator, n: int, delta: float):
@@ -421,7 +426,9 @@ def _ratio_draw(rng: np.random.Generator, n: int, delta: float):
 def _ratio(raw, delta: float):
     if delta == 1.0:
         return raw
-    return _kanter(raw[0], delta) / _kanter(raw[1], delta)
+    num = _kanter(raw[0], delta)
+    num /= _kanter(raw[1], delta)
+    return num
 
 
 def _z_draw(rng: np.random.Generator, n: int, r: float, mu: float):
@@ -431,10 +438,14 @@ def _z_draw(rng: np.random.Generator, n: int, r: float, mu: float):
 
 
 def _z(raw, r: float, mu: float):
+    """mu (g1 + g2) / g1, evaluated in place in g2."""
     if r == 1.0:
         return raw
     g1, g2 = raw
-    return mu * (g1 + g2) / g1
+    g2 += g1
+    g2 *= mu
+    g2 /= g1
+    return g2
 
 
 def _ml_draw(rng: np.random.Generator, n: int, delta: float):
@@ -446,9 +457,9 @@ def _gen_ml_draw(rng: np.random.Generator, n: int, delta: float, nu: float):
 
 
 def _ml(raw, delta: float):
-    """(Generalized) Mittag-Leffler values: one-sided stable S and an
-    exponential or gamma G, as S * G^(1/delta)."""
-    return _kanter(raw[0], delta) * raw[1] ** (1.0 / delta)
+    """(Generalized) Mittag-Leffler values S * G^(1/delta) from a one-sided
+    stable S and an exponential or gamma G."""
+    return _scaled_by_power(_kanter(raw[0], delta), raw[1], 1.0 / delta)
 
 
 def _linnik_draw(rng: np.random.Generator, n: int, alpha: float):
@@ -460,9 +471,24 @@ def _gen_linnik_draw(rng: np.random.Generator, n: int, alpha: float, nu: float):
 
 
 def _linnik(raw, alpha: float):
-    """(Generalized) Linnik values: symmetric stable S and an exponential or
-    gamma G, as S * G^(1/alpha)."""
-    return _cms(raw[0], alpha) * raw[1] ** (1.0 / alpha)
+    """(Generalized) Linnik values S * G^(1/alpha) from a symmetric stable S
+    and an exponential or gamma G."""
+    return _scaled_by_power(_cms(raw[0], alpha), raw[1], 1.0 / alpha)
+
+
+def _scaled_by_power(s, g, power: float):
+    """s * g ** power, in place in s and g (the ** operator's own rules)."""
+    g **= power
+    s *= g
+    return s
+
+
+def _normal_scaled(x, m):
+    """x * sqrt(2 m), in place in x and m."""
+    m *= 2.0
+    np.sqrt(m, out=m)
+    x *= m
+    return x
 
 
 # The kernels: kernel(rng, n, ...) -> n values. limits calls the symmetric
@@ -484,7 +510,8 @@ def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
 def _ml_exp_ratio(rng: np.random.Generator, n: int, delta: float):
     w = rng.standard_exponential(n)
     return _transformed(
-        n, lambda w, r: w * _ratio(r, delta), w, _ratio_draw(rng, n, delta)
+        n, lambda w, r: np.multiply(w, _ratio(r, delta), out=w), w,
+        _ratio_draw(rng, n, delta)
     )
 
 
@@ -495,7 +522,7 @@ def _linnik_normal_ml(rng: np.random.Generator, n: int, p: LinnikParams):
     x = rng.standard_normal(n)
     return _transformed(
         n,
-        lambda x, m: x * np.sqrt(2.0 * _ml(m, p.alpha / 2.0)),
+        lambda x, m: _normal_scaled(x, _ml(m, p.alpha / 2.0)),
         x,
         _ml_draw(rng, n, p.alpha / 2.0),
     )
@@ -505,7 +532,7 @@ def _linnik_laplace_ratio(rng: np.random.Generator, n: int, p: LinnikParams):
     lap = rng.laplace(0.0, 1.0, n)
     return _transformed(
         n,
-        lambda lap, r: lap * np.sqrt(_ratio(r, p.alpha / 2.0)),
+        lambda lap, r: np.multiply(lap, np.sqrt(_ratio(r, p.alpha / 2.0)), out=lap),
         lap,
         _ratio_draw(rng, n, p.alpha / 2.0),
     )
@@ -515,7 +542,7 @@ def _gen_linnik_normal_genml(rng: np.random.Generator, n: int, p: LinnikParams):
     x = rng.standard_normal(n)
     return _transformed(
         n,
-        lambda x, m: x * np.sqrt(2.0 * _ml(m, p.alpha / 2.0)),
+        lambda x, m: _normal_scaled(x, _ml(m, p.alpha / 2.0)),
         x,
         _gen_ml_draw(rng, n, p.alpha / 2.0, p.nu),
     )
@@ -525,7 +552,9 @@ def _gen_linnik_linnik_z(rng: np.random.Generator, n: int, p: LinnikParams):
     lin = _linnik_draw(rng, n, p.alpha)
     return _transformed(
         n,
-        lambda lin, z: _linnik(lin, p.alpha) * _z(z, p.nu, 1.0) ** (-1.0 / p.alpha),
+        lambda lin, z: _scaled_by_power(
+            _linnik(lin, p.alpha), _z(z, p.nu, 1.0), -1.0 / p.alpha
+        ),
         lin,
         _z_draw(rng, n, p.nu, 1.0),
     )
@@ -540,7 +569,7 @@ def _gen_linnik_stable_genml(rng: np.random.Generator, n: int, p: LinnikParams):
     s = _cms_draw(rng, n, a)
     return _transformed(
         n,
-        lambda s, m: _cms(s, a) * _ml(m, b) ** (1.0 / a),
+        lambda s, m: _scaled_by_power(_cms(s, a), _ml(m, b), 1.0 / a),
         s,
         _gen_ml_draw(rng, n, b, p.nu),
     )

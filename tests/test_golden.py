@@ -136,6 +136,58 @@ BLOCK_SAMPLE_DIGESTS = {
     "gen_linnik.stable_genml": "7d2d9aeb77d3ee42b3482bc6c59f5b21e5159a39f3b449e429f9fef44361f4d2",
 }
 
+# Degenerate and closed-form corners of the routes (alpha = 1 or 2, delta = 1,
+# r = 1, exponents 1/alpha of 0.5, 1 and 2), each at BLOCK_SAMPLE_N draws on
+# RandomStream(SAMPLE_SEED, 100 + i): family, params, method, digest.
+BLOCK_CORNERS = (
+    ("stable", {"alpha": 2.0}, None,
+     "1302a8dbd9335daa88e872550b4c6f8afafb665272882a993875c4f85106110b"),
+    ("stable", {"alpha": 1.0}, None,
+     "2b8daa2c5eea37a0ab83337f64b268d375f6e1b9d7de74488659747246a6992b"),
+    ("stable", {"alpha": 1.0, "theta": "one_sided"}, None,
+     "da98ca04debf00f171c3310722dd222f94283380c09c60162883d1cef8b11049"),
+    ("z_mix", {"r": 1.0, "mu": 2.0}, None,
+     "d406a67c6e27762f600b73adccac3931a755ac60f4c40b962d2c67611db464c9"),
+    ("mittag_leffler", {"delta": 1.0}, "stable_weibull",
+     "3d783b300789c7ea5822dac994edee6711719a62d55605159b0d1d1dc11b1a29"),
+    ("mittag_leffler", {"delta": 1.0}, "exp_ratio",
+     "b3fbbc2de155de223bda8e64b1493c198ec25fd4258393acfcddd8fd141dacfb"),
+    ("gen_mittag_leffler", {"delta": 1.0, "nu": 0.5}, None,
+     "da4d71c6fcc7024df4bab388801eb3646b1889359884529b93dd2fef28f4ed82"),
+    ("linnik", {"alpha": 2.0}, "stable_weibull",
+     "be7b626a85903e0d7cd48e569d16afcab92738d0f460b5c41ea547efe6675b43"),
+    ("linnik", {"alpha": 2.0}, "normal_ml",
+     "15c7a251bf831454864d770793b2775ee6a0d3b7b6bd79b248c1d4ded732b5a0"),
+    ("linnik", {"alpha": 1.0}, "laplace_ratio",
+     "e7d3808a6a9541f67c6145f62a2260931fbeeaecef1c3f1aa975ca8f7722a819"),
+    ("gen_linnik", {"alpha": 2.0, "nu": 1.0}, "stable_gamma",
+     "c31bb69afb8eaac4c8cbf0695cf00a7bc33d2634a702d8242de50b77ae66f5fd"),
+    ("gen_linnik", {"alpha": 2.0, "nu": 1.0}, "normal_genml",
+     "aaf8a85c479db4bace14dd85501004e0b44aa5a773e946d3daddb2e1a96d9043"),
+    ("gen_linnik", {"alpha": 2.0, "nu": 1.0}, "linnik_z",
+     "1d1974fa4cd980108818748e94c069aba14ca6b47e253bfda036301c016a7947"),
+    ("gen_linnik", {"alpha": 1.0, "nu": 0.5}, "linnik_z",
+     "9fc75f881feabbb052c9c085360c20780d68cf5865f8eb5480adcbaa194ebcbc"),
+    ("gen_linnik", {"alpha": 2.0, "nu": 1.5}, "stable_genml",
+     "74dd7ea4e26f75a91f97ee593e8c1cad6f7aa2fb6b76c7123cdb3df3ebe5e833"),
+    ("gen_linnik", {"alpha": 0.4, "nu": 3.0}, "stable_genml",
+     "68b1d16ad4dc6cbf5f3b68550df037f07e6fddf1d93279b5909da80255ccf5ca"),
+    ("weibull", {"gamma": 2.0}, None,
+     "4a16943b3bc6998d1de8316b0152eab1cc088a7e83891cb83d014f11808d8c00"),
+    ("weibull", {"gamma": 0.5}, None,
+     "592c241bec1f2f1cc2fa49803c329750f4ec7e15f72d7488cc43a143db9d1c3f"),
+    ("exp_power", {"nu": 2.0}, None,
+     "ff0434fc5bbde1add61b19f2d6fd77c91125a735f1a89785c17a5d29e39f36af"),
+    ("gen_gamma", {"r": 1.5, "alpha": -1.0}, None,
+     "d4389c05ca6007069d58cd33b254f22ab92fdd3d27d21832006d3be8ba179753"),
+    ("gen_gamma", {"r": 1.5, "alpha": 0.5}, None,
+     "bbd062af1795be354448f107fd8c1735934913ee9c736d06eff6a055e2252b4c"),
+    ("neg_binom", {"nu": 0.5, "p": 0.3}, None,
+     "7e2fdfcf3230e2624336255cf641d29d5d5ff2c1b1108ab5eb920786aa34cf06"),
+    ("stable_ratio", {"delta": 0.3}, None,
+     "6904897dc8f890c86cdb6181df768a7c4415d6ea31ee81f9bb1f9a23763e6170"),
+)
+
 TRANSFORM_POINTS = (0.5, 1.0, 2.0)
 TRANSFORM_DIGEST = (
     "12e73db384b03905a5cb0ba1cda69d6ec78256268143967e91fe29e9beff4ded"
@@ -336,6 +388,14 @@ def test_block_sample_bytes(index):
     batch = sample(DistSpec(family, params, method), BLOCK_SAMPLE_N,
                    RandomStream(SAMPLE_SEED, index))
     assert _sha(batch.values.tobytes()) == BLOCK_SAMPLE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("index", range(len(BLOCK_CORNERS)))
+def test_block_corner_bytes(index):
+    family, params, method, digest = BLOCK_CORNERS[index]
+    batch = sample(DistSpec(family, params, method), BLOCK_SAMPLE_N,
+                   RandomStream(SAMPLE_SEED, 100 + index))
+    assert _sha(batch.values.tobytes()) == digest
 
 
 def _transform_values(transform):
