@@ -331,12 +331,12 @@ def _cut(raw, lo: int, hi: int):
 def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
     """transform(*raw) for n draws, one block of _BLOCK draws at a time.
 
-    The blocks run on the pool, except for a single block and in a call from
-    a pool task (verify's sides, limits' summation blocks), which runs them
-    inline since a task never waits on the pool. Each block's values go into
-    the first raw array when it is float: once its block is transformed, a
-    raw entry is not read again. So a transform's temporaries are at most a
-    block long.
+    The blocks run on the pool, except when there are fewer than two full
+    blocks to share out, and in a call from a pool task (verify's sides,
+    limits' summation blocks), which runs them inline since a task never
+    waits on the pool. Each block's values go into the first raw array when
+    it is float: once its block is transformed, a raw entry is not read
+    again. So a transform's temporaries are at most a block long.
     """
     out = raw
     while not isinstance(out, np.ndarray):
@@ -348,7 +348,7 @@ def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
         out[lo : lo + _BLOCK] = transform(*_cut(raw, lo, lo + _BLOCK))
 
     starts = range(0, n, _BLOCK)
-    if n <= _BLOCK or _pool.in_task():
+    if n < 2 * _BLOCK or _pool.in_task():
         for lo in starts:
             block(lo)
     else:
@@ -510,8 +510,10 @@ def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
 def _ml_exp_ratio(rng: np.random.Generator, n: int, delta: float):
     w = rng.standard_exponential(n)
     return _transformed(
-        n, lambda w, r: np.multiply(w, _ratio(r, delta), out=w), w,
-        _ratio_draw(rng, n, delta)
+        n,
+        lambda w, r: np.multiply(w, _ratio(r, delta), out=w),
+        w,
+        _ratio_draw(rng, n, delta),
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from htmix import _pool
 from htmix.distributions import DistSpec, sample
 from htmix.streams import RandomStream
-from test_golden import SAMPLE_SPECS
+from test_golden import BLOCK_CORNERS, SAMPLE_SPECS
 
 
 def test_import_starts_no_thread():
@@ -55,8 +55,8 @@ def test_in_task_marks_pool_tasks_only():
 # Sampling: the draws stay on the caller's thread and the elementwise
 # transforms run in blocks on the pool, so the bytes of a sample must not
 # depend on the worker count, nor on whether sample() runs inside a task
-# (where the transforms run inline). BLOCK_N spans several blocks and ends
-# in a short one.
+# (where the blocks run inline), for every route and its corners. BLOCK_N
+# spans several blocks and ends in a short one.
 BLOCK_N = 3 * 2**16 + 5
 
 
@@ -73,8 +73,12 @@ def _workers(count):
 
 
 def _all_routes():
-    for index, (key, family, params, method) in enumerate(SAMPLE_SPECS):
-        yield key, DistSpec(family, params, method), RandomStream(5, index)
+    specs = [(key, DistSpec(family, params, method))
+             for key, family, params, method in SAMPLE_SPECS]
+    specs += [(f"{family}{params}{method}", DistSpec(family, params, method))
+              for family, params, method, _ in BLOCK_CORNERS]
+    for index, (key, spec) in enumerate(specs):
+        yield key, spec, RandomStream(5, index)
 
 
 def _sample_bytes(spec, stream):
