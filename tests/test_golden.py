@@ -273,12 +273,23 @@ REPORT_DIGESTS = {
     "thm7_control_multi": "f464ed2d8201c877b20f5e289b98a22302253fb230689f8c5d5e76837eab9dc0",
 }
 
+# The raw bytes of the retained final sample alone, apart from the report
+# JSON and its params.
+FINAL_SAMPLE_DIGESTS = {
+    "thm8": "3d76a5cabc213f4d10e697cdbfbe00b2e9a7f68fd00a8d1d58f6be80d3c0efc5",
+    "thm8_control": "f23c22ab0f015027d37c78392f4ac551e7b507fe4bfd9b2f9f1fcc772964765f",
+    "thm8_multi": "7cf9631c2d46f63df1efb74fb8785265784469df4bb87cc4a9b60a9e768b3539",
+}
+
 CLI_RUNS = {
     "limit_csv": ["limit", "--theorem", "thm6", "--alpha", "2", "--nu", "1",
                   "--n-grid", "20", "--reps", "2000", "--seed", "5"],
     "limit_json": ["limit", "--theorem", "thm8", "--alpha", "1.5", "--nu", "2",
                    "--n-grid", "100", "--reps", "2000", "--seed", "5",
                    "--format", "json"],
+    "limit_thm8_csv": ["limit", "--theorem", "thm8", "--alpha", "1.5", "--nu",
+                       "2", "--n-grid", "100,1000", "--reps", "2000", "--seed",
+                       "5"],
     "limit_lemma14": ["limit", "--theorem", "lemma14", "--nu", "0.5",
                       "--p-grid", "0.05,0.01", "--reps", "2000", "--seed", "3"],
     "limit_control": ["limit", "--theorem", "thm7", "--alpha", "1.5", "--nu", "2",
@@ -297,6 +308,7 @@ CLI_DIGESTS = {
     "limit_control": "775c199606a04936c9f817a92269a9955b1ed0ac52a886fa830fb2057a222f95",
     "limit_csv": "5165c8726e8b6ceb65f89d945f37e25c3361516bf9f0af2d9175cbffa57acc93",
     "limit_json": "cf67f9d5daae3145e20dec82b52909c9e251d200b54cdfab10b8ff0bcd6c4191",
+    "limit_thm8_csv": "47141e0802662a408f0519657500d6714a191ad6febd2fae70a3f23caa54359d",
     "limit_lemma14": "9f26821aae32878f854643300103042464236996fe902b304e746b162e2fcd50",
     "list": "1d14b1896bb5d39160ae98232ff96b0560e0278d008b1527c2264eb28eeeb94b",
     "sample": "b7c0fe05c73829007ff39c1125600ed68485ef1217aca896e3ab9370dd540a77",
@@ -356,6 +368,12 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_bytes(name):
     assert _sha(_report_bytes(REPORTS[name]())) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FINAL_SAMPLE_DIGESTS))
+def test_final_sample_bytes(name):
+    report = REPORTS[name]()
+    assert _sha(report.final_sample.tobytes()) == FINAL_SAMPLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("case_id", sorted(VERIFY_DIGESTS))
