@@ -479,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.add_argument("--reps", type=int, default=100_000)
     p_limit.add_argument("--seed", type=int)
     p_limit.add_argument("--summand", choices=list(limits.SUMMANDS))
-    p_limit.add_argument("--statistic", choices=["sample-mean"])
+    p_limit.add_argument(
+        "--statistic", choices=[s.replace("_", "-") for s in limits.STATISTICS]
+    )
     p_limit.add_argument("--control", choices=["fixed-index"])
     p_limit.add_argument("--threshold", type=float)
     p_limit.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -64,8 +64,6 @@ from .distributions import (
 from .errors import DomainError
 from .streams import DEFAULT_SEED, RandomStream
 from .verification import (
-    DEFAULT_S_GRID,
-    DEFAULT_T_GRID,
     MetricEntry,
     VerificationReport,
     ecf_distance,
@@ -715,18 +713,17 @@ def verify(
     *,
     substream_base: int = 0,
     q: float = 0.01,
-    t_grid=DEFAULT_T_GRID,
-    s_grid=DEFAULT_S_GRID,
 ) -> VerificationReport:
     """Check one case at one parameter point; returns the metric report.
 
     KS runs always. When the lhs law has a closed characteristic function
     or Laplace transform, both sides are also checked against it with
     bounded-kernel envelopes (4/sqrt(n) for the CF, 1.5/sqrt(n) for the
-    Laplace transform). The two sides are drawn concurrently (see
-    ``instantiate``), then every metric is computed concurrently on the
-    package's worker pool; the report lists them in the order ks, ecf_lhs,
-    ecf_rhs, lst_lhs, lst_rhs and is the same for any thread count.
+    Laplace transform) over DEFAULT_T_GRID and DEFAULT_S_GRID. The two
+    sides are drawn concurrently (see ``instantiate``), then every metric
+    is computed concurrently on the package's worker pool; the report lists
+    them in the order ks, ecf_lhs, ecf_rhs, lst_lhs, lst_rhs and is the same
+    for any thread count.
     """
     stream = RandomStream(seed, substream_base)
     lhs, rhs = instantiate(case, params, n, stream)
@@ -746,7 +743,7 @@ def verify(
             pending.append(
                 (
                     name,
-                    _pool.submit(ecf_distance, batch, cf, t_grid),
+                    _pool.submit(ecf_distance, batch, cf),
                     4.0 / math.sqrt(batch.n),
                 )
             )
@@ -756,7 +753,7 @@ def verify(
             pending.append(
                 (
                     name,
-                    _pool.submit(lst_distance, batch, lst, s_grid),
+                    _pool.submit(lst_distance, batch, lst),
                     1.5 / math.sqrt(batch.n),
                 )
             )

@@ -14,7 +14,8 @@ Four experiments:
 * ``thm8``: an asymptotically normal statistic evaluated at the random
   sample size N = max(1, round(n*V)) with V the reciprocal of twice a
   generalized Mittag-Leffler variate; sigma*sqrt(n)*(T_N - theta)
-  approaches the generalized Linnik law.
+  approaches the generalized Linnik law whatever sigma and theta are, so a
+  statistic is just a name in ``STATISTICS``.
 
 thm6, thm7 and thm8 are one construction, a normalized sum of a random
 number N of summands, and share one driver, ``_random_sums``. Only the law
@@ -51,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 import scipy.special as sc
@@ -66,6 +67,7 @@ from .verification import ks_one_sample
 __all__ = [
     "THEOREMS",
     "SUMMANDS",
+    "STATISTICS",
     "NONCONVERGENCE_FLOOR",
     "LimitExperiment",
     "ConvergenceRow",
@@ -79,6 +81,7 @@ __all__ = [
 
 THEOREMS = ("lemma14", "thm6", "thm7", "thm8")
 SUMMANDS = ("rademacher", "uniform")
+STATISTICS = ("sample_mean",)
 
 NONCONVERGENCE_FLOOR = 0.05
 _NORMAL_CONTROL_THRESHOLD = 0.01
@@ -162,8 +165,8 @@ class ConvergenceReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def csv_lines(self) -> list[str]:
         control = self.mode == "negative-control"
@@ -199,37 +202,18 @@ def _check_p_grid(p_grid) -> tuple[float, ...]:
 
 
 def _summand_drawer(summand):
-    """Zero-mean unit-variance summands as draw(rng, m); None means Rademacher signs."""
+    """Summands as draw(rng, m); None means Rademacher signs."""
+    if callable(summand):
+        return lambda rng, m: np.asarray(summand(rng, m), dtype=float)
     if summand == "rademacher":
         return None
     if summand == "uniform":
         half = math.sqrt(3.0)
         return lambda rng, m: rng.uniform(-half, half, m)
-    if isinstance(summand, tuple) and len(summand) == 3:
-        draw, mean, var = summand
-        if float(mean) != 0.0:
-            raise DomainError("summand law must have zero mean")
-        if not (float(var) > 0) or not math.isfinite(float(var)):
-            raise DomainError("summand law must declare a positive finite variance")
-        return lambda rng, m: np.asarray(draw(rng, m), dtype=float)
     raise DomainError(
-        f"unknown summand law {summand!r}; use 'rademacher', 'uniform', "
-        "or a (draw, mean, variance) triple"
+        f"unknown summand law {summand!r}; use one of {SUMMANDS} "
+        "or a callable draw(rng, m)"
     )
-
-
-def _statistic_descriptor(statistic) -> tuple[float, float]:
-    if statistic == "sample_mean":
-        return 1.0, 0.0
-    if isinstance(statistic, Mapping):
-        if "sigma" not in statistic or "theta" not in statistic:
-            raise DomainError("statistic descriptor must declare sigma and theta")
-        sigma = float(statistic["sigma"])
-        theta = float(statistic["theta"])
-        if not (sigma > 0) or not math.isfinite(sigma) or not math.isfinite(theta):
-            raise DomainError("statistic descriptor needs sigma > 0 and finite theta")
-        return sigma, theta
-    raise DomainError(f"unknown statistic descriptor {statistic!r}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +225,9 @@ class LimitExperiment:
     (0, 1)). alpha is read by thm6-thm8 only, summand by thm7 only and
     statistic by thm8 only; giving one to another theorem is an error.
     summand defaults to "rademacher" for thm7, statistic to "sample_mean"
-    for thm8, and threshold to the theorem's default.
+    for thm8, and threshold to the theorem's default. summand is a name in
+    SUMMANDS or a callable draw(rng, m) giving m iid summands of mean zero
+    and variance one (not checked); statistic is a name in STATISTICS.
     """
 
     theorem: str
@@ -293,7 +279,10 @@ class LimitExperiment:
         if theorem == "thm8":
             if self.statistic is None:
                 object.__setattr__(self, "statistic", "sample_mean")
-            _statistic_descriptor(self.statistic)
+            if self.statistic not in STATISTICS:
+                raise DomainError(
+                    f"unknown statistic {self.statistic!r}; choose from {STATISTICS}"
+                )
         elif self.statistic is not None:
             raise DomainError("statistic applies only to thm8")
         if self.threshold is None:
@@ -384,8 +373,7 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
     if theorem == "thm7":
         params["summand"] = exp.summand if isinstance(exp.summand, str) else "custom"
     if theorem == "thm8":
-        sigma, theta = _statistic_descriptor(exp.statistic)
-        params.update(sigma=sigma, theta=theta)
+        params["statistic"] = exp.statistic
     stats = []
     for index, n in enumerate(exp.grid):
         idx_rng = RandomStream(exp.seed, 2 * index).generator()
@@ -420,11 +408,8 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
         elif theorem == "thm7":
             stat = sums / math.sqrt(float(n))
         else:
-            # Sample mean of draws theta + (1/sigma) * sign: T - theta is the
-            # mean sign over sigma, and the sign sum is lattice-exact.
-            stat = sigma * math.sqrt(float(n)) * (
-                sums / (sigma * counts.astype(float))
-            )
+            # The mean of N signs (sigma = 1, theta = 0); the sum is lattice-exact.
+            stat = math.sqrt(float(n)) * (sums / counts.astype(float))
         stats.append(stat)
     # One reference for all rows: the interpolation grid on [0, 2] does not
     # depend on x_max, and past 2 it is built out to the largest |statistic|.
@@ -500,9 +485,11 @@ def run_thm7(
     """Random sums with index N = max(1, round(n*V)), V twice a generalized
     Mittag-Leffler variate, normalized by sqrt(n).
 
-    control="fixed-index" replaces V by the constant 1 (so N = n); the
-    classical CLT then applies and the report flags non-convergence to the
-    heavy-tailed target.
+    summand is "rademacher", "uniform" or a callable draw(rng, m) giving m
+    iid summands of mean zero and variance one, which is not checked (the
+    report says "custom"). control="fixed-index" replaces V by the constant
+    1 (so N = n); the classical CLT then applies and the report flags
+    non-convergence to the heavy-tailed target.
     """
     return run_experiment(LimitExperiment(
         "thm7", nu, alpha, n_grid, replications, seed, summand=summand,
@@ -523,11 +510,12 @@ def run_thm8(
 ) -> ConvergenceReport:
     """Asymptotically normal statistic at random sample size.
 
-    The statistic is the sample mean of iid draws with declared (sigma,
-    theta); sigma*sqrt(n)*(T_N - theta) is compared to the generalized
-    Linnik target. N = max(1, round(n*V)) with V the reciprocal of twice a
-    generalized Mittag-Leffler variate. control="fixed-index" sets N = n,
-    recovering the plain normal limit.
+    statistic names the statistic in STATISTICS; "sample_mean" is the mean
+    of N Rademacher signs (sigma = 1, theta = 0). sigma*sqrt(n)*(T_N -
+    theta) is compared to the generalized Linnik target, whose law does not
+    depend on sigma and theta. N = max(1, round(n*V)) with V the reciprocal
+    of twice a generalized Mittag-Leffler variate. control="fixed-index"
+    sets N = n, recovering the plain normal limit.
     """
     return run_experiment(LimitExperiment(
         "thm8", nu, alpha, n_grid, replications, seed, statistic=statistic,

@@ -58,6 +58,8 @@ __all__ = [
 
 _EPS = 2.2e-16
 _LN_EPS = math.log(_EPS)
+_MAX_TERMS = 600  # series terms in the cancellation-sensitive branches
+_QUAD_LIMIT = 200  # subinterval cap handed to the adaptive quadrature
 
 
 @dataclass(frozen=True)
@@ -66,23 +68,13 @@ class Accuracy:
 
     abs_tol
         Target absolute error for scalar special-function values.
-    max_terms
-        Cap on series terms in the cancellation-sensitive branch.
-    quad_limit
-        Subinterval cap handed to the adaptive quadrature.
     """
 
     abs_tol: float = 1e-10
-    max_terms: int = 600
-    quad_limit: int = 200
 
     def __post_init__(self) -> None:
         if not 0 < self.abs_tol < 1:
             raise DomainError("abs_tol must lie in (0, 1)")
-        if self.max_terms < 8:
-            raise DomainError("max_terms must be at least 8")
-        if self.quad_limit < 10:
-            raise DomainError("quad_limit must be at least 10")
 
 
 DEFAULT_ACCURACY = Accuracy()
@@ -125,7 +117,7 @@ def _series_roundoff_ok(ln_terms: np.ndarray, acc: Accuracy) -> bool:
 def _ml_series_negative(delta: float, x: float, acc: Accuracy):
     """Alternating series for E_delta(-x), x > 0, or None if unsafe."""
     ln_x = math.log(x)
-    n = np.arange(acc.max_terms, dtype=float)
+    n = np.arange(_MAX_TERMS, dtype=float)
     ln_terms = n * ln_x - sc.gammaln(delta * n + 1.0)
     if not _series_roundoff_ok(ln_terms, acc):
         return None
@@ -169,7 +161,7 @@ def _quad_split(fn, pieces, acc: Accuracy) -> float:
     for a, b in zip(pieces[:-1], pieces[1:]):
         val, err = integrate.quad(
             fn, a, b, epsabs=acc.abs_tol * 0.02, epsrel=1e-13,
-            limit=acc.quad_limit,
+            limit=_QUAD_LIMIT,
         )
         total += val
         err_total += err
@@ -201,7 +193,7 @@ def _ml_spectral_negative(delta: float, x: float, acc: Accuracy) -> float:
     return _quad_split(integrand, _spectral_pieces(delta, 1.0 / x), acc)
 
 
-def _ml_positive(delta: float, x: float, acc: Accuracy) -> float:
+def _ml_positive(delta: float, x: float) -> float:
     """E_delta(x) for x > 0 via a log-domain positive series."""
     arg = x ** (1.0 / delta)
     if arg > 705.0:
@@ -210,7 +202,7 @@ def _ml_positive(delta: float, x: float, acc: Accuracy) -> float:
     n_cap = int(min(3.0 * n_peak + 64.0, 2e6))
     if 3.0 * n_peak + 64.0 > 2e6:
         raise AccuracyError("series budget exceeded for mittag_leffler")
-    n = np.arange(max(n_cap, acc.max_terms), dtype=float)
+    n = np.arange(max(n_cap, _MAX_TERMS), dtype=float)
     ln_terms = n * math.log(x) - sc.gammaln(delta * n + 1.0)
     lse = float(sc.logsumexp(ln_terms))
     if ln_terms[-1] > lse - 40.0:
@@ -239,7 +231,7 @@ def mittag_leffler(delta, z, accuracy: Accuracy | None = None) -> float:
     if z == 0.0:
         return 1.0
     if z > 0.0:
-        return _ml_positive(delta, z, acc)
+        return _ml_positive(delta, z)
     x = -z
     val = _ml_series_negative(delta, x, acc)
     if val is not None:
@@ -252,7 +244,7 @@ def mittag_leffler(delta, z, accuracy: Accuracy | None = None) -> float:
 
 def _ml_density_series(delta: float, x: float, acc: Accuracy):
     ln_x = math.log(x)
-    n = np.arange(1, acc.max_terms + 1, dtype=float)
+    n = np.arange(1, _MAX_TERMS + 1, dtype=float)
     ln_terms = (delta * n - 1.0) * ln_x - sc.gammaln(delta * n)
     # Near the origin the first term dominates and the value itself is
     # large; roundoff is then relative to the value, which is the best a

@@ -234,8 +234,8 @@ class VerificationReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def lines(self) -> Iterable[str]:
         for m in self.metrics:

@@ -232,7 +232,7 @@ REPORTS = {
     "thm7_rademacher": lambda: run_thm7(1.5, 2.0, (50, 150), 2000, 5),
     "thm7_uniform": lambda: run_thm7(2.0, 1.0, (100,), 2000, 5, summand="uniform"),
     "thm7_custom": lambda: run_thm7(
-        2.0, 1.0, (100,), 2000, 5, summand=(_normal_summand, 0.0, 1.0)
+        2.0, 1.0, (100,), 2000, 5, summand=_normal_summand
     ),
     "thm7_control": lambda: run_thm7(
         1.5, 2.0, (100,), 2000, 5, control="fixed-index"
@@ -240,9 +240,6 @@ REPORTS = {
     "thm8": lambda: run_thm8(1.5, 2.0, (50,), 2000, 5),
     "thm8_control": lambda: run_thm8(
         2.0, 1.0, (100,), 2000, 5, control="fixed-index"
-    ),
-    "thm8_sigma": lambda: run_thm8(
-        2.0, 1.0, (80,), 2000, 9, statistic={"sigma": 2.5, "theta": -1.0}
     ),
     "experiment_thm6": lambda: run_experiment(
         LimitExperiment("thm6", 1.0, alpha=2.0, grid=(20,), replications=2000,
@@ -265,11 +262,10 @@ REPORT_DIGESTS = {
     "thm7_custom": "9a7b38917202c729c1e21ef2e391e8c3e686653778a8cbc577c0112294248705",
     "thm7_rademacher": "1f18246d3fd1d042d6c681979a9b8ecb3ace4d1390b5dd83093daeb44da87217",
     "thm7_uniform": "7f7b5f86623f68cb2893663f6a5df2488b011a46f9767406c2a093f477ed8a04",
-    "thm8": "8b05964b42389d47c5a92774d1b2da714b433b133b8d5b43315dd79b218bcdd2",
-    "thm8_control": "70f00584c5757d512feee61e6dd7bd7130edd9bb5d02c51940908c4e562fdb9e",
-    "thm8_sigma": "93a8c3d8fead4bedd1449daa6efe2a0b97d7fa5bb0a907c5e4777999c8e52fb1",
+    "thm8": "53cb8aeeeec8acae6dfcd4925e607574a118a08d52932bf5e94b04ae12b0c70a",
+    "thm8_control": "df6ba81bf0230ffbc982595b85c91f34a6e44d101e8dc6694851b849e5e6e673",
     "thm7_multi": "797c09b2d9760e89d8521b077128fa4577337dd84d548c5f82571450722bf94e",
-    "thm8_multi": "d4a6dcf9437a0bb25181e4502702bfb4f5aa6afc3200f526325f622266a5f965",
+    "thm8_multi": "5a5d8b059cd6d48ed066a071cf4c9eab02296bc94ecbd1939e1b7e77f19bf065",
     "thm7_control_multi": "f464ed2d8201c877b20f5e289b98a22302253fb230689f8c5d5e76837eab9dc0",
 }
 
@@ -307,7 +303,7 @@ CLI_RUNS = {
 CLI_DIGESTS = {
     "limit_control": "775c199606a04936c9f817a92269a9955b1ed0ac52a886fa830fb2057a222f95",
     "limit_csv": "5165c8726e8b6ceb65f89d945f37e25c3361516bf9f0af2d9175cbffa57acc93",
-    "limit_json": "cf67f9d5daae3145e20dec82b52909c9e251d200b54cdfab10b8ff0bcd6c4191",
+    "limit_json": "2c4e31cafe21c10821ad65fa3066bdc733ea33c02d4aef3456039088ff208370",
     "limit_thm8_csv": "47141e0802662a408f0519657500d6714a191ad6febd2fae70a3f23caa54359d",
     "limit_lemma14": "9f26821aae32878f854643300103042464236996fe902b304e746b162e2fcd50",
     "list": "1d14b1896bb5d39160ae98232ff96b0560e0278d008b1527c2264eb28eeeb94b",

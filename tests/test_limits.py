@@ -17,6 +17,7 @@ from htmix import _pool
 from htmix.errors import AccuracyError, DomainError
 from htmix.limits import (
     NONCONVERGENCE_FLOOR,
+    STATISTICS,
     SUMMANDS,
     THEOREMS,
     ConvergenceReport,
@@ -271,14 +272,23 @@ class TestValidators:
             run_thm7(2.0, 1.0, (100,), 1000,
                      summand=(lambda rng, m: rng.standard_normal(m), 0.5, 1.0))
 
+    def test_tuple_summand_rejected(self):
+        # A summand is a name or a callable; a (draw, mean, variance) triple
+        # declared moments that nothing used.
+        triple = (lambda rng, m: rng.standard_normal(m), 0.0, 1.0)
+        with pytest.raises(DomainError, match="callable"):
+            run_thm7(2.0, 1.0, (100,), 1000, summand=triple)
+
     def test_bad_statistic(self):
         with pytest.raises(DomainError):
             run_thm8(2.0, 1.0, (100,), 1000, statistic="median")
-        with pytest.raises(DomainError):
-            run_thm8(2.0, 1.0, (100,), 1000, statistic={"sigma": 2.0})
-        with pytest.raises(DomainError):
+
+    def test_mapping_statistic_rejected(self):
+        # sigma and theta cancel out of the normalized statistic, so a
+        # statistic is named, never described by them.
+        with pytest.raises(DomainError, match="sample_mean"):
             run_thm8(2.0, 1.0, (100,), 1000,
-                     statistic={"sigma": -1.0, "theta": 0.0})
+                     statistic={"sigma": 1.0, "theta": 0.0})
 
 
 class TestSmallRuns:
@@ -318,11 +328,12 @@ class TestSmallRuns:
                           threshold=0.2)
         assert np.isfinite(report.rows[0].ks)
 
-    def test_thm7_custom_summand_triple(self):
-        triple = (lambda rng, m: rng.standard_normal(m), 0.0, 1.0)
-        report = run_thm7(2.0, 1.0, (100,), 2000, 5, summand=triple,
+    def test_thm7_custom_summand_callable(self):
+        report = run_thm7(2.0, 1.0, (100,), 2000, 5,
+                          summand=lambda rng, m: rng.standard_normal(m),
                           threshold=0.2)
         assert np.isfinite(report.rows[0].ks)
+        assert report.params["summand"] == "custom"
 
     def test_thm7_control_columns(self):
         report = run_thm7(1.5, 2.0, (100,), 2000, 5, control="fixed-index")
@@ -337,14 +348,11 @@ class TestSmallRuns:
         assert report.theorem == "thm8"
         assert [r.x for r in report.rows] == [50.0, 150.0]
 
-    def test_thm8_shifted_statistic_matches_plain(self):
-        # With sigma and theta declared, the summands are shifted and
-        # scaled but the normalized statistic has the same law.
-        plain = run_thm8(2.0, 1.0, (80,), 3000, 9, threshold=0.2)
-        shifted = run_thm8(2.0, 1.0, (80,), 3000, 9,
-                           statistic={"sigma": 2.5, "theta": -1.0},
-                           threshold=0.2)
-        assert np.allclose(plain.final_sample, shifted.final_sample)
+    def test_thm8_params_echo_statistic(self):
+        report = run_thm8(2.0, 1.0, (50,), 1000, 5, threshold=0.5)
+        assert report.params == {"alpha": 2.0, "nu": 1.0,
+                                 "replications": 1000,
+                                 "statistic": "sample_mean"}
 
     def test_default_thresholds(self):
         assert run_thm7(2.0, 1.0, (50,), 1000).rows[0].threshold == 0.01
@@ -505,3 +513,6 @@ class TestExperimentRecord:
 
     def test_summands_tuple(self):
         assert SUMMANDS == ("rademacher", "uniform")
+
+    def test_statistics_tuple(self):
+        assert STATISTICS == ("sample_mean",)
