@@ -10,8 +10,8 @@ All output is deterministic for fixed flags: the seed defaults to the
 HTM_SEED environment variable and then to the package default, numbers are
 printed with 10 significant digits, files are UTF-8 with LF line endings,
 and no timestamps are emitted. The rows of a sample are formatted in
-blocks on the package's worker pool, and the bytes do not depend on the
-number of workers.
+blocks on the package's worker pool and written block by block as they
+come, and the bytes do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -207,14 +207,14 @@ def _rows_block(values, first: int, index_width: int) -> bytes:
     return np.compress(flat != 0, flat).tobytes()
 
 
-def _sample_csv(values: np.ndarray) -> str:
-    """The sample CSV: "index,value", then f"{i},{_fmt(v)}" per value."""
+def _sample_csv(values: np.ndarray) -> Iterator[bytes]:
+    """The header "index,value", then f"{i},{_fmt(v)}" rows a block at a time."""
     width = len(str(values.size - 1))
-    blocks = _pool.imap(
+    yield b"index,value\n"
+    yield from _pool.imap(
         lambda first: _rows_block(values[first : first + _ROWS], first, width),
         range(0, values.size, _ROWS),
     )
-    return b"".join([b"index,value\n", *blocks]).decode("ascii")
 
 
 def _flag(name: str) -> str:
@@ -235,11 +235,19 @@ def _default_seed() -> int:
         raise DomainError(f"HTM_SEED must be an integer, got {env!r}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
+def _write(path: str | None, chunks: Iterable[bytes]) -> None:
+    """Write byte chunks to the file at path, or to stdout if path is None."""
+    if path is not None:
+        with open(path, "wb") as out:
+            out.writelines(chunks)
         return
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, such as an io.StringIO
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
+        return
+    out.writelines(chunks)
+    out.flush()
 
 
 def _parse_grid(spec: str):
@@ -277,7 +285,7 @@ def _cmd_sample(args) -> int:
     spec = DistSpec(_dehyphen(args.dist), params, method)
     seed = args.seed if args.seed is not None else _default_seed()
     batch = sample(spec, args.n, RandomStream(seed))
-    _write_text(args.out, _sample_csv(batch.values))
+    _write(args.out, _sample_csv(batch.values))
     if args.out is not None:
         meta = {
             "command": "sample",
@@ -288,14 +296,15 @@ def _cmd_sample(args) -> int:
             "seed": int(seed),
             "substream": 0,
         }
-        Path(args.out + ".json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
+        _write(args.out + ".json", [(json.dumps(meta, indent=2) + "\n").encode()])
     return 0
 
 
 def _cmd_eval(args) -> int:
     fn, needed = _EVAL_FNS[args.fn]
+    for name in _PARAM_FLAGS:
+        if name not in needed and getattr(args, name) is not None:
+            raise DomainError(f"eval --fn {args.fn} does not take {_flag(name)}")
     fn_args = []
     for name in needed:
         value = getattr(args, name)
@@ -306,7 +315,7 @@ def _cmd_eval(args) -> int:
     lines = ["x,value"]
     for x in xs:
         lines.append(f"{_fmt(x)},{_fmt(fn(*fn_args, x))}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write(args.out, [("\n".join(lines) + "\n").encode()])
     return 0
 
 
@@ -334,6 +343,9 @@ def _identity_params(case, args) -> dict:
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.identity == "all":
+        for flag in (*_IDENTITY_FLAGS, "n"):
+            if getattr(args, flag) is not None:
+                raise DomainError(f"verify --identity all does not take --{flag}")
         rows = []
         all_pass = True
         for case in identities.registry():
@@ -358,11 +370,12 @@ def _cmd_verify(args) -> int:
                 for cid, worst, ok in rows
             )
             text = "\n".join(lines) + "\n"
-        _write_text(args.out, text)
+        _write(args.out, [text.encode()])
         return 0 if all_pass else 1
     case = identities.get_case(args.identity)
     params = _identity_params(case, args)
-    report = identities.verify(case, params, n=args.n, seed=seed, q=args.q)
+    n = 200_000 if args.n is None else args.n
+    report = identities.verify(case, params, n=n, seed=seed, q=args.q)
     if args.format == "csv":
         lines = ["metric,value,threshold,pass"]
         lines.extend(
@@ -373,7 +386,7 @@ def _cmd_verify(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = report.to_json() + "\n"
-    _write_text(args.out, text)
+    _write(args.out, [text.encode()])
     return 0 if report.verdict else 1
 
 
@@ -398,7 +411,7 @@ def _cmd_limit(args) -> int:
         text = report.to_json() + "\n"
     else:
         text = "\n".join(report.csv_lines()) + "\n"
-    _write_text(args.out, text)
+    _write(args.out, [text.encode()])
     return 0 if report.verdict else 1
 
 
@@ -422,7 +435,7 @@ def _cmd_list(args) -> int:
         lines = ["theorems:"]
         lines.extend(f"  {t}" for t in limits.THEOREMS)
         sections.append("\n".join(lines))
-    _write_text(args.out, "\n\n".join(sections) + "\n")
+    _write(args.out, [("\n\n".join(sections) + "\n").encode()])
     return 0
 
 
@@ -463,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--identity", required=True)
     for flag in _IDENTITY_FLAGS:
         p_verify.add_argument(f"--{flag}", type=float)
-    p_verify.add_argument("--n", type=int, default=200_000)
+    p_verify.add_argument("--n", type=int, help="draws per side (default 200000)")
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--q", type=float, default=0.01)
     p_verify.add_argument("--format", choices=["csv", "json"], default="json")

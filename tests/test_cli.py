@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htmix.cli import _fmt, _sample_csv, main
+from htmix import cli, limits
+from htmix.cli import _ROWS, _fmt, _sample_csv, main
 from htmix.distributions import DistSpec, sample
 from htmix.streams import DEFAULT_SEED, RandomStream
 
@@ -67,6 +68,17 @@ class TestSample:
         capsys.readouterr()
         assert run(*argv) == 0
         _assert_is_fmt_join(capsys.readouterr().out, values)
+
+    def test_rows_come_one_block_at_a_time(self):
+        values = np.arange(2 * _ROWS + 3, dtype=float)
+        blocks = list(_sample_csv(values))
+        assert blocks[0] == b"index,value\n"
+        assert [block.count(b"\n") for block in blocks[1:]] == [_ROWS, _ROWS, 3]
+
+    def test_stdout_text_written_before_the_bytes_stays_first(self, capsys):
+        print("earlier text")
+        cli._write(None, [b"a,1\n", b"b,2\n"])
+        assert capsys.readouterr().out == "earlier text\na,1\nb,2\n"
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "e.csv"
@@ -154,6 +166,13 @@ class TestEval:
                    "--nu", "1", "--grid", "0:1:0.5") == 4
         assert "unsupported regime" in capsys.readouterr().err
 
+    def test_parameter_flag_the_function_does_not_take(self, capsys):
+        assert run("eval", "--fn", "gamma", "--alpha", "7",
+                   "--grid", "1:2:1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not take --alpha" in captured.err
+
     def test_bad_grid_shapes(self, capsys):
         assert run("eval", "--fn", "gamma", "--grid", "1:2") == 2
         assert run("eval", "--fn", "gamma", "--grid", "2:1:0.5") == 2
@@ -195,6 +214,16 @@ class TestVerify:
                    "--n", "100") == 2
         err = capsys.readouterr().err
         assert "--delta" in err
+
+    @pytest.mark.parametrize("flags,flag", [
+        (["--alpha", "1.5"], "--alpha"),
+        (["--n", "10"], "--n"),
+    ])
+    def test_all_rejects_point_flags(self, flags, flag, capsys):
+        assert run("verify", "--identity", "all", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(f"does not take {flag}")
 
     def test_missing_flag_for_identity(self, capsys):
         assert run("verify", "--identity", "I20", "--alpha", "1.5",
@@ -263,6 +292,12 @@ class TestLimit:
         err = capsys.readouterr().err
         assert err.startswith(label)
         assert err.count("htmix:") == 1
+
+    def test_statistic_choices_follow_the_table(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        action = next(a for a in sub.choices["limit"]._actions
+                      if a.dest == "statistic")
+        assert action.choices == [s.replace("_", "-") for s in limits.STATISTICS]
 
     def test_thm6_rejects_control(self, capsys):
         assert run("limit", "--theorem", "thm6", "--alpha", "2", "--nu", "1",
@@ -371,6 +406,10 @@ class TestParsing:
         assert len(lines) == 12
 
 
+def _csv_text(values):
+    return b"".join(_sample_csv(values)).decode("ascii")
+
+
 def _assert_is_fmt_join(text, values):
     expected = "index,value\n" + "".join(
         f"{i},{_fmt(v)}\n" for i, v in enumerate(values)
@@ -397,20 +436,20 @@ class TestSampleRows:
 
     def test_edges(self):
         values = np.array(self.EDGES + [-x for x in self.EDGES])
-        _assert_is_fmt_join(_sample_csv(values), values)
+        _assert_is_fmt_join(_csv_text(values), values)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
                               allow_subnormal=True), min_size=1, max_size=64))
     def test_any_float(self, xs):
         values = np.array(xs, dtype=float)
-        _assert_is_fmt_join(_sample_csv(values), values)
+        _assert_is_fmt_join(_csv_text(values), values)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     def test_any_bit_pattern(self, bits):
         values = np.array(bits, dtype=np.uint64).view(np.float64)
-        _assert_is_fmt_join(_sample_csv(values), values)
+        _assert_is_fmt_join(_csv_text(values), values)
 
     def test_bulk_across_blocks(self):
         # Several row blocks of log-uniform magnitudes over the whole fast
@@ -425,4 +464,4 @@ class TestSampleRows:
                      rng.integers(-40, 1, n)),
             rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
         ])
-        _assert_is_fmt_join(_sample_csv(values), values)
+        _assert_is_fmt_join(_csv_text(values), values)
