@@ -17,7 +17,6 @@ from htmix import _pool
 from htmix.errors import AccuracyError, DomainError
 from htmix.limits import (
     NONCONVERGENCE_FLOOR,
-    STATISTICS,
     SUMMANDS,
     THEOREMS,
     ConvergenceReport,
@@ -513,6 +512,3 @@ class TestExperimentRecord:
 
     def test_summands_tuple(self):
         assert SUMMANDS == ("rademacher", "uniform")
-
-    def test_statistics_tuple(self):
-        assert STATISTICS == ("sample_mean",)
