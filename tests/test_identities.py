@@ -333,6 +333,21 @@ class TestVerify:
             sys.setswitchinterval(interval)
         assert out[0] == out[1] == out[2]
 
+    def test_ks_is_ks_two_sample_bit_for_bit(self):
+        # verify splits KS into its two one-sided halves on the pool; their
+        # max must be the serial ks_two_sample of the same sides.
+        for case_id, params in (
+            ("I15", {"a": 1.3}),
+            ("I08", {"d": 0.6}),
+            ("I07", {"r": 0.7, "a": 0.6, "m": 2.0}),
+            ("I23", {"a": 1.3, "v": 0.7}),
+        ):
+            case = get_case(case_id)
+            lhs, rhs = instantiate(case, params, 20_000, RandomStream(5))
+            ks = verify(case, params, 20_000, 5).metrics[0]
+            assert ks.name == "ks"
+            assert ks.value.hex() == ks_two_sample(lhs, rhs).hex()
+
     def test_run_grid_covers_canonical_points(self):
         case = get_case("I03")
         reports = run_grid(case, seed=1729)

@@ -157,6 +157,42 @@ class TestEcfDistance:
     def test_default_grid(self):
         assert DEFAULT_T_GRID == (0.25, 0.5, 1.0, 2.0, 4.0)
 
+    @pytest.mark.parametrize(
+        "t_grid, pinned",
+        [((0.5, 1.0, 3.0), "0x1.29b4d3eeda000p-7"),
+         ((3.0, 0.7), "0x1.29034946f8da0p-7"),
+         ((1.0, 3.0), "0x1.a2221a7a28980p-8")],
+    )
+    def test_non_doubling_grid_keeps_its_bits(self, t_grid, pinned):
+        # A grid whose values do not each double the one before takes cos and
+        # sin at every t; these values are pinned from before angle doubling.
+        x = RandomStream(2024, 8).generator().standard_cauchy(20_000)
+        d = ecf_distance(x, lambda t: math.exp(-abs(t)), t_grid=t_grid)
+        assert d.hex() == pinned
+
+    @pytest.mark.parametrize("t_grid", [DEFAULT_T_GRID, (0.3, 0.6, 1.2)])
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_doubling_matches_per_t_calls(self, t_grid, scale):
+        # Cauchy draws times scale, with |x| up to 1e15, where every
+        # per-t cos and sin needs a long range reduction.
+        x = RandomStream(2024, 9).generator().standard_cauchy(20_000) * scale
+        x[:2] = (1e15, -7.3e14)
+        means = {}
+        for t in t_grid:
+            means[t] = (float(np.cos(t * x).mean()), float(np.sin(t * x).mean()))
+
+        def oracle(cf, grid):
+            return max(max(abs(c - cf(t)), abs(s))
+                       for t, (c, s) in means.items() if t in grid)
+
+        # Each prefix of the grid, against a target at, above and below the
+        # mean cosine, so that every t's cos and sin term decides some max.
+        for k in range(1, len(t_grid) + 1):
+            grid = t_grid[:k]
+            for cf in (lambda t: means[t][0], lambda t: 1.0, lambda t: -1.0):
+                assert ecf_distance(x, cf, t_grid=grid) == pytest.approx(
+                    oracle(cf, grid), abs=1e-13)
+
 
 class TestLstDistance:
     def test_exponential_within_envelope(self):
@@ -289,3 +325,4 @@ class TestNanRejected:
             ecf_distance(np.array([1.0, 2.0, np.nan]), lambda t: 1.0)
         with pytest.raises(DomainError, match="1 NaN"):
             lst_distance(np.array([1.0, np.nan]), lambda s: 1.0)
+
