@@ -277,12 +277,6 @@ class TestReports:
                                (MetricEntry("ks", 0.0, 1.0),))
         assert r.to_json() == r.to_json()
 
-    def test_lines_mark_failures(self):
-        r = VerificationReport("x", {}, {"lhs": 1}, 0,
-                               (MetricEntry("ks", 0.5, 0.1),))
-        text = "\n".join(r.lines())
-        assert "FAIL" in text
-
     def test_metrics_type_checked(self):
         with pytest.raises(DomainError):
             VerificationReport("x", {}, {}, 0, ({"name": "ks"},))
@@ -326,3 +320,25 @@ class TestNanRejected:
         with pytest.raises(DomainError, match="1 NaN"):
             lst_distance(np.array([1.0, np.nan]), lambda s: 1.0)
 
+
+
+class TestEcfNonFinite:
+    # An infinite value or an overflowing t * x makes a mean NaN, which
+    # max() would skip, so the ECF would drop that grid point silently.
+    def test_infinite_values_raise_with_count(self):
+        with pytest.raises(DomainError, match="1 infinite values of 3"):
+            ecf_distance(np.array([np.inf, 1.0, 2.0]), lambda t: 0.123)
+        with pytest.raises(DomainError, match="2 infinite values of 4"):
+            ecf_distance(np.array([np.inf, 1.0, -np.inf, 2.0]), lambda t: 0.123)
+
+    def test_overflowing_product_raises_on_the_per_t_path(self):
+        x = np.array([1e308, -1e308, 0.5])
+        with pytest.raises(DomainError, match="t = 3"):
+            ecf_distance(x, lambda t: 0.0, t_grid=(0.5, 1.0, 3.0))
+
+    def test_doubling_path_keeps_every_grid_point(self):
+        # 4 * 1e308 overflows, but doubling from 0.25 * x never forms it, so
+        # the t = 4 term, about 4 away from this target, must count.
+        x = np.array([1e308, -1e308, 0.5])
+        d = ecf_distance(x, lambda t: 5.0 if t == 4.0 else 0.0)
+        assert d >= 4.0
