@@ -309,7 +309,7 @@ CLI_DIGESTS = {
     "list": "1d14b1896bb5d39160ae98232ff96b0560e0278d008b1527c2264eb28eeeb94b",
     "sample": "b7c0fe05c73829007ff39c1125600ed68485ef1217aca896e3ab9370dd540a77",
     "sample_method": "11d4e3d78e97b446f06fdd4963651a1d64a814e395abf730b08ebbfcf20619e5",
-    "verify_I22": "3f8bcb7fbf7d9cec12da1ddfac322a182f7b0615d0c7162fc5f14a67af8d62fb",
+    "verify_I22": "9c35d712e17b83f603a1e596ff1881f141399466fdc79820b5d9b21f80688bea",
 }
 
 # Every identity case over its canonical grid, as run_grid runs it (seed
@@ -317,9 +317,9 @@ CLI_DIGESTS = {
 # report JSONs of a case, concatenated.
 VERIFY_N = 20_000
 VERIFY_DIGESTS = {
-    "I01": "3324f01e8449236462963f2a33563db05171f90c7ebd9586319223770e5d5d10",
+    "I01": "d97976569f38c77f9f498c43a835325109dcf4b04b2bf5d0c3e080864c0741c0",
     "I02": "93b0bcfbf89f49cd5ff049ef41f65be9fe1a4766414b16dbaeb4c45c36ef6be6",
-    "I03": "4f0fe5b879bc940a0275013650ef9b47d33837484c3f6fa64123c6a04a4ade29",
+    "I03": "91359d9a49ecadf295ae29bdd35039626b2db7e095a107b500717d629a8b283b",
     "I04": "10ae898b678fa2753c6d4f907907ff07590434760295b63b4265cc6c1bce31f3",
     "I05": "4c0492ee5273a9a6376f73e05db44b3ac9ccd794e4a35b2923c41c4a099463de",
     "I06": "53ce1cd13ce1554447ffb6ed7a08b9eb856e658d980da9745e28e485e00d264b",
@@ -327,19 +327,19 @@ VERIFY_DIGESTS = {
     "I08": "fa6a5b66bf0449cc4f60623ccd507335df400f0fe9a62200eb32037367b41685",
     "I09": "1ac6018f8501ca5dd2210371f28a41c5d0a41934054c0f23c9e32edf984376f5",
     "I10": "0568a60bc7fa439b728caaf0b7fa4281b65b86ccc733ea358ddaaa840b3bdcc2",
-    "I11": "e717c73e64105891fd1f1a13188e2eb1df59d5f5ee9237a05d55e4e98c9a0088",
-    "I12": "2425b8339623c0cefc4ac4c3ffaf296de416c50b7c07027d525d70a4503a72de",
+    "I11": "ed188843c773f6d1043141fcf81d8ca5344c79b6ed0fd64a2c499646844b61e5",
+    "I12": "d94a597ed44c5c11542e4ef66c4717323e1039285e09ccc0259c69aa2b404a11",
     "I13": "394d78268ecaaedd24b34d22b9df179451167f6c8a033ed90bc04ed4cd971121",
-    "I14": "f3c03ca7f88f63ef4c59631b3acd794941311a139cdc1383dbd74de2e011834b",
-    "I15": "55f30468296263875c407cd67ebce116a5f973a6f46a914d65356feaf102b170",
+    "I14": "b44e3ee2056cf7742d2b3d5d67acf7e47dbe5366f36cb421f2c577ef40507813",
+    "I15": "c4a538c8d1e81bf74794b092572b727eef29e29776ef605bfa543eebef9f89ca",
     "I16": "5b4a01c7e507f93c3ddd2f2dbd987c3e7337c451f99abf15ac847adea1aa4e6e",
-    "I17": "840fdd1cc9c90cd9979117f68a45e3342f88ba5d4d93766608e5e68f4b74355f",
-    "I18": "eda0dfdd21ffa32daddcf1026000d14cb43a0ab6e73711c6241cfef50bec0448",
+    "I17": "7142e1559dc0adc3827197848aa2d4c9d7994585ce79eee6e1d6a202d99e6eb3",
+    "I18": "9bc0b1901c5686c437d81edffeb7d1b871dec263897d615596654255c7ae63a2",
     "I19": "8d75829e633fab2755cdde112cdbd993c5e50a65dfb89e9155558d512f74ce53",
-    "I20": "5fbae402790eb8696ab4cb780f4bfcf1ab54b3d72faff193d14c04ce8f07abd4",
-    "I21": "cc4fe3647c96039f7cb13eb6998473e37dd87bd73a3b6bc2b1e0c59a49bb0123",
-    "I22": "707c1899b0810d2a4767b30341418c97df0505ff1be95a9470575ab1a254f74f",
-    "I23": "fb302ace008589a519f8b8c20e011f004fab4e3ed4da497f2c01e94ddb389b3d",
+    "I20": "aa29270cae1362e30ec2a2b42e7c0ec1855e0163dfaca7b54207a4ef63fb6154",
+    "I21": "cc478d135d4f781f6817d6a9ac8ddd726193ab566224200a028a72e9f007bb26",
+    "I22": "14ab5908294b605ca7c23435f9bb22e558386ab82a9a99f50fe8c3bc467e491a",
+    "I23": "7f8f1af9aff2e306f588007f3e60292cf117ccf4e3bf0b531f6ddd961d6921b3",
     "I24": "c9559521f90a1ef233d992202b8deabd267442c2a9048a044acc349adbf04b87",
     "I25": "bead552cdf1b6074d363e91ad710865995d8169c1c68f73b534aa319afbc769a",
     "I26": "a93f69612d7a154aea498212d2d4fd01dcb9949dc5184fef4a932688c7000485",
