@@ -17,7 +17,10 @@ Measures, best of REPEATS runs each unless noted:
   of gamma(2) * 99 over 10^5 replications, about 2e7 symmetric-stable draws
   at alpha = 1.5), once on a 1-worker pool and once on the default pool;
 * ms per call of ``ks_two_sample`` and ``ecf_distance`` on two independent
-  2e5-draw symmetric-stable samples at alpha = 1.5;
+  2e5-draw symmetric-stable samples at alpha = 1.5, and of ``ecf_distance``
+  on 2e5 standard normal and 2e5 standard Cauchy draws, on the default grid
+  (each t twice the one before, so cos and sin are stepped by angle
+  doubling) and on NON_DOUBLING_T_GRID (cos and sin at every t);
 * ``verify`` ms per point over the 80 canonical identity points (the
   ``identity_registry`` benchmark's calls), best of VERIFY_REPEATS passes,
   once on a 1-worker pool and once on the default pool;
@@ -67,6 +70,7 @@ REPEATS = 5
 VERIFY_REPEATS = 3
 SAMPLE_N = 1_000_000
 METRIC_N = 200_000
+NON_DOUBLING_T_GRID = (0.25, 0.5, 1.0, 2.0, 3.0)
 INVERSION_BUILDS = ((2.0, 1.0, 13.27), (1.5, 2.0, 100.0), (1.5, 2.0, 2642.4))
 INVERSION_X = (0.05, 1.0, 3.0, 30.0, 200.0)
 KERNELS = {
@@ -185,12 +189,24 @@ def metric_ms_per_call() -> dict:
     def cf(t):
         return float(np.exp(-t**1.5))
 
-    return {
+    out = {
         f"ks_two_sample.n{METRIC_N}": round(
             1e3 * best_seconds(lambda: verification.ks_two_sample(a, b)), 3),
         f"ecf_distance.n{METRIC_N}": round(
             1e3 * best_seconds(lambda: verification.ecf_distance(a, cf)), 3),
     }
+    rng = np.random.default_rng(5)
+    samples = {"normal": rng.standard_normal(METRIC_N),
+               "cauchy": rng.standard_cauchy(METRIC_N)}
+    grids = {"default_grid": verification.DEFAULT_T_GRID,
+             "non_doubling_grid": NON_DOUBLING_T_GRID}
+    for law, x in samples.items():
+        for grid_name, grid in grids.items():
+            seconds = best_seconds(
+                lambda: verification.ecf_distance(x, cf, t_grid=grid))
+            out[f"ecf_distance.{law}.{grid_name}.n{METRIC_N}"] = round(
+                1e3 * seconds, 3)
+    return out
 
 
 def verify_ms_per_point() -> dict:
