@@ -55,16 +55,29 @@ def _critical(q: float) -> float:
     return math.sqrt(-math.log(q / 2.0) / 2.0)
 
 
+# Needles per searchsorted call in _ecdf_gaps, so that its counts and their
+# quotients are never whole-sample temporaries.
+_BLOCK = 1 << 16
+
+
 def _right_ranks(x: np.ndarray) -> np.ndarray:
-    """searchsorted(x, x, side="right") for sorted x: last tie's index + 1."""
-    ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.size)
-    return np.repeat(ends, np.diff(ends, prepend=0))
+    """searchsorted(x, x, side="right") for sorted x: last tie's index + 1.
+
+    Each tie group's last index i holds i + 1; the rest take the next such
+    value by a reversed running minimum, in place.
+    """
+    ranks = np.arange(1, x.size + 1)
+    ranks[:-1][x[1:] == x[:-1]] = x.size
+    np.minimum.accumulate(ranks[::-1], out=ranks[::-1])
+    return ranks
 
 
 def _ecdf_gaps(own: np.ndarray, other: np.ndarray) -> float:
     """Largest |F_own - F_other| over the points of own; both sorted."""
     gaps = _right_ranks(own) / own.size
-    gaps -= np.searchsorted(other, own, side="right") / other.size
+    for lo in range(0, own.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        gaps[part] -= np.searchsorted(other, own[part], side="right") / other.size
     return float(np.abs(gaps, out=gaps).max())
 
 
