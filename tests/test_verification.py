@@ -321,7 +321,6 @@ class TestNanRejected:
             lst_distance(np.array([1.0, np.nan]), lambda s: 1.0)
 
 
-
 class TestEcfNonFinite:
     # An infinite value or an overflowing t * x makes a mean NaN, which
     # max() would skip, so the ECF would drop that grid point silently.
