@@ -11,8 +11,8 @@ Measures, best of REPEATS runs each unless noted:
   on a 1-worker pool and once on the default pool;
 * ns per value of the sample CSV text (rows "i,value" at "%.10g") for the
   ``sample_bulk`` CLI sample (gen-linnik, alpha 1.5, nu 2, 10^6 draws, seed
-  1729): the package's writer (``cli._sample_csv``, where the checkout has
-  it) on both pools, and the per-value ``_fmt`` join it replaces;
+  1729): the package's writer (``cli._sample_csv``) on both pools, and the
+  per-value ``_fmt`` join it replaces;
 * ``_grouped_sums`` throughput in draws/s on thm6-like counts (1 + Poisson
   of gamma(2) * 99 over 10^5 replications, about 2e7 symmetric-stable draws
   at alpha = 1.5), once on a 1-worker pool and once on the default pool;
@@ -32,16 +32,12 @@ Measures, best of REPEATS runs each unless noted:
 * ms per call of ``cdf_by_inversion`` and ``pdf_by_inversion`` at
   (1.5, 2), averaged over the |x| in INVERSION_X.
 
-Run it against another checkout's ``src`` to compare. A ``_grouped_sums``
-without a stream argument (the single-stream version) is timed once, as
-``serial``; a checkout whose pool still lives in ``limits`` is handled too.
+Run it against another checkout's ``src`` to compare.
 """
 
 from __future__ import annotations
 
 import contextlib
-import importlib
-import inspect
 import json
 import sys
 import time
@@ -50,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from htmix import cli, identities, limits, special, verification
+from htmix import _pool, cli, identities, limits, special, verification
 from htmix.distributions import (
     DistSpec,
     _stable_one_sided_values,
@@ -62,10 +58,6 @@ from htmix.streams import RandomStream
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import SAMPLE_SPECS  # noqa: E402
 
-try:
-    POOL_HOME = importlib.import_module("htmix._pool")
-except ImportError:
-    POOL_HOME = limits
 REPEATS = 5
 VERIFY_REPEATS = 3
 SAMPLE_N = 1_000_000
@@ -128,18 +120,13 @@ def csv_ns_per_value() -> dict:
     def ns_per_value(fn, repeats=REPEATS):
         return round(1e9 * best_seconds(fn, repeats) / SAMPLE_N, 1)
 
-    out = {"fmt_join": ns_per_value(fmt_join, 2)}
-    writer = getattr(cli, "_sample_csv", None)
-    if writer is not None:
-        def text():
-            # The writer yields row blocks as bytes where the checkout
-            # streams them, and returns the whole text where it does not.
-            blocks = writer(values)
-            return blocks if isinstance(blocks, str) else b"".join(blocks)
+    def text():
+        return b"".join(cli._sample_csv(values))
 
-        with one_worker():
-            out["sample_csv.workers_1"] = ns_per_value(text)
-        out[f"sample_csv.workers_{default_workers()}_default"] = ns_per_value(text)
+    out = {"fmt_join": ns_per_value(fmt_join, 2)}
+    with one_worker():
+        out["sample_csv.workers_1"] = ns_per_value(text)
+    out[f"sample_csv.workers_{default_workers()}_default"] = ns_per_value(text)
     return out
 
 
@@ -148,11 +135,6 @@ def grouped_sums_draws_per_s() -> dict:
     counts = 1 + rng.poisson(rng.standard_gamma(2.0, 100_000) * 99.0)
     total = int(counts.sum())
     stream = RandomStream(1729, 1)
-    if "stream" not in inspect.signature(limits._grouped_sums).parameters:
-        gen = stream.generator()
-        seconds = best_seconds(lambda: limits._grouped_sums(
-            lambda m: _stable_symmetric_values(gen, m, 1.5), counts))
-        return {"draws": total, "serial": round(total / seconds)}
 
     def draw(rng, m):
         return _stable_symmetric_values(rng, m, 1.5)
@@ -168,18 +150,17 @@ def grouped_sums_draws_per_s() -> dict:
 
 @contextlib.contextmanager
 def one_worker():
-    saved = POOL_HOME._POOL
+    saved = _pool._POOL
     try:
         with ThreadPoolExecutor(1) as pool:
-            POOL_HOME._POOL = pool
+            _pool._POOL = pool
             yield
     finally:
-        POOL_HOME._POOL = saved
+        _pool._POOL = saved
 
 
 def default_workers() -> int:
-    pool = POOL_HOME.executor() if POOL_HOME is not limits else limits._pool()
-    return pool._max_workers
+    return _pool.executor()._max_workers
 
 
 def metric_ms_per_call() -> dict:

@@ -1,18 +1,19 @@
-"""The package's one worker pool, shared by ``limits`` and ``identities``.
+"""The package's one worker pool.
 
-The pool is a ``ThreadPoolExecutor`` with one worker per CPU the process
-may run on, created on first use, so importing htmix starts no thread.
-Every task runs in a copy of the submitting thread's context, so context
-variables such as numpy's ``errstate`` reach the work done on the pool, and
-in that copy ``in_task()`` is true.
+Sampling, ``ks_two_sample``, ``identities`` and ``limits`` share it. It is a
+``ThreadPoolExecutor`` with one worker per CPU the process may run on,
+created on first use, so importing htmix starts no thread. Every task runs
+in a copy of the submitting thread's context, so context variables such as
+numpy's ``errstate`` reach the work done on the pool, and in that copy
+``in_task()`` is true.
 
 Tasks never submit work to the pool and wait on it: a task that waited on
 another task could hold the last free worker, so only callers outside the
 pool fan out, and code that may run either way (sampling, reached from the
-CLI and from ``verify``'s side tasks and ``limits``' summation blocks) asks
-``in_task()`` and runs inline on a pool thread. Results are always
-collected in submission order, so output never depends on the number of
-workers.
+CLI and from ``verify``'s side tasks and ``limits``' summation blocks, and
+``ks_two_sample``) asks ``in_task()`` and runs inline on a pool thread.
+Results are always collected in submission order, so output never depends
+on the number of workers.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ Every structured sampler is built from an exact mixture representation, never
 from approximate inversion. Samplers are pure functions of (spec, n, stream):
 same inputs, bit-identical output, whatever the number of pool workers that
 run their elementwise part. Each family is one entry of _FAMILY_TABLE;
-sampling, the closed transforms and positivity all read that entry.
+sampling, the closed transforms and positivity all read that entry, and
+each sampling route is one _Route row of it: a draw step, then a transform
+step.
 """
 
 from __future__ import annotations
@@ -305,11 +307,11 @@ class SampleBatch:
 
 
 # ---------------------------------------------------------------------------
-# Kernels. A route draws in two steps. Its draw step (_*_draw) makes every
+# Routes. A route draws in two steps. Its draw step makes every
 # generator call, in a fixed order, on the caller's thread; draw order is
 # part of the determinism contract, and a draw that depends on transformed
 # values (neg_binom's Poisson counts) stays in this step. Its transform step
-# is elementwise in the raw arrays, which it may overwrite, so _transformed
+# is elementwise in the raw arrays, which it may overwrite, so _run
 # can run it over blocks of _BLOCK draws on the package's pool: each value
 # gets the same float operations whatever the block and worker count. The
 # stable transforms evaluate Chambers-Mallows-Stuck (Chambers, Mallows &
@@ -322,14 +324,25 @@ class SampleBatch:
 _BLOCK = 1 << 16
 
 
+@dataclass(frozen=True)
+class _Route:
+    """One sampling route: draw(rng, n, p) returns the raw draws, and
+    transform(raw, p) turns a block of them into values. A route without a
+    transform draws its values."""
+
+    draw: Callable
+    transform: Callable | None = None
+
+
 def _cut(raw, lo: int, hi: int):
     if isinstance(raw, np.ndarray):
         return raw[lo:hi]
     return tuple(_cut(part, lo, hi) for part in raw)
 
 
-def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
-    """transform(*raw) for n draws, one block of _BLOCK draws at a time.
+def _run(route: _Route, rng: np.random.Generator, n: int, p) -> np.ndarray:
+    """n values of route: its draw here, then its transform one block of
+    _BLOCK draws at a time.
 
     The blocks run on the pool, except when there are fewer than two full
     blocks to share out, and in a call from a pool task (verify's sides,
@@ -338,6 +351,9 @@ def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
     it is float: once its block is transformed, a raw entry is not read
     again. So a transform's temporaries are at most a block long.
     """
+    raw = route.draw(rng, n, p)
+    if route.transform is None:
+        return raw
     out = raw
     while not isinstance(out, np.ndarray):
         out = out[0]
@@ -345,7 +361,7 @@ def _transformed(n: int, transform: Callable, *raw) -> np.ndarray:
         out = np.empty(n)
 
     def block(lo: int) -> None:
-        out[lo : lo + _BLOCK] = transform(*_cut(raw, lo, lo + _BLOCK))
+        out[lo : lo + _BLOCK] = route.transform(_cut(raw, lo, lo + _BLOCK), p)
 
     starts = range(0, n, _BLOCK)
     if n < 2 * _BLOCK or _pool.in_task():
@@ -448,26 +464,10 @@ def _z(raw, r: float, mu: float):
     return g2
 
 
-def _ml_draw(rng: np.random.Generator, n: int, delta: float):
-    return _kanter_draw(rng, n, delta), rng.standard_exponential(n)
-
-
-def _gen_ml_draw(rng: np.random.Generator, n: int, delta: float, nu: float):
-    return _kanter_draw(rng, n, delta), rng.standard_gamma(nu, n)
-
-
 def _ml(raw, delta: float):
     """(Generalized) Mittag-Leffler values S * G^(1/delta) from a one-sided
     stable S and an exponential or gamma G."""
     return _scaled_by_power(_kanter(raw[0], delta), raw[1], 1.0 / delta)
-
-
-def _linnik_draw(rng: np.random.Generator, n: int, alpha: float):
-    return _cms_draw(rng, n, alpha), rng.standard_exponential(n)
-
-
-def _gen_linnik_draw(rng: np.random.Generator, n: int, alpha: float, nu: float):
-    return _cms_draw(rng, n, alpha), rng.standard_gamma(nu, n)
 
 
 def _linnik(raw, alpha: float):
@@ -491,101 +491,52 @@ def _normal_scaled(x, m):
     return x
 
 
-# The kernels: kernel(rng, n, ...) -> n values. limits calls the symmetric
-# stable and generalized Mittag-Leffler ones directly.
+# The mixing draw G of an ordinary law is _exponential, that of its
+# generalized form _gamma_nu: each builder below makes both routes of a pair
+# from their mixing draw, mix(rng, n, p).
 
 
-def _stable_symmetric_values(rng: np.random.Generator, n: int, alpha: float):
-    return _transformed(n, lambda s: _cms(s, alpha), _cms_draw(rng, n, alpha))
+def _exponential(rng: np.random.Generator, n: int, p) -> np.ndarray:
+    return rng.standard_exponential(n)
 
 
-def _stable_one_sided_values(rng: np.random.Generator, n: int, alpha: float):
-    return _transformed(n, lambda s: _kanter(s, alpha), _kanter_draw(rng, n, alpha))
+def _gamma_nu(rng: np.random.Generator, n: int, p) -> np.ndarray:
+    return rng.standard_gamma(p.nu, n)
 
 
-def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
-    return _transformed(n, lambda m: _ml(m, delta), _gen_ml_draw(rng, n, delta, nu))
-
-
-def _ml_exp_ratio(rng: np.random.Generator, n: int, delta: float):
-    w = rng.standard_exponential(n)
-    return _transformed(
-        n,
-        lambda w, r: np.multiply(w, _ratio(r, delta), out=w),
-        w,
-        _ratio_draw(rng, n, delta),
+def _ml_route(mix: Callable) -> _Route:
+    """S * G^(1/delta), S one-sided stable: (generalized) Mittag-Leffler."""
+    return _Route(
+        lambda rng, n, p: (_kanter_draw(rng, n, p.delta), mix(rng, n, p)),
+        lambda raw, p: _ml(raw, p.delta),
     )
 
 
-# Linnik and generalized Linnik routes read alpha (and nu) off the record.
-
-
-def _linnik_normal_ml(rng: np.random.Generator, n: int, p: LinnikParams):
-    x = rng.standard_normal(n)
-    return _transformed(
-        n,
-        lambda x, m: _normal_scaled(x, _ml(m, p.alpha / 2.0)),
-        x,
-        _ml_draw(rng, n, p.alpha / 2.0),
+def _linnik_route(mix: Callable) -> _Route:
+    """S * G^(1/alpha), S symmetric stable: (generalized) Linnik."""
+    return _Route(
+        lambda rng, n, p: (_cms_draw(rng, n, p.alpha), mix(rng, n, p)),
+        lambda raw, p: _linnik(raw, p.alpha),
     )
 
 
-def _linnik_laplace_ratio(rng: np.random.Generator, n: int, p: LinnikParams):
-    lap = rng.laplace(0.0, 1.0, n)
-    return _transformed(
-        n,
-        lambda lap, r: np.multiply(lap, np.sqrt(_ratio(r, p.alpha / 2.0)), out=lap),
-        lap,
-        _ratio_draw(rng, n, p.alpha / 2.0),
-    )
-
-
-def _gen_linnik_normal_genml(rng: np.random.Generator, n: int, p: LinnikParams):
-    x = rng.standard_normal(n)
-    return _transformed(
-        n,
-        lambda x, m: _normal_scaled(x, _ml(m, p.alpha / 2.0)),
-        x,
-        _gen_ml_draw(rng, n, p.alpha / 2.0, p.nu),
-    )
-
-
-def _gen_linnik_linnik_z(rng: np.random.Generator, n: int, p: LinnikParams):
-    lin = _linnik_draw(rng, n, p.alpha)
-    return _transformed(
-        n,
-        lambda lin, z: _scaled_by_power(
-            _linnik(lin, p.alpha), _z(z, p.nu, 1.0), -1.0 / p.alpha
+def _normal_ml_route(mix: Callable) -> _Route:
+    """X * sqrt(2 M), M (generalized) Mittag-Leffler with delta = alpha / 2:
+    (generalized) Linnik."""
+    return _Route(
+        lambda rng, n, p: (
+            rng.standard_normal(n),
+            (_kanter_draw(rng, n, p.alpha / 2.0), mix(rng, n, p)),
         ),
-        lin,
-        _z_draw(rng, n, p.nu, 1.0),
+        lambda raw, p: _normal_scaled(raw[0], _ml(raw[1], p.alpha / 2.0)),
     )
 
 
-def _gen_linnik_stable_genml(rng: np.random.Generator, n: int, p: LinnikParams):
-    # Split alpha = a * b with a <= 2 symmetric-stable and b < 1 inner
-    # exponent; this split is exact and collapses to stable_gamma at
-    # alpha = 2.
-    b = (p.alpha + 2.0) / 4.0
-    a = 4.0 * p.alpha / (p.alpha + 2.0)
-    s = _cms_draw(rng, n, a)
-    return _transformed(
-        n,
-        lambda s, m: _scaled_by_power(_cms(s, a), _ml(m, b), 1.0 / a),
-        s,
-        _gen_ml_draw(rng, n, b, p.nu),
-    )
-
-
-def _neg_binom_values(rng: np.random.Generator, n: int, p: NegBinParams):
-    lam = rng.standard_gamma(p.nu, n) * ((1.0 - p.p) / p.p)
-    return _transformed(n, lambda k: 1.0 + k.astype(float), rng.poisson(lam))
-
-
-_STABLE_KERNELS = {
-    "symmetric": _stable_symmetric_values,
-    "one_sided": _stable_one_sided_values,
-}
+def _genml_split(p: LinnikParams) -> tuple[float, float]:
+    """stable_genml's exact split alpha = a * b, with a <= 2 symmetric-stable
+    and b < 1 the inner Mittag-Leffler exponent; a = 2 at alpha = 2, where
+    the route collapses to stable_gamma."""
+    return 4.0 * p.alpha / (p.alpha + 2.0), (p.alpha + 2.0) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +563,7 @@ def _gen_linnik_domain(p: LinnikParams, method: str | None) -> None:
 class _Family:
     """One family: param record, sampling routes and closed-form facts.
 
-    routes maps each route to its kernel(rng, n, params), default first; a
+    routes maps each route to its _Route row, default first; a
     family with one route keys it None and offers no method. constraints is
     the domain text of `htmix list`. positive, cf, lst and domain read the
     validated params: cf and lst build the closed transform or return None,
@@ -620,7 +571,7 @@ class _Family:
     """
 
     record: type | None
-    routes: Mapping[str | None, Callable]
+    routes: Mapping[str | None, _Route]
     constraints: str
     positive: Callable[[object], bool] = lambda p: False
     cf: Callable[[object], Callable[[float], float] | None] = lambda p: None
@@ -631,38 +582,34 @@ class _Family:
 _FAMILY_TABLE: dict[str, _Family] = {
     "normal": _Family(
         None,
-        {None: lambda rng, n, p: rng.standard_normal(n)},
+        {None: _Route(lambda rng, n, p: rng.standard_normal(n))},
         "no parameters",
         cf=lambda p: lambda t: math.exp(-0.5 * t * t),
     ),
     "laplace": _Family(
         None,
-        {None: lambda rng, n, p: rng.laplace(0.0, 1.0, n)},
+        {None: _Route(lambda rng, n, p: rng.laplace(0.0, 1.0, n))},
         "no parameters",
         cf=lambda p: lambda t: 1.0 / (1.0 + t * t),
     ),
     "exponential": _Family(
         None,
-        {None: lambda rng, n, p: rng.standard_exponential(n)},
+        {None: _Route(_exponential)},
         "no parameters",
         positive=lambda p: True,
         lst=lambda p: lambda s: 1.0 / (1.0 + s),
     ),
     "weibull": _Family(
         WeibullParams,
-        {
-            None: lambda rng, n, p: _transformed(
-                n, lambda e: e ** (1.0 / p.gamma), rng.standard_exponential(n)
-            )
-        },
+        {None: _Route(_exponential, lambda e, p: e ** (1.0 / p.gamma))},
         "gamma > 0",
         positive=lambda p: True,
     ),
     "gamma": _Family(
         GammaParams,
         {
-            None: lambda rng, n, p: _transformed(
-                n, lambda g: g / p.lam, rng.standard_gamma(p.r, n)
+            None: _Route(
+                lambda rng, n, p: rng.standard_gamma(p.r, n), lambda g, p: g / p.lam
             )
         },
         "r > 0, lambda > 0",
@@ -672,8 +619,9 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "gen_gamma": _Family(
         GGParams,
         {
-            None: lambda rng, n, p: _transformed(
-                n, lambda g: (g / p.lam) ** (1.0 / p.alpha), rng.standard_gamma(p.r, n)
+            None: _Route(
+                lambda rng, n, p: rng.standard_gamma(p.r, n),
+                lambda g, p: (g / p.lam) ** (1.0 / p.alpha),
             )
         },
         "r > 0, alpha != 0, lambda > 0",
@@ -681,23 +629,35 @@ _FAMILY_TABLE: dict[str, _Family] = {
     ),
     "exp_power": _Family(
         ExpPowerParams,
-        {
-            None: lambda rng, n, p: _transformed(
-                n, lambda g: g ** p.nu, rng.standard_gamma(p.nu, n)
-            )
-        },
+        {None: _Route(_gamma_nu, lambda g, p: g ** p.nu)},
         "nu > 0",
         positive=lambda p: True,
     ),
     "neg_binom": _Family(
         NegBinParams,
-        {None: _neg_binom_values},
+        {
+            None: _Route(
+                lambda rng, n, p: rng.poisson(
+                    rng.standard_gamma(p.nu, n) * ((1.0 - p.p) / p.p)
+                ),
+                lambda k, p: 1.0 + k.astype(float),
+            )
+        },
         "nu > 0, p in (0, 1)",
         positive=lambda p: True,
     ),
     "stable": _Family(
         StableParams,
-        {None: lambda rng, n, p: _STABLE_KERNELS[p.theta](rng, n, p.alpha)},
+        {
+            None: _Route(
+                lambda rng, n, p: (
+                    _cms_draw if p.theta == "symmetric" else _kanter_draw
+                )(rng, n, p.alpha),
+                lambda raw, p: (_cms if p.theta == "symmetric" else _kanter)(
+                    raw, p.alpha
+                ),
+            )
+        },
         "alpha in (0, 2]; theta one-sided needs alpha <= 1",
         positive=lambda p: p.theta == "one_sided",
         cf=lambda p: (
@@ -712,8 +672,9 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "stable_ratio": _Family(
         StableRatioParams,
         {
-            None: lambda rng, n, p: _transformed(
-                n, lambda r: _ratio(r, p.delta), _ratio_draw(rng, n, p.delta)
+            None: _Route(
+                lambda rng, n, p: _ratio_draw(rng, n, p.delta),
+                lambda raw, p: _ratio(raw, p.delta),
             )
         },
         "delta in (0, 1)",
@@ -722,8 +683,9 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "z_mix": _Family(
         ZParams,
         {
-            None: lambda rng, n, p: _transformed(
-                n, lambda z: _z(z, p.r, p.mu), _z_draw(rng, n, p.r, p.mu)
+            None: _Route(
+                lambda rng, n, p: _z_draw(rng, n, p.r, p.mu),
+                lambda raw, p: _z(raw, p.r, p.mu),
             )
         },
         "r in (0, 1], mu > 0",
@@ -732,10 +694,14 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "mittag_leffler": _Family(
         MLParams,
         {
-            "stable_weibull": lambda rng, n, p: _transformed(
-                n, lambda m: _ml(m, p.delta), _ml_draw(rng, n, p.delta)
+            "stable_weibull": _ml_route(_exponential),
+            "exp_ratio": _Route(
+                lambda rng, n, p: (
+                    _exponential(rng, n, p),
+                    _ratio_draw(rng, n, p.delta),
+                ),
+                lambda raw, p: np.multiply(raw[0], _ratio(raw[1], p.delta), out=raw[0]),
             ),
-            "exp_ratio": lambda rng, n, p: _ml_exp_ratio(rng, n, p.delta),
         },
         "delta in (0, 1]",
         positive=lambda p: True,
@@ -744,7 +710,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
     ),
     "gen_mittag_leffler": _Family(
         MLParams,
-        {None: lambda rng, n, p: _gen_ml_values(rng, n, p.delta, p.nu)},
+        {None: _ml_route(_gamma_nu)},
         "delta in (0, 1], nu > 0",
         positive=lambda p: True,
         lst=lambda p: lambda s: (1.0 + s**p.delta) ** (-p.nu),
@@ -752,11 +718,17 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "linnik": _Family(
         LinnikParams,
         {
-            "stable_weibull": lambda rng, n, p: _transformed(
-                n, lambda s: _linnik(s, p.alpha), _linnik_draw(rng, n, p.alpha)
+            "stable_weibull": _linnik_route(_exponential),
+            "normal_ml": _normal_ml_route(_exponential),
+            "laplace_ratio": _Route(
+                lambda rng, n, p: (
+                    rng.laplace(0.0, 1.0, n),
+                    _ratio_draw(rng, n, p.alpha / 2.0),
+                ),
+                lambda raw, p: np.multiply(
+                    raw[0], np.sqrt(_ratio(raw[1], p.alpha / 2.0)), out=raw[0]
+                ),
             ),
-            "normal_ml": _linnik_normal_ml,
-            "laplace_ratio": _linnik_laplace_ratio,
         },
         "alpha in (0, 2]",
         cf=lambda p: lambda t: 1.0 / (1.0 + abs(t) ** p.alpha),
@@ -765,14 +737,30 @@ _FAMILY_TABLE: dict[str, _Family] = {
     "gen_linnik": _Family(
         LinnikParams,
         {
-            "stable_gamma": lambda rng, n, p: _transformed(
-                n,
-                lambda s: _linnik(s, p.alpha),
-                _gen_linnik_draw(rng, n, p.alpha, p.nu),
+            "stable_gamma": _linnik_route(_gamma_nu),
+            "normal_genml": _normal_ml_route(_gamma_nu),
+            # L * Z^(-1/alpha): an ordinary Linnik L over the gamma-ratio Z.
+            "linnik_z": _Route(
+                lambda rng, n, p: (
+                    (_cms_draw(rng, n, p.alpha), _exponential(rng, n, p)),
+                    _z_draw(rng, n, p.nu, 1.0),
+                ),
+                lambda raw, p: _scaled_by_power(
+                    _linnik(raw[0], p.alpha), _z(raw[1], p.nu, 1.0), -1.0 / p.alpha
+                ),
             ),
-            "normal_genml": _gen_linnik_normal_genml,
-            "linnik_z": _gen_linnik_linnik_z,
-            "stable_genml": _gen_linnik_stable_genml,
+            # S_a * M^(1/a), M generalized Mittag-Leffler with delta = b.
+            "stable_genml": _Route(
+                lambda rng, n, p: (
+                    _cms_draw(rng, n, _genml_split(p)[0]),
+                    (_kanter_draw(rng, n, _genml_split(p)[1]), _gamma_nu(rng, n, p)),
+                ),
+                lambda raw, p: _scaled_by_power(
+                    _cms(raw[0], _genml_split(p)[0]),
+                    _ml(raw[1], _genml_split(p)[1]),
+                    1.0 / _genml_split(p)[0],
+                ),
+            ),
         },
         "alpha in (0, 2], nu > 0",
         cf=lambda p: lambda t: (1.0 + abs(t) ** p.alpha) ** (-p.nu),
@@ -798,9 +786,28 @@ def sample(spec: DistSpec, n, stream: RandomStream) -> SampleBatch:
     if not isinstance(stream, RandomStream):
         raise DomainError("stream must be a RandomStream")
     n = int(n)
-    kernel = _FAMILY_TABLE[spec.family].routes[spec.resolved_method()]
-    values = kernel(stream.generator(), n, spec.params)
+    route = _FAMILY_TABLE[spec.family].routes[spec.resolved_method()]
+    values = _run(route, stream.generator(), n, spec.params)
     return SampleBatch(values, spec, int(stream.seed), int(stream.substream), n)
+
+
+# limits' kernels, runner(rng, n, ...) -> n values by the table's routes.
+
+
+def _stable_symmetric_values(rng: np.random.Generator, n: int, alpha: float):
+    return _run(_FAMILY_TABLE["stable"].routes[None], rng, n, StableParams(alpha))
+
+
+def _stable_one_sided_values(rng: np.random.Generator, n: int, alpha: float):
+    return _run(
+        _FAMILY_TABLE["stable"].routes[None], rng, n, StableParams(alpha, "one_sided")
+    )
+
+
+def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):
+    return _run(
+        _FAMILY_TABLE["gen_mittag_leffler"].routes[None], rng, n, MLParams(delta, nu)
+    )
 
 
 def analytic_cf(spec: DistSpec) -> Callable[[float], float] | None:

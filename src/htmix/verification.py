@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import _pool
 from .errors import DomainError
 
 __all__ = [
@@ -85,11 +86,16 @@ def ks_two_sample(a, b) -> float:
     """Exact sup distance between the empirical CDFs of two samples.
 
     The sup is attained at a sample point, so it is the larger of the
-    largest gaps over each sample's own points.
+    largest gaps over each sample's own points. Both samples are sorted on
+    the calling thread; the two halves then run as two tasks on the
+    package's pool, or inline in a call from a pool task.
     """
     x = np.sort(_values(a))
     y = np.sort(_values(b))
-    return max(_ecdf_gaps(x, y), _ecdf_gaps(y, x))
+    if _pool.in_task():
+        return max(_ecdf_gaps(x, y), _ecdf_gaps(y, x))
+    halves = _pool.submit(_ecdf_gaps, x, y), _pool.submit(_ecdf_gaps, y, x)
+    return max(halves[0].result(), halves[1].result())
 
 
 def ks_two_sample_threshold(n: int, m: int, q: float = 0.01) -> float:

@@ -34,6 +34,7 @@ from htmix.verification import (
     ks_two_sample_threshold,
     lst_distance,
 )
+from test_golden import SAMPLE_SPECS
 
 N = 100_000
 STREAM = RandomStream(321, 0)
@@ -555,3 +556,14 @@ def test_every_family_draws_requested_length(family, n):
     b = sample(DistSpec(family, params), n, RandomStream(0, 0))
     assert len(b) == n
     assert np.all(np.isfinite(b.values))
+
+
+def test_every_route_has_a_golden_digest():
+    """No family route can be added or renamed without a sample digest."""
+    routes = {
+        (family, method)
+        for family in FAMILIES
+        for method in METHODS.get(family, (None,))
+    }
+    pinned = {(family, method) for _, family, _, method in SAMPLE_SPECS}
+    assert routes == pinned

@@ -334,8 +334,8 @@ class TestVerify:
         assert out[0] == out[1] == out[2]
 
     def test_ks_is_ks_two_sample_bit_for_bit(self):
-        # verify splits KS into its two one-sided halves on the pool; their
-        # max must be the serial ks_two_sample of the same sides.
+        # verify's KS is ks_two_sample of the sides instantiate draws, lhs
+        # first.
         for case_id, params in (
             ("I15", {"a": 1.3}),
             ("I08", {"d": 0.6}),

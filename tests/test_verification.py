@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from htmix import _pool
 from htmix.distributions import DistSpec, NegBinParams, sample
 from htmix.errors import DomainError
 from htmix.streams import RandomStream
@@ -66,6 +67,9 @@ class TestKsTwoSample:
         got = ks_two_sample(a, b)
         assert got.hex() == want.hex()
         assert ks_two_sample(b, a).hex() == want.hex()
+        # In a pool task the two halves run inline.
+        inline = _pool.submit(ks_two_sample, a, b).result(timeout=60)
+        assert inline.hex() == want.hex()
 
     def test_matches_scipy(self):
         rng = RandomStream(2024, 0).generator()
