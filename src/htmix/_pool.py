@@ -1,19 +1,18 @@
 """The package's one worker pool.
 
-Sampling, ``ks_two_sample``, ``identities`` and ``limits`` share it. It is a
-``ThreadPoolExecutor`` with one worker per CPU the process may run on,
-created on first use, so importing htmix starts no thread. Every task runs
-in a copy of the submitting thread's context, so context variables such as
-numpy's ``errstate`` reach the work done on the pool, and in that copy
-``in_task()`` is true.
+Sampling, ``ks_two_sample``, ``identities``, ``limits`` and the CLI's CSV
+writer share it. It is a ``ThreadPoolExecutor`` with one worker per CPU the
+process may run on, created on first use, so importing htmix starts no
+thread. Its one entry point is ``imap``, which also decides where the work
+runs.
 
-Tasks never submit work to the pool and wait on it: a task that waited on
-another task could hold the last free worker, so only callers outside the
-pool fan out, and code that may run either way (sampling, reached from the
-CLI and from ``verify``'s side tasks and ``limits``' summation blocks, and
-``ks_two_sample``) asks ``in_task()`` and runs inline on a pool thread.
-Results are always collected in submission order, so output never depends
-on the number of workers.
+Called from outside the pool, ``imap`` submits every item at once, each in
+a copy of the caller's context, so context variables such as numpy's
+``errstate`` reach the work done on the pool. Called from a task, it runs
+the items inline, one by one as they are read: a task that waited on other
+tasks could hold the last free worker, so no task ever waits on the pool,
+and callers never need to know whether they run in one. Results always come
+back in item order, so output never depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
 _POOL: ThreadPoolExecutor | None = None
@@ -42,26 +41,19 @@ def executor() -> ThreadPoolExecutor:
         return _POOL
 
 
-def in_task() -> bool:
-    """True in code running as a task on the pool."""
-    return _IN_TASK.get()
-
-
-def _task(fn: Callable, *args):
+def _task(fn: Callable, item):
     _IN_TASK.set(True)
-    return fn(*args)
-
-
-def submit(fn: Callable, /, *args) -> Future:
-    """Run fn(*args) on the pool in a copy of the caller's context."""
-    return executor().submit(contextvars.copy_context().run, _task, fn, *args)
+    return fn(item)
 
 
 def imap(fn: Callable, items: Iterable) -> Iterator:
-    """fn(item) for every item on the pool; results are yielded in item order.
+    """fn(item) for every item, yielded in item order.
 
-    All items are submitted at once, as with ``Executor.map``, each in its
-    own copy of the caller's context.
+    Outside the pool every item is submitted at once, as with
+    ``Executor.map``, each in its own copy of the caller's context. Inside a
+    task this is the plain lazy ``map(fn, items)``.
     """
+    if _IN_TASK.get():
+        return map(fn, items)
     calls = [(contextvars.copy_context(), item) for item in items]
     return executor().map(lambda call: call[0].run(_task, fn, call[1]), calls)

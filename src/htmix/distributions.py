@@ -15,7 +15,7 @@ step.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -273,7 +273,8 @@ class DistSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Draws plus full provenance: spec, seed, substream, size.
+    """Draws plus full provenance: spec, seed and substream; n is the
+    number of values.
 
     spec is the DistSpec drawn from, or a descriptive string when the values
     came from a composite expression rather than a single family.
@@ -283,15 +284,16 @@ class SampleBatch:
     spec: DistSpec | str
     seed: int
     substream: int
-    n: int = field(default=0)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        n = self.n or values.size
-        if values.ndim != 1 or values.size != n or n < 1:
-            raise DomainError("values must be a 1-d array of length n >= 1")
-        object.__setattr__(self, "n", int(n))
+        if values.ndim != 1 or values.size < 1:
+            raise DomainError("values must be a nonempty 1-d array")
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     def __len__(self) -> int:
         return self.n
@@ -344,12 +346,12 @@ def _run(route: _Route, rng: np.random.Generator, n: int, p) -> np.ndarray:
     """n values of route: its draw here, then its transform one block of
     _BLOCK draws at a time.
 
-    The blocks run on the pool, except when there are fewer than two full
-    blocks to share out, and in a call from a pool task (verify's sides,
-    limits' summation blocks), which runs them inline since a task never
-    waits on the pool. Each block's values go into the first raw array when
-    it is float: once its block is transformed, a raw entry is not read
-    again. So a transform's temporaries are at most a block long.
+    With fewer than two full blocks to share out, the blocks run inline;
+    otherwise they go through ``_pool.imap``, which runs them inline too in
+    a call from a pool task (verify's sides, limits' summation blocks).
+    Each block's values go into the first raw array when it is float: once
+    its block is transformed, a raw entry is not read again. So a
+    transform's temporaries are at most a block long.
     """
     raw = route.draw(rng, n, p)
     if route.transform is None:
@@ -363,13 +365,8 @@ def _run(route: _Route, rng: np.random.Generator, n: int, p) -> np.ndarray:
     def block(lo: int) -> None:
         out[lo : lo + _BLOCK] = route.transform(_cut(raw, lo, lo + _BLOCK), p)
 
-    starts = range(0, n, _BLOCK)
-    if n < 2 * _BLOCK or _pool.in_task():
-        for lo in starts:
-            block(lo)
-    else:
-        for _ in _pool.imap(block, starts):
-            pass
+    for _ in (map if n < 2 * _BLOCK else _pool.imap)(block, range(0, n, _BLOCK)):
+        pass
     return out
 
 
@@ -788,7 +785,7 @@ def sample(spec: DistSpec, n, stream: RandomStream) -> SampleBatch:
     n = int(n)
     route = _FAMILY_TABLE[spec.family].routes[spec.resolved_method()]
     values = _run(route, stream.generator(), n, spec.params)
-    return SampleBatch(values, spec, int(stream.seed), int(stream.substream), n)
+    return SampleBatch(values, spec, int(stream.seed), int(stream.substream))
 
 
 # limits' kernels, runner(rng, n, ...) -> n values by the table's routes.

@@ -670,9 +670,10 @@ def instantiate(
     Leaves on the two sides take consecutive substream offsets off the same
     stream, so every leaf is independent of every other. The offsets are
     taken up front, first the lhs leaves and then the rhs leaves, each side
-    depth-first as in ``evaluate``; the two sides are then drawn
-    concurrently on the package's worker pool, each with its own offsets.
-    The values depend on the seed alone, never on the thread count.
+    depth-first as in ``evaluate``; the two sides are then drawn through
+    ``_pool.imap``, each with its own offsets: concurrently on the package's
+    worker pool, or one after the other in a call from a pool task. The
+    values depend on the seed alone, never on the thread count.
     """
     try:
         exprs = case.lhs(params), case.rhs(params)
@@ -684,14 +685,16 @@ def instantiate(
     if n < 1:
         raise DomainError("n must be a positive integer")
     offsets = itertools.count()
-    sides = []
-    for side, expr in zip(("lhs", "rhs"), exprs):
-        taken = iter(list(itertools.islice(offsets, _leaf_count(expr))))
-        values = _pool.submit(evaluate, expr, n, stream, taken)
-        sides.append((f"{case.id}:{side} {expr.describe()}", values))
+    taken = [list(itertools.islice(offsets, _leaf_count(expr))) for expr in exprs]
+
+    def draw(side: int) -> np.ndarray:
+        return evaluate(exprs[side], n, stream, iter(taken[side]))
+
     lhs, rhs = (
-        SampleBatch(values.result(), label, stream.seed, stream.substream, n)
-        for label, values in sides
+        SampleBatch(
+            values, f"{case.id}:{side} {expr.describe()}", stream.seed, stream.substream
+        )
+        for side, expr, values in zip(("lhs", "rhs"), exprs, _pool.imap(draw, (0, 1)))
     )
     return lhs, rhs
 
@@ -711,45 +714,35 @@ def verify(
     or Laplace transform, both sides are also checked against it with
     bounded-kernel envelopes (4/sqrt(n) for the CF, 1.5/sqrt(n) for the
     Laplace transform) over DEFAULT_T_GRID and DEFAULT_S_GRID. The two
-    sides are drawn concurrently (see ``instantiate``), then the metrics are
-    computed concurrently on the package's worker pool: the CF and Laplace
-    distances go first as tasks, then ``ks_two_sample`` sorts the two sides
-    on the calling thread and runs its two halves as two more. The report
-    lists the metrics in the order ks, ecf_lhs, ecf_rhs, lst_lhs, lst_rhs
-    and is the same for any thread count.
+    sides are drawn through ``_pool.imap`` (see ``instantiate``), and so are
+    the metrics: the CF and Laplace distances go to ``imap`` first, in
+    report order, then ``ks_two_sample`` sorts the two sides on the calling
+    thread while they run, and their values are read after it. In a call
+    from a pool task every step runs inline. The report lists the metrics
+    in the order ks, ecf_lhs, ecf_rhs, lst_lhs, lst_rhs and is the same for
+    any thread count.
     """
     stream = RandomStream(seed, substream_base)
     lhs, rhs = instantiate(case, params, n, stream)
-    ks_threshold = ks_two_sample_threshold(lhs.n, rhs.n, q)
-    # (name, pending value, threshold) of the transform metrics, in report
-    # order.
-    pending = []
+    # (name, distance, batch, transform, envelope) of the transform
+    # metrics, in report order.
+    jobs = []
     lhs_expr = case.lhs(params)
     lhs_spec = lhs_expr.spec if isinstance(lhs_expr, Draw) else None
     cf = analytic_cf(lhs_spec) if lhs_spec is not None else None
     if cf is not None:
-        for name, batch in (("ecf_lhs", lhs), ("ecf_rhs", rhs)):
-            pending.append(
-                (
-                    name,
-                    _pool.submit(ecf_distance, batch, cf),
-                    4.0 / math.sqrt(batch.n),
-                )
-            )
+        jobs += [(f"ecf_{side}", ecf_distance, batch, cf, 4.0)
+                 for side, batch in (("lhs", lhs), ("rhs", rhs))]
     lst = analytic_lst(lhs_spec) if lhs_spec is not None else None
     if lst is not None:
-        for name, batch in (("lst_lhs", lhs), ("lst_rhs", rhs)):
-            pending.append(
-                (
-                    name,
-                    _pool.submit(lst_distance, batch, lst),
-                    1.5 / math.sqrt(batch.n),
-                )
-            )
-    metrics = [MetricEntry("ks", ks_two_sample(lhs, rhs), ks_threshold)]
+        jobs += [(f"lst_{side}", lst_distance, batch, lst, 1.5)
+                 for side, batch in (("lhs", lhs), ("rhs", rhs))]
+    values = _pool.imap(lambda job: job[1](job[2], job[3]), jobs)
+    ks = ks_two_sample(lhs, rhs)
+    metrics = [MetricEntry("ks", ks, ks_two_sample_threshold(lhs.n, rhs.n, q))]
     metrics += [
-        MetricEntry(name, value.result(), threshold)
-        for name, value, threshold in pending
+        MetricEntry(name, value, envelope / math.sqrt(batch.n))
+        for (name, _, batch, _, envelope), value in zip(jobs, values)
     ]
     return VerificationReport(
         label=case.id,

@@ -204,7 +204,15 @@ def _check_p_grid(p_grid) -> tuple[float, ...]:
 def _summand_drawer(summand):
     """Summands as draw(rng, m); None means Rademacher signs."""
     if callable(summand):
-        return lambda rng, m: np.asarray(summand(rng, m), dtype=float)
+        def draw(rng, m):
+            values = np.asarray(summand(rng, m), dtype=float)
+            if values.shape != (m,):
+                raise DomainError(
+                    f"summand callable gave shape {values.shape}, not ({m},)"
+                )
+            return values
+
+        return draw
     if summand == "rademacher":
         return None
     if summand == "uniform":
@@ -227,7 +235,8 @@ class LimitExperiment:
     summand defaults to "rademacher" for thm7, statistic to "sample_mean"
     for thm8, and threshold to the theorem's default. summand is a name in
     SUMMANDS or a callable draw(rng, m) giving m iid summands of mean zero
-    and variance one (not checked); statistic is a name in STATISTICS.
+    and variance one (not checked; any shape but (m,) raises DomainError);
+    statistic is a name in STATISTICS.
     """
 
     theorem: str
@@ -487,9 +496,10 @@ def run_thm7(
 
     summand is "rademacher", "uniform" or a callable draw(rng, m) giving m
     iid summands of mean zero and variance one, which is not checked (the
-    report says "custom"). control="fixed-index" replaces V by the constant
-    1 (so N = n); the classical CLT then applies and the report flags
-    non-convergence to the heavy-tailed target.
+    report says "custom"; any shape but (m,) raises DomainError).
+    control="fixed-index" replaces V by the constant 1 (so N = n); the
+    classical CLT then applies and the report flags non-convergence to the
+    heavy-tailed target.
     """
     return run_experiment(LimitExperiment(
         "thm7", nu, alpha, n_grid, replications, seed, summand=summand,

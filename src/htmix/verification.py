@@ -87,15 +87,12 @@ def ks_two_sample(a, b) -> float:
 
     The sup is attained at a sample point, so it is the larger of the
     largest gaps over each sample's own points. Both samples are sorted on
-    the calling thread; the two halves then run as two tasks on the
-    package's pool, or inline in a call from a pool task.
+    the calling thread; the two halves then go through ``_pool.imap``, as
+    two pool tasks, or inline in a call from a pool task.
     """
     x = np.sort(_values(a))
     y = np.sort(_values(b))
-    if _pool.in_task():
-        return max(_ecdf_gaps(x, y), _ecdf_gaps(y, x))
-    halves = _pool.submit(_ecdf_gaps, x, y), _pool.submit(_ecdf_gaps, y, x)
-    return max(halves[0].result(), halves[1].result())
+    return max(_pool.imap(lambda pair: _ecdf_gaps(*pair), ((x, y), (y, x))))
 
 
 def ks_two_sample_threshold(n: int, m: int, q: float = 0.01) -> float:

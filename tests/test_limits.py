@@ -334,6 +334,16 @@ class TestSmallRuns:
         assert np.isfinite(report.rows[0].ks)
         assert report.params["summand"] == "custom"
 
+    @pytest.mark.parametrize("size", [lambda m: m // 2, lambda m: m + 1],
+                             ids=["half", "one_more"])
+    def test_thm7_wrong_length_summand_raises(self, size):
+        # Too few draws used to fail inside add.reduceat; one too many ran
+        # silently, the extra draw joining a block's last replication.
+        with pytest.raises(DomainError, match="shape"):
+            run_thm7(2.0, 1.0, (100,), 2000, 5,
+                     summand=lambda rng, m: rng.standard_normal(size(m)),
+                     threshold=0.2)
+
     def test_thm7_control_columns(self):
         report = run_thm7(1.5, 2.0, (100,), 2000, 5, control="fixed-index")
         assert report.mode == "negative-control"
