@@ -337,8 +337,8 @@ class TestSmallRuns:
     @pytest.mark.parametrize("size", [lambda m: m // 2, lambda m: m + 1],
                              ids=["half", "one_more"])
     def test_thm7_wrong_length_summand_raises(self, size):
-        # Too few draws used to fail inside add.reduceat; one too many ran
-        # silently, the extra draw joining a block's last replication.
+        # Unchecked, too few draws would fail inside add.reduceat, and one
+        # too many would silently join a block's last replication.
         with pytest.raises(DomainError, match="shape"):
             run_thm7(2.0, 1.0, (100,), 2000, 5,
                      summand=lambda rng, m: rng.standard_normal(size(m)),
