@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -66,85 +68,49 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # The sample CSV writer: "%.10g" for a whole column at once, byte for byte
-# what _fmt gives. For finite 1e-13 <= |x| < 1e10 the ten significant digits
-# come from the exact decimal scaling |x| * 10^(9 - E), E = floor(log10|x|):
-# the product is formed in double precision and, only where the rounding
-# needs it (the scaled value at 1e9 or 1e10, or exactly half way between two
-# integers), also exactly, as Dekker's two-product hi + lo against the exact
-# powers 10^0 ... 10^22. Every other value (0, -0.0, subnormal, tiny or huge
-# magnitudes, inf and nan) goes through _fmt. Rows are laid out as byte
-# columns, one per character slot, where an unused slot holds a NUL byte
-# that is dropped at the end; slot order is output order for every notation.
+# what _fmt gives. For finite 1e-13 <= |x| < 1e10 the decimal exponent E is
+# exact: |x| >= 10^j holds exactly when |x| >= _TEN_UP[j + 13], so a search
+# of _TEN_UP finds it. Then |x| * 10^(9 - E), one product with an exact
+# power of ten, lies in [1e9, 1e10], and rint of it is the correctly rounded
+# ten-digit mantissa: rounding is monotone and every integer plus a half
+# below 1e10 is a double, so the product falls on the right side of every
+# rounding boundary, or on the boundary itself. Values whose product lands
+# exactly half way between two integers, and every other value (0, -0.0,
+# subnormal, tiny or huge magnitudes, inf and nan), go through _fmt. Rows
+# are laid out as byte columns, one per character slot, where an unused slot
+# holds a NUL byte that is dropped at the end; slot order is output order
+# for every notation.
 
 _ROWS = 1 << 16
 _POW10 = np.array([float(10**k) for k in range(23)])
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+
+
+def _ten_up(j: int) -> float:
+    """The smallest double at or above 10^j."""
+    x = float(Fraction(10) ** j)
+    return x if Fraction(x) >= Fraction(10) ** j else math.nextafter(x, math.inf)
+
+
+_TEN_UP = np.array([_ten_up(j) for j in range(-13, 10)])
 _U8 = np.uint8
 # Value slots: sign, "0.000" lead (fixed notation below 1), ten digits with
 # the decimal point between two of them (11 slots), "e+XX".
 _VALUE_SLOTS = 1 + 5 + 11 + 4
 
 
-def _halves(a):
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _halves(_POW10)
-
-
-def _exact_scaled(a, e):
-    """a * 10^(9 - e) as hi + lo exactly (Dekker's two-product)."""
-    k = 9 - e
-    hi = a * _POW10[k]
-    ah, al = _halves(a)
-    ph, pl = _POW10_HI[k], _POW10_LO[k]
-    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
-
-
-def _scientific(a):
-    """Correctly rounded ten-digit mantissas (as floats) and exponents of a.
-
-    Every entry of a must lie in [1e-13, 1e10). Rounding is half-even on the
-    exact binary value, as in Python's float formatting.
-    """
-    e = np.floor(np.log10(a))
-    np.clip(e, -13, 9, out=e)
-    e = e.astype(np.intp)
-    hi = a * _POW10[9 - e]
-    # log10 can be off by one next to a power of ten; the exact product at
-    # the edges of [1e9, 1e10) decides.
-    edge = np.flatnonzero((hi <= 1e9) | (hi >= 1e10))
-    if edge.size:
-        h, lo = _exact_scaled(a[edge], e[edge])
-        step = ((h > 1e10) | ((h == 1e10) & (lo >= 0))).astype(np.intp)
-        step -= (h < 1e9) | ((h == 1e9) & (lo < 0))
-        e[edge] += step
-        hi[edge] = a[edge] * _POW10[9 - e[edge]]
-    mantissa = np.rint(hi)
-    # hi - rint(hi) is exact; at +-0.5 the error term decides the side, and
-    # an exact tie keeps rint's even choice.
-    tie = np.flatnonzero(np.abs(hi - mantissa) == 0.5)
-    if tie.size:
-        h, lo = _exact_scaled(a[tie], e[tie])
-        frac = h - mantissa[tie]
-        mantissa[tie] += (frac == 0.5) & (lo > 0)
-        mantissa[tie] -= (frac == -0.5) & (lo < 0)
-    carry = np.flatnonzero(mantissa == 1e10)
-    mantissa[carry] = 1e9
-    e[carry] += 1
-    return mantissa, e
-
-
 def _rows_block(values, first: int, index_width: int) -> bytes:
     """The CSV rows "i,value" of values, indexed from first, each ending in LF."""
     rows = values.size
     a = np.abs(values)
-    fast = (a >= 1e-13) & (a < 1e10)
-    slow = np.flatnonzero(~fast)
-    a[slow] = 1.0
-    mantissa, e = _scientific(a)
+    out_of_range = ~((a >= _TEN_UP[0]) & (a < 1e10))
+    a[out_of_range] = 1.0
+    e = np.searchsorted(_TEN_UP, a, side="right") - 14  # last j: 10^j <= a
+    scaled = a * _POW10[9 - e]
+    mantissa = np.rint(scaled)
+    slow = np.flatnonzero(out_of_range | (np.abs(scaled - mantissa) == 0.5))
+    carry = mantissa == 1e10
+    mantissa[carry] = 1e9
+    e[carry] += 1
     cols = np.zeros((index_width + 2 + _VALUE_SLOTS, rows), _U8)
     index = np.arange(first, first + rows, dtype=np.uint64)
     for place in range(index_width):
@@ -199,10 +165,8 @@ def _rows_block(values, first: int, index_width: int) -> bytes:
     cols[s + 2] = (exp // 10 + _U8(48)) * sci
     cols[s + 3] = (exp % 10 + _U8(48)) * sci
     cols[-1] = ord("\n")
-    for i in slow:
-        text = _fmt(values[i]).encode()
-        cols[v : v + _VALUE_SLOTS, i] = 0
-        cols[v : v + len(text), i] = np.frombuffer(text, _U8)
+    text = b"".join(_fmt(x).encode().ljust(_VALUE_SLOTS, b"\0") for x in values[slow])
+    cols[v : v + _VALUE_SLOTS, slow] = np.frombuffer(text, _U8).reshape(-1, _VALUE_SLOTS).T
     flat = cols.T.ravel()
     return np.compress(flat != 0, flat).tobytes()
 

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _pool
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .streams import RandomStream
 
 __all__ = [
@@ -53,6 +53,15 @@ def _pos(value, name: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite")
     return value
+
+
+def _power(x: float, y: float) -> float:
+    """x ** y for x >= 0, or inf where it overflows (the limit the closed
+    transforms and densities need: exp(-inf) and 1 / (1 + inf) are 0)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -444,6 +453,23 @@ def _ratio(raw, delta: float):
     return num
 
 
+# numpy's Generator.poisson refuses rates above this.
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _neg_binom_draw(rng: np.random.Generator, n: int, nu: float, p: float):
+    """n negative-binomial counts less one: Poisson draws at gamma(nu) rates
+    times (1 - p) / p, the gammas drawn first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = rng.standard_gamma(nu, n) * ((1.0 - p) / p)
+    if not lam.max() <= _POISSON_MAX:
+        raise AccuracyError(
+            f"negative binomial at p = {p:g}: Poisson rate {lam.max():.6g} is past "
+            f"numpy's limit {_POISSON_MAX:.6g}"
+        )
+    return rng.poisson(lam)
+
+
 def _z_draw(rng: np.random.Generator, n: int, r: float, mu: float):
     if r == 1.0:
         return np.full(n, mu)
@@ -634,9 +660,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
         NegBinParams,
         {
             None: _Route(
-                lambda rng, n, p: rng.poisson(
-                    rng.standard_gamma(p.nu, n) * ((1.0 - p.p) / p.p)
-                ),
+                lambda rng, n, p: _neg_binom_draw(rng, n, p.nu, p.p),
                 lambda k, p: 1.0 + k.astype(float),
             )
         },
@@ -658,7 +682,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
         "alpha in (0, 2]; theta one-sided needs alpha <= 1",
         positive=lambda p: p.theta == "one_sided",
         cf=lambda p: (
-            (lambda t: math.exp(-abs(t) ** p.alpha))
+            (lambda t: math.exp(-_power(abs(t), p.alpha)))
             if p.theta == "symmetric"
             else None
         ),
@@ -728,7 +752,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
             ),
         },
         "alpha in (0, 2]",
-        cf=lambda p: lambda t: 1.0 / (1.0 + abs(t) ** p.alpha),
+        cf=lambda p: lambda t: 1.0 / (1.0 + _power(abs(t), p.alpha)),
         domain=_linnik_domain,
     ),
     "gen_linnik": _Family(
@@ -760,7 +784,7 @@ _FAMILY_TABLE: dict[str, _Family] = {
             ),
         },
         "alpha in (0, 2], nu > 0",
-        cf=lambda p: lambda t: (1.0 + abs(t) ** p.alpha) ** (-p.nu),
+        cf=lambda p: lambda t: (1.0 + _power(abs(t), p.alpha)) ** (-p.nu),
         domain=_gen_linnik_domain,
     ),
 }

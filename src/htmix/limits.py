@@ -58,7 +58,13 @@ import numpy as np
 import scipy.special as sc
 
 from . import _pool
-from .distributions import LinnikParams, _gen_ml_values, _pos, _stable_symmetric_values
+from .distributions import (
+    LinnikParams,
+    _gen_ml_values,
+    _neg_binom_draw,
+    _pos,
+    _stable_symmetric_values,
+)
 from .errors import AccuracyError, DomainError
 from .special import InversionCdf
 from .streams import DEFAULT_SEED, RandomStream
@@ -301,11 +307,6 @@ class LimitExperiment:
             object.__setattr__(self, "threshold", _pos(self.threshold, "threshold"))
 
 
-def _nb_counts(rng: np.random.Generator, nu: float, p: float, size: int) -> np.ndarray:
-    lam = rng.standard_gamma(nu, size) * ((1.0 - p) / p)
-    return 1 + rng.poisson(lam)
-
-
 def _grouped_sums(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     counts: np.ndarray,
@@ -359,7 +360,8 @@ def _lemma14(exp: LimitExperiment) -> ConvergenceReport:
     rows = []
     for index, p in enumerate(exp.grid):
         rng = RandomStream(exp.seed, index).generator()
-        scaled = p * _nb_counts(rng, exp.nu, p, exp.replications).astype(float)
+        counts = 1 + _neg_binom_draw(rng, exp.replications, exp.nu, p)
+        scaled = p * counts.astype(float)
         ks = ks_one_sample(scaled, lambda x: sc.gammainc(exp.nu, x))
         rows.append(ConvergenceRow(p, ks, exp.threshold))
     params = {"nu": exp.nu, "replications": exp.replications}
@@ -390,7 +392,7 @@ def _random_sums(exp: LimitExperiment) -> ConvergenceReport:
         if fixed:
             counts = np.full(reps, int(n), dtype=np.int64)
         elif theorem == "thm6":
-            counts = _nb_counts(idx_rng, nu, 1.0 / n, reps)
+            counts = 1 + _neg_binom_draw(idx_rng, reps, nu, 1.0 / n)
         else:
             g = _gen_ml_values(idx_rng, reps, alpha / 2.0, nu)
             with np.errstate(divide="ignore", over="ignore"):

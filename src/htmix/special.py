@@ -35,7 +35,7 @@ from scipy import integrate
 from scipy import interpolate
 from scipy import special as sc
 
-from .distributions import GGParams, LinnikParams, MLParams, StableRatioParams
+from .distributions import GGParams, LinnikParams, MLParams, StableRatioParams, _power
 from .errors import AccuracyError, DomainError, UnsupportedRegimeError
 
 __all__ = [
@@ -343,7 +343,7 @@ def gg_density(r, alpha, lam, x) -> float:
     ln = (
         r * math.log(lam)
         + (alpha * r - 1.0) * math.log(x)
-        - lam * x**alpha
+        - lam * _power(x, alpha)
         - float(sc.gammaln(r))
     )
     return abs(alpha) * math.exp(ln)
@@ -392,7 +392,7 @@ def genlinnik_cf(alpha, nu, t) -> float:
     t = _as_float(t, "t")
     if not math.isfinite(t):
         raise DomainError("t must be finite")
-    return (1.0 + abs(t) ** alpha) ** (-nu)
+    return (1.0 + _power(abs(t), alpha)) ** (-nu)
 
 
 def genml_lst(delta, nu, s) -> float:
@@ -664,8 +664,8 @@ class InversionCdf:
         law = LinnikParams(alpha, nu)
         alpha, nu = law.alpha, law.nu
         x_max = _as_float(x_max, "x_max")
-        if x_max <= 0:
-            raise DomainError("x_max must be positive")
+        if not 0 < x_max < math.inf:
+            raise DomainError("x_max must be positive and finite")
         self.alpha = alpha
         self.nu = nu
         hi = max(x_max * 1.0001, 2.5)

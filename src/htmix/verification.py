@@ -180,16 +180,13 @@ def ecf_distance(a, cf: Callable[[float], float], t_grid=DEFAULT_T_GRID) -> floa
     return worst
 
 
-def lst_distance(a, lst: Callable[[float], float], s_grid=DEFAULT_S_GRID) -> float:
-    """Worst deviation of the empirical Laplace transform over s_grid."""
+def lst_distance(a, lst: Callable[[float], float]) -> float:
+    """Worst deviation of the empirical Laplace transform over DEFAULT_S_GRID."""
     x = _values(a)
     if x.min() < 0:
         raise DomainError("Laplace-transform distance needs nonnegative samples")
-    s_grid = tuple(float(s) for s in s_grid)
-    if not s_grid:
-        raise DomainError("s_grid must be nonempty")
     worst = 0.0
-    for s in s_grid:
+    for s in DEFAULT_S_GRID:
         emp = float(np.exp(-s * x).mean())
         worst = max(worst, abs(emp - float(lst(s))))
     return worst

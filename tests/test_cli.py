@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ class TestEval:
         assert lines[1].startswith("-0.2,")
         assert len(lines) == 4
 
+    def test_overflowing_cf_power_prints_zero(self, capsys):
+        assert run("eval", "--fn", "genlinnik-cf", "--alpha", "1.5", "--nu", "2",
+                   "--grid", "1e300:1e300:1") == 0
+        assert capsys.readouterr().out == "x,value\n1e+300,0\n"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["eval", "--fn", "ml-density", "--delta", "0.6",
@@ -285,6 +291,11 @@ class TestLimit:
               "--n-grid", "10,100", "--reps", "2000"], "htmix: accuracy limit: "),
             (["eval", "--fn", "genlinnik-pdf", "--alpha", "0.5", "--nu", "1",
               "--grid", "0:1:0.5"], "htmix: unsupported regime: "),
+            (["sample", "--dist", "neg-binom", "--nu", "1", "--p", "1e-300",
+              "--n", "10"], "htmix: accuracy limit: "),
+            (["limit", "--theorem", "thm6", "--alpha", "2", "--nu", "1",
+              "--n-grid", "100000000000000000000", "--reps", "1000"],
+             "htmix: accuracy limit: "),
         ],
     )
     def test_exit_four_names_its_cause(self, argv, label, capsys):
@@ -434,9 +445,24 @@ class TestSampleRows:
         math.inf, -math.inf, math.nan,
     ]
 
+    # Every power of ten in the vectorized range and its two neighbours,
+    # where the decimal exponent changes.
+    POWERS = [
+        x for j in range(-13, 11)
+        for x in (10.0**j, math.nextafter(10.0**j, 0.0), math.nextafter(10.0**j, math.inf))
+    ]
+
     def test_edges(self):
-        values = np.array(self.EDGES + [-x for x in self.EDGES])
+        values = np.array(self.EDGES + self.POWERS)
+        values = np.concatenate([values, -values])
         _assert_is_fmt_join(_csv_text(values), values)
+
+    def test_ten_up_is_the_smallest_double_at_or_above_each_power(self):
+        assert cli._TEN_UP.size == 23
+        for j, x in zip(range(-13, 10), cli._TEN_UP.tolist()):
+            power = Fraction(10) ** j
+            assert Fraction(x) >= power
+            assert Fraction(math.nextafter(x, 0.0)) < power
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
@@ -453,8 +479,9 @@ class TestSampleRows:
 
     def test_bulk_across_blocks(self):
         # Several row blocks of log-uniform magnitudes over the whole fast
-        # range and past both ends, dyadic values with exact ties, and raw
-        # bit patterns.
+        # range and past both ends, dyadic values with exact ties, eleven-digit
+        # decimals ending in 5 (most of them scale to exactly half way
+        # between two integers) and raw bit patterns.
         rng = np.random.default_rng(20)
         n = 150_000
         values = np.concatenate([
@@ -462,6 +489,7 @@ class TestSampleRows:
             * rng.choice([-1.0, 1.0], n),
             np.ldexp(rng.integers(1, 2**34, n).astype(float),
                      rng.integers(-40, 1, n)),
+            (rng.integers(10**9, 10**10, n) * 10 + 5) / 10.0 ** rng.integers(1, 22, n),
             rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
         ])
         _assert_is_fmt_join(_csv_text(values), values)

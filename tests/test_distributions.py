@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from htmix.distributions import (
+    _POISSON_MAX,
     _stable_one_sided_values,
     _stable_symmetric_values,
     DistSpec,
@@ -25,7 +26,7 @@ from htmix.distributions import (
     analytic_lst,
     sample,
 )
-from htmix.errors import DomainError
+from htmix.errors import AccuracyError, DomainError
 from htmix.streams import RandomStream
 from htmix.verification import (
     ecf_distance,
@@ -227,6 +228,19 @@ class TestBasicFamilies:
             got = float(np.mean(v == k))
             sd = math.sqrt(want * (1 - want) / N)
             assert abs(got - want) < 5 * sd + 1e-12
+
+    @pytest.mark.parametrize("nu, p", [(1.0, 1e-300), (1.0, 1e-308), (0.01, 5e-324)])
+    def test_neg_binom_rate_past_numpy_limit_is_accuracy_error(self, nu, p):
+        # 1e-308 overflows some rates to inf, and at 5e-324 a zero gamma
+        # draw times an infinite (1 - p) / p is nan.
+        with pytest.raises(AccuracyError, match="Poisson rate"):
+            sample(spec_of("neg_binom", nu=nu, p=p), 1000, RandomStream(1))
+
+    def test_poisson_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(_POISSON_MAX)
+        with pytest.raises(ValueError):
+            rng.poisson(np.nextafter(_POISSON_MAX, np.inf))
 
 
 class TestStable:
@@ -439,6 +453,16 @@ class TestTransformTables:
         assert analytic_cf(spec_of("exponential")) is None
         assert analytic_cf(spec_of("stable", alpha=0.5, theta="one_sided")) is None
         assert analytic_cf(spec_of("normal"))(0.0) == 1.0
+
+    @pytest.mark.parametrize("family, params", [
+        ("stable", {"alpha": 1.5}),
+        ("linnik", {"alpha": 1.5}),
+        ("gen_linnik", {"alpha": 1.5, "nu": 2.0}),
+    ])
+    def test_cf_overflowing_power_gives_zero(self, family, params):
+        cf = analytic_cf(DistSpec(family, params))
+        assert cf(1e300) == 0.0
+        assert cf(-1e300) == 0.0
 
     def test_lst_only_for_nonnegative_families(self):
         assert analytic_lst(spec_of("normal")) is None

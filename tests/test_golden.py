@@ -7,7 +7,8 @@ route, for the closed transforms, for the characteristic-function inversion
 (report JSON plus the raw bytes of the retained final sample), for the
 identity registry, for every identity case's reports over its canonical
 grid and for the CLI's ``limit``, ``list``, ``sample`` and
-``verify`` output. A refactor that keeps the digests keeps the output.
+``verify`` output, and for the Mittag-Leffler function, density and CDF. A
+refactor that keeps the digests keeps the output.
 
 numpy's Generator streams are stable within a numpy release but not
 guaranteed across releases, and its special functions may move in the last
@@ -26,7 +27,7 @@ import json
 import numpy as np
 import pytest
 
-from htmix import cli, identities
+from htmix import cli, identities, special
 from htmix.distributions import DistSpec, analytic_cf, analytic_lst, sample
 from htmix.identities import GridPoint
 from htmix.limits import (
@@ -219,6 +220,19 @@ INVERSION_CDF_DIGESTS = {
     (2.0, 1.0, 12.2): "747a2804def63bf832c1acb085b4bcab074d74d124f420d4b97d9c2aade01d80",
     (1.5, 2.0, 929.4): "96a05cc861203d5295fa802f8d64bbfdc159a4ee9f61a9444188b94150f6c284",
     (1.5, 2.0, 2642.4): "5e2ab11d25ecbcda5d129970f03535996dc641bdb2e0bd88a4ac15d4d0d38b02",
+}
+
+
+# The Mittag-Leffler function, density and CDF at 40 log-spaced points on
+# [1e-2, 1e3] for each delta (E at -x, and at a few positive z too): the grid
+# reaches the series, tail and spectral branches and the positive series.
+ML_DELTAS = (0.3, 0.6, 0.9)
+ML_X = np.logspace(-2.0, 3.0, 40)
+ML_POSITIVE_Z = (0.1, 1.0, 5.0)
+ML_DIGESTS = {
+    "mittag_leffler": "48212094def102d2c919209f6d73d87889cb405039fc843f500acc456b435f26",
+    "ml_density": "9c2a483c7921d9d768b740855db85e1443bfcfa841c76674a8b494663e800ba3",
+    "ml_cdf": "b267ea8801101c29366f4f6ab002912fdf6869e2996941ff88ebf0d89636d964",
 }
 
 
@@ -447,6 +461,17 @@ def test_inversion_values():
            for x in INVERSION_X]
     assert _sha(np.array(cdf).tobytes()) == CDF_INVERSION_DIGEST
     assert _sha(np.array(pdf).tobytes()) == PDF_INVERSION_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(ML_DIGESTS))
+def test_mittag_leffler_values(name):
+    if name == "mittag_leffler":
+        values = [special.mittag_leffler(d, -x) for d in ML_DELTAS for x in ML_X]
+        values += [special.mittag_leffler(d, z) for d in ML_DELTAS for z in ML_POSITIVE_Z]
+    else:
+        fn = getattr(special, name)
+        values = [fn(d, x) for d in ML_DELTAS for x in ML_X]
+    assert _sha(np.array(values).tobytes()) == ML_DIGESTS[name]
 
 
 @pytest.mark.parametrize("build", sorted(INVERSION_CDF_DIGESTS))

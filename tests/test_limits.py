@@ -417,6 +417,15 @@ class TestIndexOverflow:
             with pytest.raises(AccuracyError, match="64-bit integer"):
                 run(alpha, 1.0, (10, 100), 2000, 1729)
 
+    @pytest.mark.parametrize("run", [
+        lambda: run_lemma14(1.0, (1e-300,), 1000, 1),
+        lambda: run_lemma14(1.0, (1e-308,), 1000, 1),
+        lambda: run_thm6(2.0, 1.0, (10**20,), 1000, 1),
+    ], ids=["lemma14_p1e-300", "lemma14_p1e-308", "thm6_n1e20"])
+    def test_negative_binomial_rate_past_numpy_limit_is_accuracy_error(self, run):
+        with pytest.raises(AccuracyError, match="Poisson rate"):
+            run()
+
 
 class TestExperimentRecord:
     def test_valid_construction_normalizes(self):

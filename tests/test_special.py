@@ -244,6 +244,10 @@ class TestGGDensity:
         with pytest.raises(DomainError):
             gg_density(-1.0, 1.0, 1.0, 1.0)
 
+    def test_overflowing_power_gives_zero(self):
+        assert gg_density(2.0, 1.5, 1.0, 1e300) == 0.0
+        assert gg_density(2.0, -1.5, 1.0, 1e-300) == 0.0
+
 
 class TestGleserDensity:
     def test_zero_below_support(self):
@@ -286,6 +290,10 @@ class TestTransforms:
             assert genlinnik_cf(2.0, 1.0, t) == pytest.approx(
                 1.0 / (1.0 + t * t), rel=1e-14
             )
+
+    def test_genlinnik_cf_overflowing_power_gives_zero(self):
+        assert genlinnik_cf(1.5, 2.0, 1e300) == 0.0
+        assert genlinnik_cf(1.5, 2.0, -1e300) == 0.0
 
     def test_genml_lst_values(self):
         assert genml_lst(1.0, 1.0, 1.0) == pytest.approx(0.5)
@@ -382,6 +390,11 @@ class TestInversion:
             cdf_by_inversion(2.2, 1.0, 0.5)
         with pytest.raises(DomainError):
             cdf_by_inversion(1.5, -1.0, 0.5)
+
+    @pytest.mark.parametrize("x_max", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_interpolant_needs_positive_finite_x_max(self, x_max):
+        with pytest.raises(DomainError):
+            InversionCdf(1.5, 2.0, x_max)
 
 
 # Extended-precision values (mpmath, 25 digits): a graded quadrature up to a

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -210,6 +211,8 @@ class TestLstDistance:
 
     def test_default_grid(self):
         assert DEFAULT_S_GRID == (0.5, 1.0, 2.0)
+        # The grid is fixed: no caller ever set another one.
+        assert list(inspect.signature(lst_distance).parameters) == ["a", "lst"]
 
 
 class TestHill:
