@@ -27,10 +27,15 @@ Measures, best of REPEATS runs each unless noted:
 * ms per ``InversionCdf`` build at the (alpha, nu, x_max) of INVERSION_BUILDS
   (the reference CDFs of ``limit_lab``: thm7/thm8 at (2, 1), a (1.5, 2)
   experiment out to x_max = 100 and thm7 (1.5, 2) out to its largest
-  |statistic|), with each build's ``points``, ``head_panels`` and
-  ``max_rounds``;
+  |statistic|, and a (1.5, 2) build out to 2e4), with each build's
+  ``points``, its ``nodes`` (the ``head_panels`` counter: the 32-point
+  rule's nodes summed over the grid) and its ``rule_difference`` (the
+  ``max_rounds`` counter: the largest difference between the 32-point and
+  24-point rules);
 * ms per call of ``cdf_by_inversion`` and ``pdf_by_inversion`` at
-  (1.5, 2), averaged over the |x| in INVERSION_X.
+  (1.5, 2), averaged over the |x| in INVERSION_X, and of
+  ``cdf_by_inversion`` at (1.5, 2) alone at each |x| in FAR_X (the name
+  of the error instead, where a checkout raises one).
 
 Run it against another checkout's ``src`` to compare.
 """
@@ -47,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from htmix import _pool, cli, identities, limits, special, verification
+from htmix.errors import AccuracyError
 from htmix.distributions import (
     DistSpec,
     _stable_one_sided_values,
@@ -63,8 +69,10 @@ VERIFY_REPEATS = 3
 SAMPLE_N = 1_000_000
 METRIC_N = 200_000
 NON_DOUBLING_T_GRID = (0.25, 0.5, 1.0, 2.0, 3.0)
-INVERSION_BUILDS = ((2.0, 1.0, 13.27), (1.5, 2.0, 100.0), (1.5, 2.0, 2642.4))
+INVERSION_BUILDS = ((2.0, 1.0, 13.27), (1.5, 2.0, 100.0), (1.5, 2.0, 2642.4),
+                    (1.5, 2.0, 2e4))
 INVERSION_X = (0.05, 1.0, 3.0, 30.0, 200.0)
+FAR_X = (1e6, 1e100)
 KERNELS = {
     "stable.symmetric": (_stable_symmetric_values, 1.5),
     "stable.one_sided": (_stable_one_sided_values, 0.6),
@@ -220,12 +228,18 @@ def inversion_ms() -> dict:
             "ms": round(1e3 * best_seconds(
                 lambda: special.InversionCdf(alpha, nu, x_max)), 1),
             "points": build.points,
-            "head_panels": build.head_panels,
-            "max_rounds": build.max_rounds,
+            "nodes": build.head_panels,
+            "rule_difference": build.max_rounds,
         }
     for fn in (special.cdf_by_inversion, special.pdf_by_inversion):
         seconds = best_seconds(lambda: [fn(1.5, 2.0, x) for x in INVERSION_X])
         out[f"{fn.__name__}.ms_per_call"] = round(1e3 * seconds / len(INVERSION_X), 3)
+    for x in FAR_X:
+        try:
+            ms = round(1e3 * best_seconds(lambda: special.cdf_by_inversion(1.5, 2.0, x)), 3)
+        except AccuracyError as exc:
+            ms = f"AccuracyError: {exc}"
+        out[f"cdf_by_inversion.ms_per_call.x{x:g}"] = ms
     return out
 
 

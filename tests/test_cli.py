@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import htmix
 from htmix import cli, limits
 from htmix.cli import _ROWS, _fmt, _sample_csv, main
 from htmix.distributions import DistSpec, sample
@@ -149,6 +154,13 @@ class TestEval:
         assert run("eval", "--fn", "genlinnik-cf", "--alpha", "1.5", "--nu", "2",
                    "--grid", "1e300:1e300:1") == 0
         assert capsys.readouterr().out == "x,value\n1e+300,0\n"
+
+    def test_inversion_far_out(self, capsys):
+        # Past |x| of about 6e6 the oscillatory inversion this replaced ran
+        # out of head panels and exited 4.
+        assert run("eval", "--fn", "genlinnik-cdf", "--alpha", "1.5", "--nu", "2",
+                   "--grid", "-1e7:1e7:2e7") == 0
+        assert capsys.readouterr().out == "x,value\n-10000000,1.261566261e-11\n10000000,1\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -493,3 +505,25 @@ class TestSampleRows:
             rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
         ])
         _assert_is_fmt_join(_csv_text(values), values)
+
+
+# scipy submodules that pull in optimize, sparse and linalg; they load on
+# first use (an inversion CDF build, a Mittag-Leffler spectral integral).
+HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.integrate",
+               "scipy.interpolate")
+
+
+@pytest.mark.parametrize("code", [
+    "import htmix",
+    "from htmix import cli; cli.main(['list'])",
+    "from htmix import cli; cli.main(['sample', '--dist', 'gen-linnik', '--alpha', '1.5',"
+    " '--nu', '2', '--n', '1000'])",
+    "from htmix import cli; cli.main(['verify', '--identity', 'I01', '--alpha', '1.5',"
+    " '--b', '0.5', '--n', '2000'])",
+])
+def test_heavy_scipy_stays_off_the_import_path(code):
+    env = {**os.environ, "PYTHONPATH": str(Path(htmix.__file__).parents[1])}
+    script = f"{code}\nimport sys\nprint(sorted(set({HEAVY_SCIPY!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

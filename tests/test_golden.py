@@ -211,15 +211,15 @@ INVERSION_X = (-5000.0, -37.5, -1.0, -1e-3, 0.0, 0.05, 0.7, 3.0, 25.0, 26.0,
 INVERSION_PROBE = np.sinh(np.linspace(-9.0, 9.0, 181))
 
 CDF_INVERSION_DIGEST = (
-    "2c842c53a8455906cd89315224cd1b076a2410a9e0aad53a80fd4f0f0aaa93b9"
+    "411d60a190a7681950249fb48dee657a4e9a81ab31b933af32d5494769c88a98"
 )
 PDF_INVERSION_DIGEST = (
-    "7474dd13fa874549369d8ee21202b34ec6ec5038a2a99590e155adce46dc428c"
+    "09faf6720559ece9a00c94907f68fe28e4dea99ab2bab5091b76fdfb17977885"
 )
 INVERSION_CDF_DIGESTS = {
-    (2.0, 1.0, 12.2): "747a2804def63bf832c1acb085b4bcab074d74d124f420d4b97d9c2aade01d80",
-    (1.5, 2.0, 929.4): "96a05cc861203d5295fa802f8d64bbfdc159a4ee9f61a9444188b94150f6c284",
-    (1.5, 2.0, 2642.4): "5e2ab11d25ecbcda5d129970f03535996dc641bdb2e0bd88a4ac15d4d0d38b02",
+    (2.0, 1.0, 12.2): "2745bdc26d3172f2be95d4f033b59ba54d18e656d7b0376249486ebf347295ba",
+    (1.5, 2.0, 929.4): "340d922cde0553b411c2483edcb596c3f6a3a296ac75e79b9ee6cdff4b8bebdf",
+    (1.5, 2.0, 2642.4): "efb6d2f85c4594f22d1706d71f96799145629b877c35875bc6f073eb55af95c3",
 }
 
 
@@ -269,18 +269,18 @@ REPORTS = {
 }
 
 REPORT_DIGESTS = {
-    "experiment_thm6": "2cb40d307c0f62fb5bab87a80c9b38b0cd0ea5b93992494cdaabcae9b786adf5",
+    "experiment_thm6": "bbb88ae13e5442ec855a8f2e00a7be222a8ce3c11a68ae90c2120dcc0cf41982",
     "lemma14": "749c487ce4cc7f933dded7f05a71a2f85e66a4a8de59bb29708cd7a68d83e06a",
-    "thm6": "9b6415e9abe8a490163c741ec56dafd2d5875c909cef3ee1665500be85f21fe5",
-    "thm7_control": "79eb434cdcbadecd72615b9e8ab7d4132527238952fa52584fb1dbcac68dcae7",
+    "thm6": "75d277951c091ba861764330a9c406a61bb8a635577850a231eabb5508578e0e",
+    "thm7_control": "38a6aa7848731e8c8d73956576fec04e1ccdba61088cfb18ef059f5cb6f3ead3",
     "thm7_custom": "9a7b38917202c729c1e21ef2e391e8c3e686653778a8cbc577c0112294248705",
-    "thm7_rademacher": "1f18246d3fd1d042d6c681979a9b8ecb3ace4d1390b5dd83093daeb44da87217",
+    "thm7_rademacher": "5e294cd784d717f6fed996424890d7ce83d9acb9eda6e9fe17a73a495ce10671",
     "thm7_uniform": "7f7b5f86623f68cb2893663f6a5df2488b011a46f9767406c2a093f477ed8a04",
     "thm8": "53cb8aeeeec8acae6dfcd4925e607574a118a08d52932bf5e94b04ae12b0c70a",
     "thm8_control": "df6ba81bf0230ffbc982595b85c91f34a6e44d101e8dc6694851b849e5e6e673",
-    "thm7_multi": "797c09b2d9760e89d8521b077128fa4577337dd84d548c5f82571450722bf94e",
+    "thm7_multi": "fc9ad45af17c04b06709e580b0442fbf9bedce7cf343df14765b60f6963cf818",
     "thm8_multi": "5a5d8b059cd6d48ed066a071cf4c9eab02296bc94ecbd1939e1b7e77f19bf065",
-    "thm7_control_multi": "f464ed2d8201c877b20f5e289b98a22302253fb230689f8c5d5e76837eab9dc0",
+    "thm7_control_multi": "b2798510b7c32bb2f98d82583df2e4caaa94e8733f30148bd48fe6a89b10592c",
 }
 
 # The raw bytes of the retained final sample alone, apart from the report

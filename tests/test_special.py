@@ -212,6 +212,15 @@ class TestStableRatioDensity:
         with pytest.raises(DomainError):
             stable_ratio_density(1.0, 1.0)
 
+    def test_subnormal_x_past_the_float_range(self):
+        # x^(delta - 1) passes the float64 range: an AccuracyError, not an
+        # OverflowError or a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError):
+                stable_ratio_density(0.01, 5e-324)
+            assert math.isfinite(stable_ratio_density(0.5, 5e-324))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             stable_ratio_density(0.5, 0.0)
@@ -248,6 +257,13 @@ class TestGGDensity:
         assert gg_density(2.0, 1.5, 1.0, 1e300) == 0.0
         assert gg_density(2.0, -1.5, 1.0, 1e-300) == 0.0
 
+    def test_subnormal_x_past_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError):
+                gg_density(0.01, 1.0, 1.0, 5e-324)
+            assert gg_density(0.01, -1.0, 1.0, 5e-324) == 0.0
+
 
 class TestGleserDensity:
     def test_zero_below_support(self):
@@ -277,6 +293,13 @@ class TestSnedecorFisherDensity:
     def test_domain(self):
         with pytest.raises(DomainError):
             snedecor_fisher_density(0.5, 0.0)
+
+    def test_subnormal_x_past_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError):
+                snedecor_fisher_density(0.99, 5e-324)
+            assert math.isfinite(snedecor_fisher_density(0.5, 5e-324))
 
 
 class TestTransforms:
@@ -461,6 +484,92 @@ class TestInversionAccuracy:
             )
 
 
+# Gil-Pelaez values at mpmath's 25 digits, computed as for CDF_PINS, near and
+# at alpha = 2, where the damped ray tilts off the imaginary axis.
+NEAR_TWO_PINS = {
+    (1.99, 0.25): (0.66016249616684196, 0.94554587903040897, 0.99999855673320301),
+    (1.99, 0.5): (0.56589954492309398, 0.89549459294402211, 0.99999710841634792),
+    (1.999, 0.25): (0.65944900598013271, 0.94556231106715434, 0.99999985950375573),
+    (1.999, 0.5): (0.56549823513286945, 0.89550236314929257, 0.99999971852172975),
+    (2.0, 0.25): (0.65936997744922253, 0.9455641032769545, 0.99999999999999835),
+    (2.0, 0.5): (0.56545390153562746, 0.89550316849767384, 0.99999999999999332),
+}
+NEAR_TWO_X = (0.05, 1.0, 30.0)
+
+
+class TestInversionEdges:
+    """The ends of the line and of the alpha range, which the oscillatory
+    inversion could not reach."""
+
+    def test_far_tail(self):
+        assert cdf_by_inversion(2.0, 1.0, 1e7) == 1.0
+        assert cdf_by_inversion(1.5, 2.0, 1e100) == 1.0
+        assert cdf_by_inversion(1.5, 2.0, -1e300) == 0.0
+        # 1 - F(x) against its leading term nu Gamma(alpha) sin(pi alpha/2) / pi x^-alpha
+        xs = np.array([1e7, 1e100])
+        lead = 2.0 * math.gamma(1.5) * math.sin(0.75 * math.pi) / math.pi * xs**-1.5
+        tail = special._upper(1.5, 2.0, xs, False, None).values
+        np.testing.assert_allclose(tail, lead, rtol=1e-9)
+        assert cdf_by_inversion(1.5, 2.0, -1e100) == pytest.approx(lead[1], rel=1e-14)
+
+    @pytest.mark.parametrize("alpha,nu,xs", [(0.3, 0.7, (1e30, 1e100, 1e300)),
+                                             (0.05, 2.0, (1e200, 1e300))])
+    def test_far_lower_tail_at_small_alpha(self, alpha, nu, xs):
+        # F(-x) = 1 - F(x) decays like x^-alpha, with the next term x^-alpha
+        # smaller still (below 1e-9 here). At small alpha much of it lies far
+        # below the damped window, where only the closed far-left term is.
+        xs = np.array(xs)
+        lead = nu * math.gamma(alpha) * math.sin(math.pi * alpha / 2) / math.pi * xs**-alpha
+        got = [cdf_by_inversion(alpha, nu, -x) for x in xs]
+        np.testing.assert_allclose(got, lead, rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha,nu", [(1.5, 2.0), (2.0, 2.0), (0.8, 4.0)])
+    @pytest.mark.parametrize("x", [1e-9, 1e-20, 1e-300, 5e-324])
+    def test_pdf_at_the_origin(self, alpha, nu, x):
+        # alpha nu >= 3: f(x) - f(0) is of order x^2, below abs_tol here.
+        want = pdf_by_inversion(alpha, nu, 0.0)
+        assert pdf_by_inversion(alpha, nu, x) == pytest.approx(
+            want, abs=DEFAULT_ACCURACY.abs_tol)
+        assert pdf_by_inversion(alpha, nu, -x) == pdf_by_inversion(alpha, nu, x)
+
+    @pytest.mark.parametrize("alpha,nu", [(1.5, 1.2), (0.9, 2.0), (2.0, 0.75)])
+    @pytest.mark.parametrize("x", [1e-9, 1e-12, 1e-20, 1e-300, 5e-324])
+    def test_pdf_near_the_origin_against_mpmath(self, alpha, nu, x):
+        # 1 < alpha nu < 3: f(x) = f(0) - c x^(alpha nu - 1) + O(x^2), with
+        # c = -Gamma(1 - alpha nu) cos(pi (alpha nu - 1)/2) / pi (the cf's
+        # t^(-alpha nu) tail; Gradshteyn & Ryzhik 3.823).
+        p = mp.mpf(alpha) * nu
+        c = -mp.gamma(1 - p) * mp.cos(mp.pi * (p - 1) / 2) / mp.pi
+        want = pdf_by_inversion(alpha, nu, 0.0) - float(c * mp.mpf(x) ** (p - 1))
+        assert pdf_by_inversion(alpha, nu, x) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha,nu", sorted(NEAR_TWO_PINS))
+    @pytest.mark.parametrize("i", range(len(NEAR_TWO_X)))
+    def test_near_two_pinned(self, alpha, nu, i):
+        x = NEAR_TWO_X[i]
+        assert cdf_by_inversion(alpha, nu, x) == pytest.approx(
+            NEAR_TWO_PINS[alpha, nu][i], abs=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.75, 2.5, 10.0])
+    def test_alpha_two_density_against_mpmath(self, nu):
+        # The variance-gamma density 2^(1/2-nu) x^(nu-1/2) K_(nu-1/2)(x) / (sqrt(pi) Gamma(nu)).
+        for x in (0.01, 1.0, 7.0, 40.0):
+            v = mp.mpf(nu)
+            want = (2 ** (0.5 - v) * mp.mpf(x) ** (v - 0.5) * mp.besselk(v - 0.5, x)
+                    / (mp.sqrt(mp.pi) * mp.gamma(v)))
+            assert pdf_by_inversion(2.0, nu, x) == pytest.approx(float(want), abs=1e-13)
+
+    @pytest.mark.parametrize("alpha,nu", [(1.99, 10.0), (1.9, 30.0), (0.8, 100.0)])
+    def test_large_nu_near_and_off_two(self, alpha, nu):
+        # The tilted ray keeps |1 + t^alpha| >= 1, so alpha near 2 loses no
+        # digits at large nu; panels narrow as alpha nu grows.
+        xs = np.array([0.1, 1.0, 5.0, 30.0])
+        inv = special._cdf_values(alpha, nu, np.concatenate([-xs, xs]), None)
+        np.testing.assert_allclose(inv.values[:4] + inv.values[4:], 1.0, atol=1e-15)
+        assert np.all(np.diff(inv.values[4:]) > 0)
+        assert inv.errors.max() < 1e-13
+
+
 class TestBatchedInversion:
     """One batched pass gives each point the bits of a batch of one."""
 
@@ -474,26 +583,31 @@ class TestBatchedInversion:
         want = np.array([cdf_by_inversion(1.5, 2.0, x) for x in xs])
         assert got.tobytes() == want.tobytes()
 
-    def test_shuffled_points_over_many_k0_groups(self):
-        # |x| up to 300 spans about 90 k0 groups, some of one point; the
-        # shuffle interleaves the groups and their row blocks.
-        side = np.linspace(0.05, 300.0, 500)
+    @pytest.mark.parametrize("alpha,nu", [(1.5, 2.0), (0.1, 0.3), (1.9, 3.0)])
+    def test_shuffled_points_across_windows(self, alpha, nu):
+        # |x| from 1e-300 to 1e300: windows below the coarse lattice, inside
+        # it and far above it, on the imaginary axis (1.5, 2), with coarse
+        # panels wider than the fine ones and a partial panel (0.1, 0.3), and
+        # on a tilted ray (1.9, 3). The shuffle interleaves their row blocks.
+        side = np.concatenate([np.geomspace(1e-300, 1e300, 301), np.linspace(0.05, 300.0, 200)])
         xs = np.random.default_rng(3).permutation(np.concatenate([-side, side, [0.0]]))
-        got = special._cdf_values(1.5, 2.0, xs, None)
-        one = [special._cdf_values(1.5, 2.0, np.array([x]), None) for x in xs]
-        for field in ("values", "panels", "rounds"):
+        got = special._cdf_values(alpha, nu, xs, None)
+        one = [special._cdf_values(alpha, nu, np.array([x]), None) for x in xs]
+        for field in ("values", "nodes", "errors"):
             want = np.concatenate([getattr(inv, field) for inv in one])
             assert getattr(got, field).tobytes() == want.tobytes()
 
-    def test_rows_refining_longer_than_their_neighbours(self):
-        # Near the roundoff floor the rows of one k0 = 8 block (68 edges a
-        # row) stop after different numbers of refinement rounds.
-        tight = Accuracy(abs_tol=1e-15)
-        xs = np.linspace(0.05, 25.0, 60)
-        inv = special._cdf_values(0.1, 0.3, xs, tight)
-        assert np.unique(inv.rounds[: special._BLOCK // 68]).size > 1
-        want = np.array([cdf_by_inversion(0.1, 0.3, x, accuracy=tight) for x in xs])
+    def test_rows_summing_different_panel_counts(self):
+        # At small alpha the points of one row block sum different numbers of
+        # coarse panels before their windows, and the densities too.
+        xs = np.geomspace(1e-300, 1e12, 97)
+        inv = special._cdf_values(0.1, 0.3, xs, None)
+        assert np.unique(inv.nodes).size > 5
+        want = np.array([cdf_by_inversion(0.1, 0.3, x) for x in xs])
         assert inv.values.tobytes() == want.tobytes()
+        dens = special._upper(0.8, 3.0, xs, True, None).values
+        assert np.maximum(dens, 0.0).tobytes() == np.array(
+            [pdf_by_inversion(0.8, 3.0, x) for x in xs]).tobytes()
 
     def test_grid_values_are_pointwise_values(self):
         cdf = InversionCdf(2.0, 1.0, 30.0, n_linear=20, n_log=30)
@@ -518,9 +632,10 @@ class TestBatchedInversion:
             getattr(second, c) for c in counters
         ]
         assert first.points == first._interp.x.size
-        # Each point past 0 evaluates at least 67 head panels, then 134.
-        assert first.head_panels >= 3 * 67 * (first.points - 1)
-        assert 1 <= first.max_rounds <= 7
+        # Each point past 0 sums a damped window of 17 fine panels of 32
+        # nodes; the two rules agree to well inside abs_tol.
+        assert first.head_panels >= 32 * 17 * (first.points - 1)
+        assert 0.0 < first.max_rounds <= 1e-14
 
 
 @settings(max_examples=50, deadline=None)
