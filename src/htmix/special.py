@@ -426,7 +426,7 @@ _FAR = 40.0  # below ln u = -40/alpha, u^alpha < e^-40
 _TURNS = 16.0  # alpha * nu up to which the panels need not narrow
 _RISE = math.log(1e3)  # the most the kernel may rise above 1 on the imaginary axis
 _MOST_PANELS = 4096  # fine panels per damped window
-_BLOCK = 1 << 15  # damped matrix entries per row block, to bound memory
+_ENTRIES = 1 << 15  # damped matrix entries per row block, to bound memory
 
 
 class _Inversion(NamedTuple):
@@ -542,7 +542,7 @@ def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy) -> _Inversion:
     kappa = _kernel(alpha, nu, ray, fine_v, density) * (w * ray.fine)
     grow = np.exp((np.arange(width)[:, None] + t) * ray.fine)  # u / e^v_win
     x_win = np.exp(v_win - v_star)  # x e^v_win
-    step = max(1, _BLOCK // kappa[:width].size)
+    step = max(1, _ENTRIES // kappa[:width].size)
     for rows in (slice(lo, lo + step) for lo in range(0, ax.size, step)):
         k = kappa[(start[rows] - first).astype(np.int64)[:, None] + np.arange(width)]
         xu = x_win[rows, None, None] * grow

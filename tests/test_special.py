@@ -498,8 +498,7 @@ NEAR_TWO_X = (0.05, 1.0, 30.0)
 
 
 class TestInversionEdges:
-    """The ends of the line and of the alpha range, which the oscillatory
-    inversion could not reach."""
+    """The far ends of the line, the origin, and alpha near 2."""
 
     def test_far_tail(self):
         assert cdf_by_inversion(2.0, 1.0, 1e7) == 1.0
