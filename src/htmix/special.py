@@ -651,7 +651,7 @@ class InversionCdf:
     which resolve the singular term of the density at 0. The whole grid is
     inverted in one pass under the given accuracy: the damped integrand's
     kernel is evaluated once on its lattice, and each point sums its own
-    panels in a fixed order (see _damped), so every grid value equals
+    panels in a fixed order (see _upper), so every grid value equals
     cdf_by_inversion at that point bit for bit. The grid on [0, 2] does not
     depend on x_max, so one build out to the largest |x| of several samples
     serves them all.

@@ -573,9 +573,8 @@ class TestBatchedInversion:
     """One batched pass gives each point the bits of a batch of one."""
 
     def test_batch_matches_pointwise(self):
-        # |x| <= 8 pi shares k0 = 8 (about 190 rows, many row blocks); up to
-        # 40 spans five more k0 groups; 5000 and -3210.5 have more panels per
-        # row than one block holds.
+        # About 300 rows over several row blocks, whose windows start at many
+        # different lattice panels; 5000 and -3210.5 lie far from the rest.
         side = np.linspace(0.1, 40.0, 150)
         xs = np.concatenate([-side, [0.0], side, [5000.0, -3210.5]])
         got = special._cdf_values(1.5, 2.0, xs, None).values
