@@ -5,7 +5,11 @@
 Measures, best of REPEATS runs each unless noted:
 
 * ns per draw of the stable kernels, symmetric at alpha = 1.5 and one-sided
-  at alpha = 0.6, at 2^18 and 10^6 draws;
+  at alpha = 0.6, at 2^18 and 10^6 draws, and of their transforms alone
+  (``_cms`` and ``_kanter``, block by block on TRANSFORM_BLOCKS blocks of
+  ``_BLOCK`` draws, less the copy that restores the draws each run); then
+  both again in a subprocess on numpy's X86_V3 (AVX2) dispatch, where
+  ``np.tan``, on which the transforms' sine and cosine are built, is libm;
 * ns per draw of ``sample`` for each of the 22 family/route specs of the
   ``sample_bulk`` benchmark (``perfbench/workloads.py``) at 10^6 draws, once
   on a 1-worker pool and once on the default pool;
@@ -44,6 +48,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,7 +60,12 @@ import numpy as np
 from htmix import _pool, cli, identities, limits, special, verification
 from htmix.errors import AccuracyError
 from htmix.distributions import (
+    _BLOCK,
     DistSpec,
+    _cms,
+    _cms_draw,
+    _kanter,
+    _kanter_draw,
     _stable_one_sided_values,
     _stable_symmetric_values,
     sample,
@@ -77,6 +88,10 @@ KERNELS = {
     "stable.symmetric": (_stable_symmetric_values, 1.5),
     "stable.one_sided": (_stable_one_sided_values, 0.6),
 }
+TRANSFORMS = {"cms": (_cms_draw, _cms, 1.5), "kanter": (_kanter_draw, _kanter, 0.6)}
+TRANSFORM_BLOCKS = 16
+# numpy's dispatch below AVX512: float64 tan (and power, exp, log) change loops.
+X86_V3 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 
 
 def best_seconds(fn, repeats: int = REPEATS) -> float:
@@ -97,6 +112,39 @@ def kernel_ns_per_draw() -> dict:
             seconds = best_seconds(lambda: kernel(rng, n, alpha))
             out[f"{name}.n{n}"] = round(1e9 * seconds / n, 2)
     return out
+
+
+def transform_ns_per_draw() -> dict:
+    n = TRANSFORM_BLOCKS * _BLOCK
+    out = {}
+    for name, (draw, transform, alpha) in TRANSFORMS.items():
+        raw = draw(np.random.default_rng(1), n, alpha)
+        work = tuple(np.empty(n) for _ in raw)
+
+        def restore():
+            for w, r in zip(work, raw):
+                w[...] = r
+
+        def run():
+            restore()
+            for lo in range(0, n, _BLOCK):
+                transform(tuple(w[lo : lo + _BLOCK] for w in work), alpha)
+
+        seconds = best_seconds(run) - best_seconds(restore)
+        out[name] = round(1e9 * seconds / n, 2)
+    return out
+
+
+def kernels() -> dict:
+    return {"ns_per_draw": kernel_ns_per_draw(),
+            "transform_ns_per_draw": transform_ns_per_draw()}
+
+
+def x86_v3_kernels() -> dict:
+    """kernels() in a subprocess on numpy's X86_V3 dispatch."""
+    run = subprocess.run([sys.executable, __file__, "--kernels"], check=True,
+                         env=dict(os.environ, **X86_V3), capture_output=True, text=True)
+    return json.loads(run.stdout)
 
 
 def sample_ns_per_draw() -> dict:
@@ -244,8 +292,12 @@ def inversion_ms() -> dict:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--kernels"]:
+        print(json.dumps(kernels()))
+        sys.exit()
     print(json.dumps({
-        "ns_per_draw": kernel_ns_per_draw(),
+        **kernels(),
+        "x86_v3": x86_v3_kernels(),
         "sample_ns_per_draw": sample_ns_per_draw(),
         "csv_ns_per_value": csv_ns_per_value(),
         "grouped_sums_draws_per_s": grouped_sums_draws_per_s(),

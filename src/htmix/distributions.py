@@ -10,6 +10,15 @@ run their elementwise part. Each family is one entry of _FAMILY_TABLE;
 sampling, the closed transforms and positivity all read that entry, and
 each sampling route is one _Route row of it: a draw step, then a transform
 step.
+
+The stable transforms take their sines and cosines from np.tan (_sin and
+_cos, half-angle forms within a few ulp of libm's). numpy runs float64 tan
+as a vectorized SIMD loop on AVX512 (X86_V4) CPUs, but sin and cos as
+scalar libm calls, several times slower; these calls were most of each
+stable kernel's time. On CPUs without AVX512, tan is libm too, and the
+kernels run up to about twice as slow as np.sin and np.cos would make
+them. Either way the bytes, like those of np.power, np.exp and np.log,
+follow numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -327,10 +336,11 @@ class SampleBatch:
 # gets the same float operations whatever the block and worker count. The
 # stable transforms evaluate Chambers-Mallows-Stuck (Chambers, Mallows &
 # Stuck 1976; Weron 1996) in direct form with in-place ufuncs, one power
-# per draw. They agree with the sum-of-logs form (the oracle in
-# tests/test_distributions.py) to about 1e-13 relative at alpha >= 0.05; at
-# alpha = 0.01 the power overflows on a few more draws than that form does
-# (ROADMAP item 4). A raw value is an array or a tuple of raw values.
+# per draw, and sines and cosines from tan (_sin, _cos). They agree with
+# the sum-of-logs form (the oracle in tests/test_distributions.py) to about
+# 1e-13 relative at alpha >= 0.05; at alpha = 0.01 the power overflows on a
+# few more draws than that form does (ROADMAP item 4). A raw value is an
+# array or a tuple of raw values.
 
 _BLOCK = 1 << 16
 
@@ -379,6 +389,34 @@ def _run(route: _Route, rng: np.random.Generator, n: int, p) -> np.ndarray:
     return out
 
 
+# pi/2 as the double nearest it plus the double nearest the rest.
+_HALF_PI_HI = 1.5707963267948966
+_HALF_PI_LO = 6.123233995736766e-17
+
+
+def _sin(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sin x for |x| < pi, into out (which may be x): with T = tan(x/2),
+    sin x = 2T / (1 + T^2). Relative error within a few ulp, since T's
+    relative error reaches sin x scaled by |cos x| <= 1."""
+    t = np.multiply(x, 0.5, out=out)
+    np.tan(t, out=t)
+    d = np.square(t)
+    d += 1.0
+    t += t
+    return np.divide(t, d, out=t)
+
+
+def _cos(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cos x for |x| <= pi/2, into out (which may be x), as sin(psi) with
+    psi = (pi/2_hi - |x|) + pi/2_lo. For |x| >= pi/4 the subtraction is
+    exact (Sterbenz), so psi keeps its relative accuracy as |x| -> pi/2,
+    and cos(-pi/2) is 6.123e-17, as libm gives."""
+    t = np.abs(x, out=out)
+    np.subtract(_HALF_PI_HI, t, out=t)
+    t += _HALF_PI_LO
+    return _sin(t, t)
+
+
 def _cms_draw(rng: np.random.Generator, n: int, alpha: float):
     if alpha == 2.0:
         return rng.standard_normal(n)
@@ -397,13 +435,13 @@ def _cms(raw, alpha: float):
     phi, w = raw
     # X = sin(a phi)/cos(phi) * (cos((1-a) phi) / (W cos(phi)))^((1-a)/a).
     t = np.multiply(phi, 1.0 - alpha)
-    np.cos(t, out=t)
+    _cos(t, t)
     np.divide(t, w, out=t)
-    cos_phi = np.cos(phi, out=w)
+    cos_phi = _cos(phi, w)
     np.divide(t, cos_phi, out=t)
     np.power(t, (1.0 - alpha) / alpha, out=t)
     np.multiply(phi, alpha, out=phi)
-    np.sin(phi, out=phi)
+    _sin(phi, phi)
     np.divide(phi, cos_phi, out=phi)
     return np.multiply(phi, t, out=phi)
 
@@ -426,13 +464,13 @@ def _kanter(raw, alpha: float):
     # On (0, pi) the two ratios are at least a and 1-a, so X is positive.
     np.multiply(u, math.pi, out=u)
     t = np.multiply(u, 1.0 - alpha)
-    np.sin(t, out=t)
+    _sin(t, t)
     np.divide(t, w, out=t)
-    sin_u = np.sin(u, out=w)
+    sin_u = _sin(u, w)
     np.divide(t, sin_u, out=t)
     np.power(t, (1.0 - alpha) / alpha, out=t)
     np.multiply(u, alpha, out=u)
-    np.sin(u, out=u)
+    _sin(u, u)
     np.divide(u, sin_u, out=u)
     return np.multiply(u, t, out=u)
 

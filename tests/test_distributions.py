@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from htmix.distributions import (
     _POISSON_MAX,
+    _cos,
+    _sin,
     _stable_one_sided_values,
     _stable_symmetric_values,
     DistSpec,
@@ -484,6 +486,49 @@ class TestDispatcherGuards:
     def test_stream_type(self):
         with pytest.raises(DomainError):
             sample(spec_of("normal"), 10, np.random.default_rng(0))
+
+
+BELOW_PI = math.nextafter(math.pi, 0.0)  # the largest double below pi
+HALF_PI = math.pi / 2  # the double nearest pi/2
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+@pytest.mark.parametrize("helper,libm,edge,points", [
+    (_sin, np.sin, BELOW_PI,
+     (BELOW_PI, -BELOW_PI, math.nextafter(BELOW_PI, 0.0), 3.0)),
+    (_cos, np.cos, HALF_PI,
+     (math.nextafter(HALF_PI, 0.0), math.nextafter(-HALF_PI, 0.0), math.pi / 4,
+      math.nextafter(math.pi / 4, 1.0), math.nextafter(math.pi / 4, 0.0))),
+], ids=["sin", "cos"])
+def test_tan_based_trig_matches_libm(helper, libm, edge, points):
+    """The kernels' sin (|x| < pi) and cos (|x| <= pi/2), built on tan, are
+    within 4 ulp of numpy's sin and cos over their domains."""
+    x = np.concatenate([
+        np.linspace(-edge, edge, 2_000_001),
+        [0.0, -0.0, 1e-300, -1e-300, 1e-20, HALF_PI, -HALF_PI], points,
+    ])
+    before = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = helper(x, np.empty_like(x))
+        want = libm(x)
+    assert np.array_equal(x, before)  # out= is where the values go
+    nonzero = want != 0.0
+    assert np.array_equal(got[~nonzero], want[~nonzero])
+    assert _ulps(got[nonzero], want[nonzero]).max() <= 4.0
+    # In place, as the kernels call them, the values are the same.
+    assert np.array_equal(helper(x, x), got)
+
+
+def test_tan_based_cos_at_minus_half_pi():
+    # cms draws phi = -pi/2 exactly when U = 0; cos(phi) then stays positive,
+    # the value libm gives.
+    got = _cos(np.array([-HALF_PI, HALF_PI]), np.empty(2))
+    assert np.array_equal(got, np.cos([-HALF_PI, HALF_PI]))
+    assert got[0] == 6.123233995736766e-17
 
 
 # The log-form Chambers-Mallows-Stuck kernels the direct-form ones replaced,

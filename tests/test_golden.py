@@ -1,7 +1,9 @@
 """Byte-level determinism: SHA-256 digests of samples, reports and CLI output.
 
-The package promises that the same seed and the same numpy version give the
-same bytes. These digests pin that promise for every family and sampling
+The package promises that the same seed, the same numpy version and the
+same numpy SIMD dispatch give the same bytes (the digests are the AVX512,
+X86_V4, bytes: with that level disabled, np.power, np.exp, np.log and
+np.tan return other bits). These digests pin that promise for every family and sampling
 route, for the closed transforms, for the characteristic-function inversion
 (scalar values and ``InversionCdf`` builds), for every limit theorem and mode
 (report JSON plus the raw bytes of the retained final sample), for the
@@ -91,20 +93,20 @@ SAMPLE_DIGESTS = {
     "gen_gamma": "7f53940d5eba2741ba374f681926ff39a819bc880fc9d0d28a610548a807c890",
     "exp_power": "b900fb2d213fccdf8636c669325a8d575e38b68a0dffe479c55178b49df463f8",
     "neg_binom": "4bc62da194ff57a32d790a3e08159b05c9cbf652a86311dbc2566fb6fc74a666",
-    "stable.symmetric": "4b7335d438e49d31b90b03d76f8405e4820fe04fabbd84d26eba28e99ad012fa",
-    "stable.one_sided": "fa8d5da5d94cf061130e7a9d0f2f45ae47a13d6fd74eaee007716295dbdd15b1",
-    "stable_ratio": "6137d3fdc2b20f979c67f2a8b1927bd8ea7cd54903c95b31526d43e5dd250678",
+    "stable.symmetric": "38cf9de9227f1dd57d7ab865a5f3c31bcdf2e54f340d840f606ab28d8fffec13",
+    "stable.one_sided": "4747dd31e01ef60a0ddfc89c7f31a3c676889b800dcda6cd12617771c7feebe7",
+    "stable_ratio": "f4ac2d6e242e8c5c65ef9d21aa5d3a58dbe7a43e27b46ba9944228c2799f211d",
     "z_mix": "486edba6628a14a7ac07a2a3f0136a73174805e382e3b69916f7ca2bcec1c6b1",
-    "mittag_leffler.stable_weibull": "2d2ce7cc8ba758aa5439682f405feddc59588363c23ace726e883b6a46aa1080",
-    "mittag_leffler.exp_ratio": "531e1cce5acf6372f73f790453b87c9f46e60ff38e2fe13230670cfdf62365ba",
-    "gen_mittag_leffler": "c3eaf6fd61acef169f33b979c312a28875f1714d054da3a1246da13a1e670dd8",
-    "linnik.stable_weibull": "c10cf421feed309c39dcafc613f6850fed75a8c5a8b2caee2a5e22a4207c92d8",
-    "linnik.normal_ml": "fed11e6e91dbd9c7a0ec1c7fa1ac7acc9ab859342414ae3349d9e609918c1cab",
-    "linnik.laplace_ratio": "ae617a5d918acf1782828150ec3cce27d12cb36a2424a8429d0eee63066d305a",
-    "gen_linnik.stable_gamma": "853ea03d974cb130cbeb1ff92d78767dd4579abf48bcd40205a63c4305f08a0f",
-    "gen_linnik.normal_genml": "21dc8e1dc7c2739b8a0357fa7c3fa00add27ac3d3cb3931eb7892e34e34ec107",
-    "gen_linnik.linnik_z": "c2849a7ce9de1bfa8d079bf26fbbcf15256d8995e624086ad2e46c53363afc95",
-    "gen_linnik.stable_genml": "88e5d11599610851fe7544e3af9b71275222189929e50cd180eb2b004b042406",
+    "mittag_leffler.stable_weibull": "50041e3d8856b16f0564f5e969b28eff678c99451f46a870a5f2216100b1e7f4",
+    "mittag_leffler.exp_ratio": "ce51eb7e2931c7858bc35c9e50061393e399ebaf643509501406c2984fd05935",
+    "gen_mittag_leffler": "0328fc3b03d0d96c325841482c8b426d5ddb6e4c6d03dd2f01447a806d3b1419",
+    "linnik.stable_weibull": "1baf1d184f7bad024f7fe5f717e87d8bd5358b7033830afe5bc70a0cb6ca0982",
+    "linnik.normal_ml": "0fb0750a84971dce1d71c3c109ef96b4eb77babc6b65883c41f42d8b4f1ee4a1",
+    "linnik.laplace_ratio": "bda3c949473a9f4ffdd38c94792d22aa242419d1ff68e4da20e88c63c6ffb72b",
+    "gen_linnik.stable_gamma": "0eee89e0e408bdf24e8086d99c70d4eaa531ce8d21c7908533a209bcb6468734",
+    "gen_linnik.normal_genml": "0a20bbdd3185614e2a3653c33de0e44275a815c8ac8deefb9f9f9d108142d89f",
+    "gen_linnik.linnik_z": "e6b6fe786c4a6fe3157df286962e2d03c10012553370eee5b67efa3a6da30ed1",
+    "gen_linnik.stable_genml": "4d09800066f0a19633981b3ef72cd6be2de2ebfb729ec6e576853dde1e125bd9",
 }
 
 # The same specs and streams at BLOCK_SAMPLE_N draws: past one sampling
@@ -121,20 +123,20 @@ BLOCK_SAMPLE_DIGESTS = {
     "gen_gamma": "173aa3fcc9d11b6eb873c93619d3bfac7df458a9160d51280dcccedd65cec8aa",
     "exp_power": "36bcab27a2ddab59649a31bceffc9b9beba017af9642134a571ff9670b5ccf23",
     "neg_binom": "7faa033677a607573321aa54756dfad10c25f5c161ba36b6d887fe655ce12303",
-    "stable.symmetric": "5aa9a9170068877bc7c38915b5bacb44834d4be0e16fbcfb4b513c3f37fa8513",
-    "stable.one_sided": "1f8cbf71acf3abb47d85377b1503e740cadc09145ae53d6b93354792f061a480",
-    "stable_ratio": "523c7932f9ec1c4ffd613031620bbf3820c41b719d70223c556ae59ddaa3ae7a",
+    "stable.symmetric": "3f823ca83ba3c5aca5c5d0d6e9a77b3e5dd4fcc3f27db8f72e828b409bc5a4a2",
+    "stable.one_sided": "bf207ed4e905d576f7e15d89dafedb25feaae3ed5ad7b090c3338268522196e8",
+    "stable_ratio": "62a40967919315325db606634e11683e48e0d8c9b2c7125f32ecee5eb7d165a2",
     "z_mix": "2d70fe9ae0c092d5342df656763861284fffb78d41405e04cf22e5b7854f0f2a",
-    "mittag_leffler.stable_weibull": "478041fdc96e7c5d0929b2a9964c5d91f290f10b3ec8c299f3c82f7d926fba13",
-    "mittag_leffler.exp_ratio": "a577cc23b0e31de36ad0e6a008adced282dbf171cba484c57c8fbd41e8653300",
-    "gen_mittag_leffler": "ab6b9fc98052db5e547af5844f987bf7856293f0e6783277233da673e521c022",
-    "linnik.stable_weibull": "6b912dc7f9da656bfd8c0f1dfdbb517b090af887180b79972af4f0a24107ef9b",
-    "linnik.normal_ml": "80ecb1428bd0a38657a99a0c045b6ecdca8474ded8e1a03d121c077da0d630c2",
-    "linnik.laplace_ratio": "d2add5f8aa828c7eda08c87f574d8ed9a582b53e260dfd6972dbba142bd5672c",
-    "gen_linnik.stable_gamma": "7e6c1effaf85218db60085e0eae2d53c9a4c406ec2f086dc84189b50292f319c",
-    "gen_linnik.normal_genml": "c39d9ffe2f3c32c9b3afcc96a90e0c3e6f754daa7c02f6501ae4aef7767a5400",
-    "gen_linnik.linnik_z": "11579ffbc5c314ea3261b522566b3920d968218735578451a3f2db99a326e33a",
-    "gen_linnik.stable_genml": "7d2d9aeb77d3ee42b3482bc6c59f5b21e5159a39f3b449e429f9fef44361f4d2",
+    "mittag_leffler.stable_weibull": "e242a22b2fd92fd5e985e1db3eaefc7633c2afed56c6f7a9232a0e5b1add5c1f",
+    "mittag_leffler.exp_ratio": "845fabeaf19f99220e3f8d3e6ee1ea94caf0b0c97b4250afe9f6d685748b5c52",
+    "gen_mittag_leffler": "2563faa43c6883b712c3a8338a5479ed0f2e7d3957072e501704cb2dcc8a2829",
+    "linnik.stable_weibull": "09794a5588ebe1d35a1cf3d3cb88478e7a303e87a12b6ace3b82a44862fbb41b",
+    "linnik.normal_ml": "eabe05f64308c61ab2c475cb207247070306733336ba6a0ecf55bf6b5d5384b7",
+    "linnik.laplace_ratio": "14de7ba609387375e973fcba0cc3d3c306abee8540660f2c4dabffde82745808",
+    "gen_linnik.stable_gamma": "daa067cf9182ae6e9165863d34cc7d4465f02f4d6bcf44780992c19a8f8702b4",
+    "gen_linnik.normal_genml": "478b69c289e89e015831e4f0b4cbbde5d00940c143db24b0f582816f4ad0877a",
+    "gen_linnik.linnik_z": "13e1a434959481404ba85df1a67d257e71413436eec5c8dc79d5c1dd3a979b36",
+    "gen_linnik.stable_genml": "240f2110000a7bc4180769da057f13f003f336e375b20efb96e806bc8705a9d1",
 }
 
 # Degenerate and closed-form corners of the routes (alpha = 1 or 2, delta = 1,
@@ -160,7 +162,7 @@ BLOCK_CORNERS = (
     ("linnik", {"alpha": 2.0}, "normal_ml",
      "15c7a251bf831454864d770793b2775ee6a0d3b7b6bd79b248c1d4ded732b5a0"),
     ("linnik", {"alpha": 1.0}, "laplace_ratio",
-     "e7d3808a6a9541f67c6145f62a2260931fbeeaecef1c3f1aa975ca8f7722a819"),
+     "07b000a3e7d8991ad2c39d0e951acc18a13326e59c6ebf2c9931a57f0287c928"),
     ("gen_linnik", {"alpha": 2.0, "nu": 1.0}, "stable_gamma",
      "c31bb69afb8eaac4c8cbf0695cf00a7bc33d2634a702d8242de50b77ae66f5fd"),
     ("gen_linnik", {"alpha": 2.0, "nu": 1.0}, "normal_genml",
@@ -172,7 +174,7 @@ BLOCK_CORNERS = (
     ("gen_linnik", {"alpha": 2.0, "nu": 1.5}, "stable_genml",
      "74dd7ea4e26f75a91f97ee593e8c1cad6f7aa2fb6b76c7123cdb3df3ebe5e833"),
     ("gen_linnik", {"alpha": 0.4, "nu": 3.0}, "stable_genml",
-     "68b1d16ad4dc6cbf5f3b68550df037f07e6fddf1d93279b5909da80255ccf5ca"),
+     "54949d53e9f9e1277826abd58d8966501213b6d0dfef5df4ab111a92b3e3922f"),
     ("weibull", {"gamma": 2.0}, None,
      "4a16943b3bc6998d1de8316b0152eab1cc088a7e83891cb83d014f11808d8c00"),
     ("weibull", {"gamma": 0.5}, None,
@@ -186,7 +188,7 @@ BLOCK_CORNERS = (
     ("neg_binom", {"nu": 0.5, "p": 0.3}, None,
      "7e2fdfcf3230e2624336255cf641d29d5d5ff2c1b1108ab5eb920786aa34cf06"),
     ("stable_ratio", {"delta": 0.3}, None,
-     "6904897dc8f890c86cdb6181df768a7c4415d6ea31ee81f9bb1f9a23763e6170"),
+     "ca9a58241c7bf2850f4ccb6e7607ab491003066aac50f73e4069748fa11449e7"),
 )
 
 TRANSFORM_POINTS = (0.5, 1.0, 2.0)
@@ -271,7 +273,7 @@ REPORTS = {
 REPORT_DIGESTS = {
     "experiment_thm6": "bbb88ae13e5442ec855a8f2e00a7be222a8ce3c11a68ae90c2120dcc0cf41982",
     "lemma14": "749c487ce4cc7f933dded7f05a71a2f85e66a4a8de59bb29708cd7a68d83e06a",
-    "thm6": "75d277951c091ba861764330a9c406a61bb8a635577850a231eabb5508578e0e",
+    "thm6": "cb48812df98f0522f6b08877d3e0b06259c3917dc1339e23f4f404d7c03e0b8d",
     "thm7_control": "38a6aa7848731e8c8d73956576fec04e1ccdba61088cfb18ef059f5cb6f3ead3",
     "thm7_custom": "9a7b38917202c729c1e21ef2e391e8c3e686653778a8cbc577c0112294248705",
     "thm7_rademacher": "5e294cd784d717f6fed996424890d7ce83d9acb9eda6e9fe17a73a495ce10671",
@@ -323,7 +325,7 @@ CLI_DIGESTS = {
     "list": "1d14b1896bb5d39160ae98232ff96b0560e0278d008b1527c2264eb28eeeb94b",
     "sample": "b7c0fe05c73829007ff39c1125600ed68485ef1217aca896e3ab9370dd540a77",
     "sample_method": "11d4e3d78e97b446f06fdd4963651a1d64a814e395abf730b08ebbfcf20619e5",
-    "verify_I22": "9c35d712e17b83f603a1e596ff1881f141399466fdc79820b5d9b21f80688bea",
+    "verify_I22": "0cdff92571c082a9fd6c85b9bc182bad1276725a1a385ecb6a4a749ff9bd5945",
 }
 
 # Every identity case over its canonical grid, as run_grid runs it (seed
@@ -331,31 +333,31 @@ CLI_DIGESTS = {
 # report JSONs of a case, concatenated.
 VERIFY_N = 20_000
 VERIFY_DIGESTS = {
-    "I01": "d97976569f38c77f9f498c43a835325109dcf4b04b2bf5d0c3e080864c0741c0",
+    "I01": "d7dbad088d17b85b038b3891efb4acf44b103a3de7c2eb6bf0c478e5ed3388da",
     "I02": "93b0bcfbf89f49cd5ff049ef41f65be9fe1a4766414b16dbaeb4c45c36ef6be6",
-    "I03": "91359d9a49ecadf295ae29bdd35039626b2db7e095a107b500717d629a8b283b",
+    "I03": "21df883c8096015ed781bd8a19d00f3ecce882625deb6157694220a25661edaf",
     "I04": "10ae898b678fa2753c6d4f907907ff07590434760295b63b4265cc6c1bce31f3",
     "I05": "4c0492ee5273a9a6376f73e05db44b3ac9ccd794e4a35b2923c41c4a099463de",
     "I06": "53ce1cd13ce1554447ffb6ed7a08b9eb856e658d980da9745e28e485e00d264b",
     "I07": "860ef47dcedfa0774d165f3a92959548f1988887730221723a039b81cef09207",
     "I08": "fa6a5b66bf0449cc4f60623ccd507335df400f0fe9a62200eb32037367b41685",
-    "I09": "1ac6018f8501ca5dd2210371f28a41c5d0a41934054c0f23c9e32edf984376f5",
-    "I10": "0568a60bc7fa439b728caaf0b7fa4281b65b86ccc733ea358ddaaa840b3bdcc2",
-    "I11": "ed188843c773f6d1043141fcf81d8ca5344c79b6ed0fd64a2c499646844b61e5",
-    "I12": "d94a597ed44c5c11542e4ef66c4717323e1039285e09ccc0259c69aa2b404a11",
-    "I13": "394d78268ecaaedd24b34d22b9df179451167f6c8a033ed90bc04ed4cd971121",
-    "I14": "b44e3ee2056cf7742d2b3d5d67acf7e47dbe5366f36cb421f2c577ef40507813",
-    "I15": "c4a538c8d1e81bf74794b092572b727eef29e29776ef605bfa543eebef9f89ca",
+    "I09": "c95bb22051fa1fc80d4d179f0fb1d592b268d853fee896270d302ba24cc47eba",
+    "I10": "926c8f90cd99c97181884feeaa554e0261932b6ff887741a144d1a8252e10d8b",
+    "I11": "013ebe53d992368100f3015955997f6aa939543268653bbfe57bde4f34e4c698",
+    "I12": "e8d830d2efab01b76da3b6c90048aa01cd63627606dd20bb3f90cebd6ff83c46",
+    "I13": "3a4b05160bb27c498033f02eac731af042ad4b15f34caa79608d1eb6b4753f44",
+    "I14": "ef13a8fbca43fc48b7227cd6ac9e0c3e909b8420dcb4cc841e6304eae90d8242",
+    "I15": "d2fd2f8ae3cc47b0371425bbaa17163f977887cc60fac9159c5195c7a2bab4f1",
     "I16": "5b4a01c7e507f93c3ddd2f2dbd987c3e7337c451f99abf15ac847adea1aa4e6e",
-    "I17": "7142e1559dc0adc3827197848aa2d4c9d7994585ce79eee6e1d6a202d99e6eb3",
-    "I18": "9bc0b1901c5686c437d81edffeb7d1b871dec263897d615596654255c7ae63a2",
+    "I17": "b927112c5b9c6033464bfa9e7c273900913c5a5f449e62a067e26c4fd05689e2",
+    "I18": "0f8ebc6808e68fe5ae1478ffee4a30e93219677619088a376d7cc98f9c493b57",
     "I19": "8d75829e633fab2755cdde112cdbd993c5e50a65dfb89e9155558d512f74ce53",
-    "I20": "aa29270cae1362e30ec2a2b42e7c0ec1855e0163dfaca7b54207a4ef63fb6154",
-    "I21": "cc478d135d4f781f6817d6a9ac8ddd726193ab566224200a028a72e9f007bb26",
-    "I22": "14ab5908294b605ca7c23435f9bb22e558386ab82a9a99f50fe8c3bc467e491a",
-    "I23": "7f8f1af9aff2e306f588007f3e60292cf117ccf4e3bf0b531f6ddd961d6921b3",
+    "I20": "3a99ae7b760a15d9fd87699145dfa08e23b4e0459f349673d7a7c5b5906787b3",
+    "I21": "9cca423d90a7e2acc5504505363ab158e800922382ef714055e208ab9bacf197",
+    "I22": "7acc739081f664c6f78e53c68b03123625c05b8e0ec3a3c82f39bcfde349e03f",
+    "I23": "8ed8552fc068eca9ea35debed9fe41eb489469d7e93efc1bb30daf2fa8f43d2b",
     "I24": "c9559521f90a1ef233d992202b8deabd267442c2a9048a044acc349adbf04b87",
-    "I25": "bead552cdf1b6074d363e91ad710865995d8169c1c68f73b534aa319afbc769a",
+    "I25": "2e723a19314d73d99968bbba4477429362b6175723272d52e5d9d68ef768ac5e",
     "I26": "a93f69612d7a154aea498212d2d4fd01dcb9949dc5184fef4a932688c7000485",
 }
 
