@@ -8,8 +8,8 @@ class DomainError(ValueError):
 class UnsupportedRegimeError(DomainError):
     """The request is well-formed but falls in a regime the method cannot serve.
 
-    Example: density inversion of a characteristic function that is not
-    absolutely integrable.
+    Example: the generalized Linnik density at 0 when alpha * nu <= 1,
+    where it is infinite.
     """
 
 

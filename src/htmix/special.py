@@ -557,9 +557,9 @@ def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy) -> _Inversion:
         size[rows] += np.abs(sums[0]).sum(axis=1)
     errors = np.abs(total[0] - total[1])
     acc = accuracy or DEFAULT_ACCURACY
-    if (_EPS * size > acc.abs_tol).any():
+    if not (_EPS * size <= acc.abs_tol).all():  # an overflowed sum is nan or inf here
         raise AccuracyError("abs_tol is below the float64 roundoff of the inversion sum")
-    if (errors > acc.abs_tol).any():
+    if not (errors <= acc.abs_tol).all():
         raise AccuracyError(f"inversion rules differ by {errors.max():.2e}, more than abs_tol")
     nodes = 32 * ((j - j_lo) + cut + width).astype(np.int64)
     return _Inversion(total[0], nodes, errors)
@@ -604,27 +604,31 @@ def pdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
     """Density of the symmetric law with cf (1+|t|^alpha)^(-nu).
 
     (1/pi) * integral over (0, inf) of cos(t x) * cf(t), computed as in
-    cdf_by_inversion with the same accuracy.abs_tol contract. Requires
-    alpha * nu > 1 so that the cf is absolutely integrable; other regimes
-    raise UnsupportedRegimeError. The density is even in x.
+    cdf_by_inversion with the same accuracy.abs_tol contract. The density
+    is even in x. At alpha * nu <= 1 it grows like |x|^(alpha nu - 1) (a
+    log at alpha nu = 1) as x -> 0 and is infinite at 0, where
+    UnsupportedRegimeError is raised. Off 0 the damped integral converges;
+    close to 0, where the density is too large for abs_tol, or its sum
+    passes the double range, AccuracyError is raised.
     """
     law = LinnikParams(alpha, nu)
     alpha, nu = law.alpha, law.nu
     x = _as_float(x, "x")
     if not math.isfinite(x):
         raise DomainError("x must be finite")
-    if alpha * nu <= 1.0:
-        raise UnsupportedRegimeError(
-            "density inversion requires alpha * nu > 1; the characteristic "
-            "function is not absolutely integrable here"
-        )
     if x == 0.0:
+        if alpha * nu <= 1.0:
+            raise UnsupportedRegimeError(
+                "the density is infinite at 0 when alpha * nu <= 1"
+            )
         return float(
             sc.gamma(1.0 / alpha)
             * sc.gamma(nu - 1.0 / alpha)
             / (sc.gamma(nu) * alpha * math.pi)
         )
-    return float(max(_upper(alpha, nu, np.array([abs(x)]), True, accuracy).values[0], 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _upper(alpha, nu, np.array([abs(x)]), True, accuracy)
+    return float(max(res.values[0], 0.0))
 
 
 class _Pchip:

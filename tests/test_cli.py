@@ -184,6 +184,12 @@ class TestEval:
                    "--nu", "1", "--grid", "0:1:0.5") == 4
         assert "unsupported regime" in capsys.readouterr().err
 
+    def test_density_off_the_origin_below_alpha_nu_one(self, capsys):
+        # alpha * nu = 0.3: the density is infinite only at 0.
+        assert run("eval", "--fn", "genlinnik-pdf", "--alpha", "0.6",
+                   "--nu", "0.5", "--grid", "1:1:1") == 0
+        assert capsys.readouterr().out == "x,value\n1,0.04727736679\n"
+
     def test_parameter_flag_the_function_does_not_take(self, capsys):
         assert run("eval", "--fn", "gamma", "--alpha", "7",
                    "--grid", "1:2:1") == 2

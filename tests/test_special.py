@@ -377,10 +377,12 @@ class TestInversion:
         assert pdf_by_inversion(alpha, nu, 0.0) == pytest.approx(want, rel=1e-10)
 
     def test_pdf_unsupported_regime(self):
-        with pytest.raises(UnsupportedRegimeError):
-            pdf_by_inversion(0.5, 1.0, 1.0)
-        with pytest.raises(UnsupportedRegimeError):
-            pdf_by_inversion(1.0, 1.0, 1.0)
+        # At alpha * nu <= 1 the density is infinite at 0, and only there.
+        for alpha, nu in ((0.5, 1.0), (1.0, 1.0), (0.6, 0.5)):
+            for x in (0.0, -0.0):
+                with pytest.raises(UnsupportedRegimeError):
+                    pdf_by_inversion(alpha, nu, x)
+            assert pdf_by_inversion(alpha, nu, 1.0) > 0.0
 
     def test_pdf_mass_matches_cdf(self):
         mass, err = integrate.quad(
@@ -433,6 +435,10 @@ CDF_PINS = {
 CDF_PIN_X = (0.05, 1.0, 30.0, 200.0)
 PDF_PINS = {0.5: 0.21241555909985796, 3.0: 0.046969060945771586,
             10.0: 0.002520610098313219}
+# alpha * nu = 0.3 < 1, from mpmath on the imaginary axis:
+# f(x) = (1/pi) int_0^inf e^(-ux) Im[(1 + u^0.6 e^(-0.3 i pi))^(-0.5)] du.
+SMALL_PDF_PINS = {0.3: 0.18222102459164097, 1.0: 0.047277366794654138,
+                  5.0: 0.0059001184739073368}
 
 
 class TestInversionAccuracy:
@@ -447,6 +453,16 @@ class TestInversionAccuracy:
     @pytest.mark.parametrize("x", sorted(PDF_PINS))
     def test_pdf_pinned(self, x):
         assert pdf_by_inversion(1.5, 2.0, x) == pytest.approx(PDF_PINS[x], abs=1e-9)
+
+    @pytest.mark.parametrize("x", sorted(SMALL_PDF_PINS))
+    def test_pdf_pinned_below_alpha_nu_one(self, x):
+        assert pdf_by_inversion(0.6, 0.5, x) == pytest.approx(
+            SMALL_PDF_PINS[x], rel=1e-12)
+        assert pdf_by_inversion(0.6, 0.5, -x) == pdf_by_inversion(0.6, 0.5, x)
+        # And the slope of the CDF, by a central difference.
+        h = 1e-4
+        slope = (cdf_by_inversion(0.6, 0.5, x + h) - cdf_by_inversion(0.6, 0.5, x - h)) / (2 * h)
+        assert slope == pytest.approx(SMALL_PDF_PINS[x], rel=1e-6)
 
     def test_cdf_against_live_mpmath(self):
         mp.mp.dps = 25
@@ -650,7 +666,7 @@ def test_inversion_properties_over_domain(alpha, nu, xs):
         try:
             upper = [cdf_by_inversion(alpha, nu, x) for x in xs]
             lower = [cdf_by_inversion(alpha, nu, -x) for x in xs]
-            dens = [pdf_by_inversion(alpha, nu, x) for x in xs] if alpha * nu > 1 else []
+            dens = [pdf_by_inversion(alpha, nu, x) for x in xs]
         except AccuracyError:
             return
     tol = 2 * DEFAULT_ACCURACY.abs_tol
