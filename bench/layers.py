@@ -39,7 +39,14 @@ Measures, best of REPEATS runs each unless noted:
 * ms per call of ``cdf_by_inversion`` and ``pdf_by_inversion`` at
   (1.5, 2), averaged over the |x| in INVERSION_X, and of
   ``cdf_by_inversion`` at (1.5, 2) alone at each |x| in FAR_X (the name
-  of the error instead, where a checkout raises one).
+  of the error instead, where a checkout raises one);
+* us per call of ``mittag_leffler`` (at -x), ``ml_density`` and ``ml_cdf``
+  over ML_DELTAS and the 40 log-spaced x of ML_X on [1e-2, 1e3] (the
+  golden and ``special_eval`` grid), split by the branch each point takes
+  (series, tail or spectral; ``ml_cdf`` takes that of E_delta(-x^delta)),
+  each point's best of REPEATS calls averaged over the branch's points;
+  and us per call of ``special._logsumexp`` (where the checkout has it)
+  and ``scipy.special.logsumexp`` on a LSE_TERMS-term series vector.
 
 Run it against another checkout's ``src`` to compare.
 """
@@ -56,6 +63,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy.special as sc
 
 from htmix import _pool, cli, identities, limits, special, verification
 from htmix.errors import AccuracyError
@@ -84,6 +92,10 @@ INVERSION_BUILDS = ((2.0, 1.0, 13.27), (1.5, 2.0, 100.0), (1.5, 2.0, 2642.4),
                     (1.5, 2.0, 2e4))
 INVERSION_X = (0.05, 1.0, 3.0, 30.0, 200.0)
 FAR_X = (1e6, 1e100)
+ML_DELTAS = (0.3, 0.6, 0.9)
+ML_X = np.logspace(-2.0, 3.0, 40)
+LSE_TERMS = 600
+LSE_CALLS = 200
 KERNELS = {
     "stable.symmetric": (_stable_symmetric_values, 1.5),
     "stable.one_sided": (_stable_one_sided_values, 0.6),
@@ -291,6 +303,41 @@ def inversion_ms() -> dict:
     return out
 
 
+def ml_branch(name: str, delta: float, x: float) -> str:
+    """The branch special.<name>(delta, x) takes (at -x for mittag_leffler)."""
+    acc = special.DEFAULT_ACCURACY
+    density = name == "ml_density"
+    arg = x**delta if name == "ml_cdf" else x
+    series = special._ml_density_series if density else special._ml_series_negative
+    if series(delta, arg, acc) is not None:
+        return "series"
+    if special._alternating_tail(delta, arg, acc, density=density) is not None:
+        return "tail"
+    return "spectral"
+
+
+def ml_us_per_call() -> dict:
+    out = {}
+    for name in ("mittag_leffler", "ml_density", "ml_cdf"):
+        fn, sign = getattr(special, name), -1.0 if name == "mittag_leffler" else 1.0
+        seconds = {}
+        for delta in ML_DELTAS:
+            for x in ML_X:
+                best = best_seconds(lambda: fn(delta, sign * x))
+                seconds.setdefault(ml_branch(name, delta, x), []).append(best)
+        out[name] = {branch: {"points": len(s), "us": round(1e6 * sum(s) / len(s), 1)}
+                     for branch, s in sorted(seconds.items())}
+    terms = np.arange(LSE_TERMS) * np.log(3.0) - sc.gammaln(0.6 * np.arange(LSE_TERMS) + 1.0)
+    lse = {"scipy": sc.logsumexp}
+    if hasattr(special, "_logsumexp"):
+        lse["replica"] = special._logsumexp
+    out[f"logsumexp.n{LSE_TERMS}"] = {
+        key: round(1e6 * best_seconds(lambda: [fn(terms) for _ in range(LSE_CALLS)])
+                   / LSE_CALLS, 1)
+        for key, fn in lse.items()}
+    return out
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--kernels"]:
         print(json.dumps(kernels()))
@@ -304,4 +351,5 @@ if __name__ == "__main__":
         "metric_ms_per_call": metric_ms_per_call(),
         "verify_ms_per_point": verify_ms_per_point(),
         "inversion_ms": inversion_ms(),
+        "ml_us_per_call": ml_us_per_call(),
     }))

@@ -17,7 +17,9 @@ Branch selection for the Mittag-Leffler family is tolerance-aware: the power
 series is used only where float64 cancellation stays inside the error budget,
 an algebraic tail expansion takes over once its optimal-truncation floor is
 below the budget, and a completely monotone spectral integral covers the band
-between them.
+between them. The terms of the series and of the tail that do not depend on
+x (log-gammas, powers, signs and sines) are tabled per delta on first use, in
+bounded caches of read-only arrays, so a call pays only for its x.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
 
 _EPS = 2.2e-16
 _LN_EPS = math.log(_EPS)
+_LN_PI = math.log(math.pi)
 _MAX_TERMS = 600  # series terms in the cancellation-sensitive branches
 _QUAD_LIMIT = 200  # subinterval cap handed to the adaptive quadrature
 
@@ -96,29 +99,68 @@ def gamma_fn(s) -> float:
     return out
 
 
-def _resolvent_weight(u: np.ndarray, delta: float) -> np.ndarray:
-    # Normalized: integrates to 1 over (0, inf).
-    c = math.sin(math.pi * delta) / (math.pi * delta)
-    return c / (1.0 + 2.0 * math.cos(math.pi * delta) * u + u * u)
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays made read-only, so a cached table cannot be written."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _series_table(delta: float):
+    """n, gammaln(delta n + 1) and (-1)^n for n < _MAX_TERMS: the x-free
+    parts of the series of E_delta(-x)."""
+    n = np.arange(_MAX_TERMS, dtype=float)
+    return _frozen(n, sc.gammaln(delta * n + 1.0), np.where(n.astype(int) % 2 == 0, 1.0, -1.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _density_series_table(delta: float):
+    """delta n - 1, gammaln(delta n) and (-1)^(n-1) for 1 <= n <= _MAX_TERMS:
+    the x-free parts of the series of the ML density."""
+    n = np.arange(1, _MAX_TERMS + 1, dtype=float)
+    signs = np.where(n.astype(int) % 2 == 1, 1.0, -1.0)
+    return _frozen(delta * n - 1.0, sc.gammaln(delta * n), signs)
+
+
+@functools.lru_cache(maxsize=64)
+def _tail_table(delta: float, density: bool):
+    """For k = 1 .. 200: the log-gamma part of the tail envelope, the power of
+    x it divides by, and (-1)^(k-1) sin(pi delta k). See _alternating_tail."""
+    k = np.arange(1, 201, dtype=float)
+    if density:
+        gln, power = sc.gammaln(delta * k + 1.0), delta * k + 1.0
+    else:
+        gln, power = sc.gammaln(delta * k), k
+    signs = np.where(k.astype(int) % 2 == 1, 1.0, -1.0)
+    return _frozen(gln, power, signs * np.sin(math.pi * delta * k))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """scipy.special.logsumexp(a) of a finite real vector, by the steps of
+    scipy 1.17's real-input _logsumexp with the same numpy ufuncs, so the
+    bits agree: the max terms are split out of the sum and counted (m), and
+    the result is log1p(s / m) + log(m) + max, s the sum of the rest."""
+    a_max = a.max()
+    top = a == a_max
+    m = np.float64(np.count_nonzero(top))
+    shifted = np.exp(a - a_max)
+    shifted[top] = 0.0
+    return float(np.log1p(shifted.sum() / m) + np.log(m) + a_max)
 
 
 def _series_roundoff_ok(ln_terms: np.ndarray, acc: Accuracy) -> bool:
     # Float64 cancellation noise scales with the sum of term magnitudes;
     # demand it stays below a two-hundredth of the budget.
-    ln_sum_abs = float(sc.logsumexp(ln_terms))
-    return ln_sum_abs <= math.log(acc.abs_tol * 0.005) - _LN_EPS
+    return _logsumexp(ln_terms) <= math.log(acc.abs_tol * 0.005) - _LN_EPS
 
 
 def _ml_series_negative(delta: float, x: float, acc: Accuracy):
     """Alternating series for E_delta(-x), x > 0, or None if unsafe."""
-    ln_x = math.log(x)
-    n = np.arange(_MAX_TERMS, dtype=float)
-    ln_terms = n * ln_x - sc.gammaln(delta * n + 1.0)
-    if not _series_roundoff_ok(ln_terms, acc):
+    n, gln, signs = _series_table(delta)
+    ln_terms = n * math.log(x) - gln
+    if ln_terms[-1] > math.log(acc.abs_tol) - 5.0 or not _series_roundoff_ok(ln_terms, acc):
         return None
-    if ln_terms[-1] > math.log(acc.abs_tol) - 5.0:
-        return None
-    signs = np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
     return float(np.sum(signs * np.exp(ln_terms)))
 
 
@@ -131,23 +173,16 @@ def _alternating_tail(delta: float, x: float, acc: Accuracy, *, density: bool):
     cannot trigger a premature stop. Returns None when the envelope's
     optimal-truncation floor misses the budget.
     """
-    k = np.arange(1, 201, dtype=float)
-    ln_x = math.log(x)
-    if density:
-        ln_env = sc.gammaln(delta * k + 1.0) - (delta * k + 1.0) * ln_x
-    else:
-        ln_env = sc.gammaln(delta * k) - k * ln_x
-    ln_env = ln_env - math.log(math.pi)
+    gln, power, signed_sin = _tail_table(delta, density)
+    ln_env = gln - power * math.log(x) - _LN_PI
     # Absolute budget alone would leave the far tail relatively biased and
     # shift integrated mass, so demand relative accuracy as well.
     ln_budget = min(math.log(acc.abs_tol * 0.1), float(ln_env[0]) + math.log(1e-9))
-    if ln_env.min() > ln_budget:
+    within = ln_env <= ln_budget
+    if not within.any():
         return None
-    stop = int(np.nonzero(ln_env <= ln_budget)[0][0])
-    kk = k[: stop + 1]
-    signs = np.where(kk.astype(int) % 2 == 1, 1.0, -1.0)
-    terms = signs * np.sin(math.pi * delta * kk) * np.exp(ln_env[: stop + 1])
-    return float(np.sum(terms))
+    stop = int(within.argmax())
+    return float(np.sum(signed_sin[: stop + 1] * np.exp(ln_env[: stop + 1])))
 
 
 def _quad_split(fn, pieces, acc: Accuracy) -> float:
@@ -180,12 +215,19 @@ def _spectral_pieces(delta: float, scale: float) -> list[float]:
     return pieces + [math.inf]
 
 
+def _resolvent_weight(delta: float) -> tuple[float, float]:
+    """c and b of the weight c / (1 + b u + u^2), normalized to integrate to
+    1 over (0, inf): c = sin(pi delta) / (pi delta), b = 2 cos(pi delta)."""
+    return math.sin(math.pi * delta) / (math.pi * delta), 2.0 * math.cos(math.pi * delta)
+
+
 def _ml_spectral_negative(delta: float, x: float, acc: Accuracy) -> float:
     """Completely monotone integral for E_delta(-x) in the middle band."""
     inv_delta = 1.0 / delta
+    c, b = _resolvent_weight(delta)
 
     def integrand(u):
-        return _resolvent_weight(u, delta) * np.exp(-((x * u) ** inv_delta))
+        return c / (1.0 + b * u + u * u) * np.exp(-((x * u) ** inv_delta))
 
     return _quad_split(integrand, _spectral_pieces(delta, 1.0 / x), acc)
 
@@ -201,7 +243,7 @@ def _ml_positive(delta: float, x: float) -> float:
         raise AccuracyError("series budget exceeded for mittag_leffler")
     n = np.arange(max(n_cap, _MAX_TERMS), dtype=float)
     ln_terms = n * math.log(x) - sc.gammaln(delta * n + 1.0)
-    lse = float(sc.logsumexp(ln_terms))
+    lse = _logsumexp(ln_terms)
     if ln_terms[-1] > lse - 40.0:
         raise AccuracyError("series truncation too early for mittag_leffler")
     out = math.exp(lse)
@@ -240,31 +282,30 @@ def mittag_leffler(delta, z, accuracy: Accuracy | None = None) -> float:
 
 
 def _ml_density_series(delta: float, x: float, acc: Accuracy):
-    ln_x = math.log(x)
-    n = np.arange(1, _MAX_TERMS + 1, dtype=float)
-    ln_terms = (delta * n - 1.0) * ln_x - sc.gammaln(delta * n)
+    power, gln, signs = _density_series_table(delta)
+    ln_terms = power * math.log(x) - gln
     # Near the origin the first term dominates and the value itself is
     # large; roundoff is then relative to the value, which is the best a
     # float64 result can promise there.
     dominated_head = ln_terms[0] == ln_terms.max() and (
         ln_terms[1] - ln_terms[0] < math.log(0.5)
     )
-    if not _series_roundoff_ok(ln_terms, acc) and not dominated_head:
-        return None
     if ln_terms[-1] > math.log(acc.abs_tol) - 5.0 and not (
         dominated_head and ln_terms[-1] < ln_terms[0] - 40.0
     ):
         return None
-    signs = np.where(n.astype(int) % 2 == 1, 1.0, -1.0)
+    if not dominated_head and not _series_roundoff_ok(ln_terms, acc):
+        return None
     return float(np.sum(signs * np.exp(ln_terms)))
 
 
 def _ml_density_spectral(delta: float, x: float, acc: Accuracy) -> float:
     inv_delta = 1.0 / delta
+    c, b = _resolvent_weight(delta)
 
     def integrand(u):
         t = u**inv_delta
-        return _resolvent_weight(u, delta) * t * np.exp(-x * t)
+        return c / (1.0 + b * u + u * u) * t * np.exp(-x * t)
 
     return _quad_split(integrand, _spectral_pieces(delta, x**-delta), acc)
 

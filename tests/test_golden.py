@@ -15,7 +15,9 @@ refactor that keeps the digests keeps the output.
 numpy's Generator streams are stable within a numpy release but not
 guaranteed across releases, and its special functions may move in the last
 ulp, so the digests are checked only under the numpy version they were
-captured with (``GOLDEN_NUMPY``); under any other version the test skips.
+captured with (``GOLDEN_NUMPY``) and on its X86_V4 dispatch; under any
+other version, or where numpy runs a lower dispatch level (a CPU without
+AVX512, or X86_V4 named in ``NPY_DISABLE_CPU_FEATURES``), the test skips.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from htmix import cli, identities, special
 from htmix.distributions import DistSpec, analytic_cf, analytic_lst, sample
@@ -45,10 +48,17 @@ from htmix.streams import RandomStream
 
 GOLDEN_NUMPY = "2.4.6"
 
-pytestmark = pytest.mark.skipif(
-    np.__version__ != GOLDEN_NUMPY,
-    reason=f"digests were captured under numpy {GOLDEN_NUMPY}",
-)
+pytestmark = [
+    pytest.mark.skipif(
+        np.__version__ != GOLDEN_NUMPY,
+        reason=f"digests were captured under numpy {GOLDEN_NUMPY}",
+    ),
+    pytest.mark.skipif(
+        not __cpu_features__.get("X86_V4", False),
+        reason="digests are the bytes of numpy's X86_V4 (AVX512) dispatch, "
+        "which this CPU or NPY_DISABLE_CPU_FEATURES turns off",
+    ),
+]
 
 
 # Every family and every sampling route: key, family, params, method. Spec i

@@ -193,6 +193,77 @@ class TestMlCdf:
         assert 1.0 - ml_cdf(0.5, 100.0) > 0.05
 
 
+# The Mittag-Leffler grid of tests/test_golden.py: every (function, delta,
+# argument) its ML digests evaluate, E at -x and at a few positive z.
+ML_GRID_DELTAS = (0.3, 0.6, 0.9)
+ML_GRID_X = np.logspace(-2.0, 3.0, 40)
+ML_GRID_Z = (0.1, 1.0, 5.0)
+ML_GRID = (
+    [(fn, d, sign * x) for fn, sign in ((mittag_leffler, -1.0), (ml_density, 1.0),
+                                        (ml_cdf, 1.0))
+     for d in ML_GRID_DELTAS for x in ML_GRID_X]
+    + [(mittag_leffler, d, z) for d in ML_GRID_DELTAS for z in ML_GRID_Z]
+)
+# The scipy whose real-input _logsumexp special._logsumexp replicates step by
+# step; the golden pins install it.
+LSE_SCIPY = "1.17.1"
+ML_TABLES = (special._series_table, special._density_series_table, special._tail_table)
+
+
+class TestMittagLefflerTerms:
+    def test_logsumexp_replica_matches_scipy(self, monkeypatch):
+        replica, seen = special._logsumexp, {}
+
+        def record(a):
+            seen.setdefault(key, []).append(a.copy())
+            return replica(a)
+
+        monkeypatch.setattr(special, "_logsumexp", record)
+        for fn, d, arg in ML_GRID:
+            key = "positive" if arg > 0 and fn is mittag_leffler else fn.__name__
+            fn(d, arg)
+        assert set(seen) == {"mittag_leffler", "ml_density", "ml_cdf", "positive"}
+        edges = [np.array([-3.5]), np.array([2.0, 7.25, -1.0, 7.25, 7.25, 0.5]),
+                 np.full(9, -1.25), np.array([1e-300, 0.0, -0.0]),
+                 np.array([700.0, -700.0, 699.0])]
+        for a in [a for vectors in seen.values() for a in vectors] + edges:
+            got, want = replica(a), float(sc.logsumexp(a))
+            if scipy.__version__ == LSE_SCIPY:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+            else:
+                assert abs(got - want) <= 2 * np.spacing(abs(want)), a
+
+    @pytest.mark.parametrize("table, args", [
+        (special._series_table, (0.6,)),
+        (special._density_series_table, (0.6,)),
+        (special._tail_table, (0.6, False)),
+        (special._tail_table, (0.6, True)),
+    ])
+    def test_cached_tables_are_read_only(self, table, args):
+        assert table.cache_info().maxsize is not None
+        for a in table(*args):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_shuffled_grid_keeps_the_bits(self):
+        # Against each point on freshly built tables, so that a table which
+        # depended on the calls before it would show in either order.
+        def values(order, fresh):
+            out = np.empty(len(ML_GRID))
+            for i in order:
+                if fresh or i == order[0]:
+                    for table in ML_TABLES:
+                        table.cache_clear()
+                fn, d, arg = ML_GRID[i]
+                out[i] = fn(d, arg)
+            return out.tobytes()
+
+        in_order = list(range(len(ML_GRID)))
+        want = values(in_order, fresh=True)
+        assert values(in_order, fresh=False) == want
+        assert values(list(np.random.default_rng(19).permutation(len(ML_GRID))), False) == want
+
+
 class TestStableRatioDensity:
     @pytest.mark.parametrize("delta", [0.2, 0.5, 0.8])
     def test_reciprocal_involution(self, delta):
