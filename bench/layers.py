@@ -20,11 +20,17 @@ Measures, best of REPEATS runs each unless noted:
 * ``_grouped_sums`` throughput in draws/s on thm6-like counts (1 + Poisson
   of gamma(2) * 99 over 10^5 replications, about 2e7 symmetric-stable draws
   at alpha = 1.5), once on a 1-worker pool and once on the default pool;
-* ms per call of ``ks_two_sample`` and ``ecf_distance`` on two independent
-  2e5-draw symmetric-stable samples at alpha = 1.5, and of ``ecf_distance``
-  on 2e5 standard normal and 2e5 standard Cauchy draws, on the default grid
-  (each t twice the one before, so cos and sin are stepped by angle
-  doubling) and on NON_DOUBLING_T_GRID (cos and sin at every t);
+* ms per call of ``ecf_distance`` on a 2e5-draw symmetric-stable sample at
+  alpha = 1.5, and on 2e5 standard normal and 2e5 standard Cauchy draws, on
+  the default grid (each t twice the one before, so cos and sin are stepped
+  by angle doubling) and on NON_DOUBLING_T_GRID (cos and sin at every t);
+* ms per call of ``ks_two_sample`` on the 2e5-draw pairs of ``ks_pairs``: two
+  independent symmetric-stable samples at alpha = 1.5 (null), the second
+  shifted by 0.05 (shifted), two negative-binomial samples (tied), two
+  uniform samples on disjoint ranges (disjoint), a sample and its copy
+  (identical) and a sample and each value's next float up (one_ulp), with
+  the share of their points the checkpoint bound leaves to be searched
+  (counted through ``verification._gaps``, where the checkout has it);
 * ``verify`` ms per point over the 80 canonical identity points (the
   ``identity_registry`` benchmark's calls), best of VERIFY_REPEATS passes,
   once on a 1-worker pool and once on the default pool;
@@ -70,6 +76,7 @@ from htmix.errors import AccuracyError
 from htmix.distributions import (
     _BLOCK,
     DistSpec,
+    NegBinParams,
     _cms,
     _cms_draw,
     _kanter,
@@ -233,14 +240,11 @@ def default_workers() -> int:
 
 def metric_ms_per_call() -> dict:
     a = _stable_symmetric_values(np.random.default_rng(3), METRIC_N, 1.5)
-    b = _stable_symmetric_values(np.random.default_rng(4), METRIC_N, 1.5)
 
     def cf(t):
         return float(np.exp(-t**1.5))
 
     out = {
-        f"ks_two_sample.n{METRIC_N}": round(
-            1e3 * best_seconds(lambda: verification.ks_two_sample(a, b)), 3),
         f"ecf_distance.n{METRIC_N}": round(
             1e3 * best_seconds(lambda: verification.ecf_distance(a, cf)), 3),
     }
@@ -255,6 +259,48 @@ def metric_ms_per_call() -> dict:
                 lambda: verification.ecf_distance(x, cf, t_grid=grid))
             out[f"ecf_distance.{law}.{grid_name}.n{METRIC_N}"] = round(
                 1e3 * seconds, 3)
+    return out
+
+
+def ks_pairs() -> dict:
+    a = _stable_symmetric_values(np.random.default_rng(3), METRIC_N, 1.5)
+    b = _stable_symmetric_values(np.random.default_rng(4), METRIC_N, 1.5)
+    nb = DistSpec("neg_binom", NegBinParams(2.0, 0.2))
+    uniform = np.random.default_rng(6).uniform
+    return {
+        "null": (a, b),
+        "shifted": (a, b + 0.05),
+        "tied": tuple(sample(nb, METRIC_N, RandomStream(1729, s)).values for s in (1, 2)),
+        "disjoint": (uniform(0.0, 1.0, METRIC_N), uniform(2.0, 3.0, METRIC_N)),
+        "identical": (a, a.copy()),
+        "one_ulp": (a, np.nextafter(a, np.inf)),
+    }
+
+
+def searched_share(a, b) -> float:
+    """Share of the points of a and b that ks_two_sample passes to _gaps."""
+    gaps = verification._gaps
+    searched = []
+
+    def counting(own, other, idx):
+        searched.append(idx.size)
+        return gaps(own, other, idx)
+
+    verification._gaps = counting
+    try:
+        verification.ks_two_sample(a, b)
+    finally:
+        verification._gaps = gaps
+    return round(sum(searched) / (a.size + b.size), 5)
+
+
+def ks_ms_per_call() -> dict:
+    out = {}
+    for name, (a, b) in ks_pairs().items():
+        seconds = best_seconds(lambda: verification.ks_two_sample(a, b))
+        out[name] = {"ms": round(1e3 * seconds, 3)}
+        if hasattr(verification, "_gaps"):
+            out[name]["searched_share"] = searched_share(a, b)
     return out
 
 
@@ -349,6 +395,7 @@ if __name__ == "__main__":
         "csv_ns_per_value": csv_ns_per_value(),
         "grouped_sums_draws_per_s": grouped_sums_draws_per_s(),
         "metric_ms_per_call": metric_ms_per_call(),
+        f"ks_two_sample_ms_per_call.n{METRIC_N}": ks_ms_per_call(),
         "verify_ms_per_point": verify_ms_per_point(),
         "inversion_ms": inversion_ms(),
         "ml_us_per_call": ml_us_per_call(),

@@ -1,10 +1,11 @@
 """The package's one worker pool.
 
-Sampling, ``ks_two_sample``, ``identities``, ``limits`` and the CLI's CSV
-writer share it. It is a ``ThreadPoolExecutor`` with one worker per CPU the
-process may run on, created on first use, so importing htmix starts no
-thread. Its one entry point is ``imap``, which also decides where the work
-runs.
+Sampling, ``identities``, ``limits`` and the CLI's CSV writer share it;
+``verify`` runs its CF and Laplace distances on it while ``ks_two_sample``,
+which uses no pool, runs on the calling thread. It is a
+``ThreadPoolExecutor`` with one worker per CPU the process may run on,
+created on first use, so importing htmix starts no thread. Its one entry
+point is ``imap``, which also decides where the work runs.
 
 Called from outside the pool, ``imap`` submits every item at once, each in
 a copy of the caller's context, so context variables such as numpy's

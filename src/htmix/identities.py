@@ -715,9 +715,9 @@ def verify(
     bounded-kernel envelopes (4/sqrt(n) for the CF, 1.5/sqrt(n) for the
     Laplace transform) over DEFAULT_T_GRID and DEFAULT_S_GRID. The two
     sides are drawn through ``_pool.imap`` (see ``instantiate``), and so are
-    the metrics: the CF and Laplace distances go to ``imap`` first, in
-    report order, then ``ks_two_sample`` sorts the two sides on the calling
-    thread while they run, and their values are read after it. In a call
+    the CF and Laplace distances, in report order; ``ks_two_sample`` then
+    runs on the calling thread while they do, and their values are read
+    after it. In a call
     from a pool task every step runs inline. The report lists the metrics
     in the order ks, ecf_lhs, ecf_rhs, lst_lhs, lst_rhs and is the same for
     any thread count.

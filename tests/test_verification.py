@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from htmix import _pool
+from htmix import _pool, verification
 from htmix.distributions import DistSpec, NegBinParams, sample
 from htmix.errors import DomainError
 from htmix.streams import RandomStream
@@ -44,6 +45,15 @@ def _oracle_pairs():
     ties_b = sample(nb, 30_000, RandomStream(77, 2)).values
     normal = rng.standard_normal(200_000)
     zeros = np.array([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0, -0.0])
+    with_inf = normal[:5000].copy()
+    with_inf[::125] = np.inf
+    moved = np.sort(normal)
+    moved[150_000] = np.nextafter(moved[150_000], np.inf)
+    rounded = np.round(normal, 3)
+    # The sup, 30/n, is at x = 4998 alone: y moves its 30 points below it to
+    # 4998.5. Index 4998 is a checkpoint of no spacing 1 < k < 4999 (prime).
+    grid = np.arange(10_000.0)
+    bump = np.concatenate([grid[:4969], np.full(30, 4998.5), grid[4999:]])
     return {
         "heavy_ties": (ties_a, ties_b),
         "ties_shifted": (ties_a, ties_b + 1.0),
@@ -54,6 +64,24 @@ def _oracle_pairs():
         "disjoint": (rng.uniform(0, 1, 300), rng.uniform(2, 3, 500)),
         "signed_zeros": (zeros, np.array([0.0, -0.0, 0.0, 2.0])),
         "signed_zeros_only": (np.array([-0.0, -0.0]), np.array([0.0])),
+        # Three -inf values, fewer than the checkpoint spacing: the first
+        # range must start at index 0, not after the -inf values.
+        "neg_inf_run": (np.r_[np.full(3, -np.inf), np.ones(9997)], np.ones(10_000)),
+        "pos_inf_one_side": (with_inf, normal[5000:10_000]),
+        "sup_between_checkpoints": (grid, bump),
+        "identical_200000": (normal, normal.copy()),
+        "one_ulp": (normal, np.nextafter(normal, np.inf)),
+        # D = 1/n, at one point deep in the third block of the search.
+        "one_point_moved": (normal, moved),
+        # D = 0, so every range is searched, and most hold tied points.
+        "identical_ties": (rounded, rounded[::-1].copy()),
+        "constant": (np.full(1000, 2.5), np.full(700, 2.5)),
+        "constants_apart": (np.full(1000, 2.5), np.full(700, -2.5)),
+        # The spacing k is 20 at these sizes, so x's last stride is one
+        # short of k, exactly k, or one over.
+        "stride_short": (normal[:19_999], normal[100_000:120_000]),
+        "stride_exact": (normal[:20_000], normal[100_000:120_000]),
+        "stride_long": (normal[:20_001], normal[100_000:120_000]),
     }
 
 
@@ -68,9 +96,63 @@ class TestKsTwoSample:
         got = ks_two_sample(a, b)
         assert got.hex() == want.hex()
         assert ks_two_sample(b, a).hex() == want.hex()
-        # In a pool task the two halves run inline.
+        # Inside a pool task too.
         (inline,) = _pool.imap(lambda pair: ks_two_sample(*pair), [(a, b)])
         assert inline.hex() == want.hex()
+
+    def test_sup_between_checkpoints_is_where_claimed(self):
+        x, y = ORACLE_PAIRS["sup_between_checkpoints"]
+        both = np.concatenate([x, y])
+        gaps = np.abs(np.searchsorted(x, both, "right") / x.size
+                      - np.searchsorted(y, both, "right") / y.size)
+        assert set(both[gaps == gaps.max()]) == {4998.0}
+        assert gaps.max() == pytest.approx(30 / 10_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.sampled_from([0, 3, 100, 3000]),
+        special=st.floats(0.0, 0.3),
+        resampled=st.booleans(),
+    )
+    def test_matches_oracle_on_random_pairs(self, sizes, seed, ties, special, resampled):
+        # ties > 0 rounds onto a grid of 1/ties; special is the share of
+        # -inf, +inf, -0.0 and 0.0; resampled draws b from a's values.
+        rng = np.random.default_rng(seed)
+
+        def draw(size):
+            values = rng.standard_normal(size)
+            if ties:
+                values = np.round(values * ties) / ties
+            odd = rng.random(size) < special
+            values[odd] = rng.choice([-np.inf, np.inf, -0.0, 0.0], odd.sum())
+            return values
+
+        a = draw(sizes[0])
+        b = rng.choice(a, sizes[1]) if resampled else draw(sizes[1])
+        want = ks_two_sample_oracle(a, b)
+        assert ks_two_sample(a, b).hex() == want.hex()
+        assert ks_two_sample(b, a).hex() == want.hex()
+
+    @pytest.mark.parametrize("block", [7, verification._BLOCK])
+    def test_runs_cover_each_range_once_in_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(verification, "_BLOCK", block)
+        rng = np.random.default_rng(5)
+        stops = np.cumsum(rng.integers(0, 40, 3000))
+        starts = stops - rng.integers(0, 30, 3000).clip(max=np.diff(stops, prepend=0))
+        blocks = list(verification._runs(starts, stops))
+        assert all(0 < idx.size <= block for idx in blocks)
+        want = np.concatenate([np.arange(lo, hi) for lo, hi in zip(starts, stops)])
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    def test_submits_no_pool_task(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("ks_two_sample used the pool")
+
+        monkeypatch.setattr(_pool, "executor", no_pool)
+        a, b = ORACLE_PAIRS["1000_vs_200000"]
+        assert ks_two_sample(a, b).hex() == ks_two_sample_oracle(a, b).hex()
 
     def test_matches_scipy(self):
         rng = RandomStream(2024, 0).generator()
