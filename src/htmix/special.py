@@ -16,10 +16,12 @@ InversionCdf's grid values are the scalar values bit for bit.
 Branch selection for the Mittag-Leffler family is tolerance-aware: the power
 series is used only where float64 cancellation stays inside the error budget,
 an algebraic tail expansion takes over once its optimal-truncation floor is
-below the budget, and a completely monotone spectral integral covers the band
-between them. The terms of the series and of the tail that do not depend on
-x (log-gammas, powers, signs and sines) are tabled per delta on first use, in
-bounded caches of read-only arrays, so a call pays only for its x.
+below the budget, and the band between them is the damped rule's, applied to
+the law's Laplace transform 1 / (1 + s^delta) with E_delta(-x) =
+1 - F(x^(1/delta)). The terms of the series and of the tail that do not
+depend on x (log-gammas, powers, signs and sines) are tabled per delta on
+first use, in bounded caches of read-only arrays, so a call pays only for its
+x.
 """
 
 from __future__ import annotations
@@ -57,15 +59,16 @@ _EPS = 2.2e-16
 _LN_EPS = math.log(_EPS)
 _LN_PI = math.log(math.pi)
 _MAX_TERMS = 600  # series terms in the cancellation-sensitive branches
-_QUAD_LIMIT = 200  # subinterval cap handed to the adaptive quadrature
 
 
 @dataclass(frozen=True)
 class Accuracy:
-    """Error budget for series, tail, and quadrature evaluation.
+    """Error budget for series, tail and inversion evaluation.
 
     abs_tol
-        Target absolute error for scalar special-function values.
+        Target absolute error for scalar special-function values: a series
+        or tail runs only where it fits, and an inversion's 32-point and
+        24-point sums must agree to it, or AccuracyError is raised.
     """
 
     abs_tol: float = 1e-10
@@ -185,53 +188,6 @@ def _alternating_tail(delta: float, x: float, acc: Accuracy, *, density: bool):
     return float(np.sum(signed_sin[: stop + 1] * np.exp(ln_env[: stop + 1])))
 
 
-def _quad_split(fn, pieces, acc: Accuracy) -> float:
-    from scipy import integrate  # loaded on first use: it pulls in optimize, sparse, linalg
-
-    total = 0.0
-    err_total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        val, err = integrate.quad(
-            fn, a, b, epsabs=acc.abs_tol * 0.02, epsrel=1e-13,
-            limit=_QUAD_LIMIT,
-        )
-        total += val
-        err_total += err
-    if err_total > acc.abs_tol:
-        raise AccuracyError(
-            f"spectral integral error estimate {err_total:.2e} exceeds abs_tol"
-        )
-    return total
-
-
-def _spectral_pieces(delta: float, scale: float) -> list[float]:
-    # The resolvent weight has complex poles at distance sin(pi (1 - delta))
-    # from u = 1; bracket that ridge, and the decay scale of the exponential.
-    w = min(max(math.sin(math.pi * (1.0 - delta)), 1e-9), 0.5)
-    pts = {0.0, 0.25, 1.0 - 3 * w, 1.0 - w, 1.0, 1.0 + w, 1.0 + 3 * w, 4.0}
-    for m in (0.5, 1.0, 2.0, 8.0):
-        pts.add(m * scale)
-    pieces = sorted(p for p in pts if 0.0 <= p < math.inf)
-    return pieces + [math.inf]
-
-
-def _resolvent_weight(delta: float) -> tuple[float, float]:
-    """c and b of the weight c / (1 + b u + u^2), normalized to integrate to
-    1 over (0, inf): c = sin(pi delta) / (pi delta), b = 2 cos(pi delta)."""
-    return math.sin(math.pi * delta) / (math.pi * delta), 2.0 * math.cos(math.pi * delta)
-
-
-def _ml_spectral_negative(delta: float, x: float, acc: Accuracy) -> float:
-    """Completely monotone integral for E_delta(-x) in the middle band."""
-    inv_delta = 1.0 / delta
-    c, b = _resolvent_weight(delta)
-
-    def integrand(u):
-        return c / (1.0 + b * u + u * u) * np.exp(-((x * u) ** inv_delta))
-
-    return _quad_split(integrand, _spectral_pieces(delta, 1.0 / x), acc)
-
-
 def _ml_positive(delta: float, x: float) -> float:
     """E_delta(x) for x > 0 via a log-domain positive series."""
     arg = x ** (1.0 / delta)
@@ -271,14 +227,7 @@ def mittag_leffler(delta, z, accuracy: Accuracy | None = None) -> float:
         return 1.0
     if z > 0.0:
         return _ml_positive(delta, z)
-    x = -z
-    val = _ml_series_negative(delta, x, acc)
-    if val is not None:
-        return min(max(val, 0.0), 1.0)
-    val = _alternating_tail(delta, x, acc, density=False)
-    if val is not None:
-        return min(max(val, 0.0), 1.0)
-    return min(max(_ml_spectral_negative(delta, x, acc), 0.0), 1.0)
+    return min(max(_ml_negative(delta, -z, False, acc), 0.0), 1.0)
 
 
 def _ml_density_series(delta: float, x: float, acc: Accuracy):
@@ -299,15 +248,21 @@ def _ml_density_series(delta: float, x: float, acc: Accuracy):
     return float(np.sum(signs * np.exp(ln_terms)))
 
 
-def _ml_density_spectral(delta: float, x: float, acc: Accuracy) -> float:
-    inv_delta = 1.0 / delta
-    c, b = _resolvent_weight(delta)
-
-    def integrand(u):
-        t = u**inv_delta
-        return c / (1.0 + b * u + u * u) * t * np.exp(-x * t)
-
-    return _quad_split(integrand, _spectral_pieces(delta, x**-delta), acc)
+def _ml_negative(delta: float, x: float, density: bool, acc: Accuracy) -> float:
+    """E_delta(-x), or the Mittag-Leffler density at x if density, for x > 0:
+    the series where it is safe, else the tail, else the damped inversion of
+    the law's Laplace transform 1 / (1 + s^delta) (see _upper), at x for the
+    density and at x^(1/delta) for E_delta(-x) = 1 - F(x^(1/delta))."""
+    series = _ml_density_series if density else _ml_series_negative
+    val = series(delta, x, acc)
+    if val is None:
+        val = _alternating_tail(delta, x, acc, density=density)
+    if val is not None:
+        return val
+    ax = x if density else _power(x, 1.0 / delta)
+    if not 0.0 < ax < math.inf:
+        raise AccuracyError(f"x^(1/delta) at delta = {delta!r}, x = {x!r} is outside float64")
+    return float(_upper(delta, 1.0, np.array([ax]), density, acc, True).values[0])
 
 
 def ml_density(delta, x, accuracy: Accuracy | None = None) -> float:
@@ -326,13 +281,7 @@ def ml_density(delta, x, accuracy: Accuracy | None = None) -> float:
         return math.exp(-x) if x < 745.0 else 0.0
     if x == 0.0:
         return math.inf
-    val = _ml_density_series(delta, x, acc)
-    if val is not None:
-        return max(val, 0.0)
-    val = _alternating_tail(delta, x, acc, density=True)
-    if val is not None:
-        return max(val, 0.0)
-    return max(_ml_density_spectral(delta, x, acc), 0.0)
+    return max(_ml_negative(delta, x, True, acc), 0.0)
 
 
 def ml_cdf(delta, x, accuracy: Accuracy | None = None) -> float:
@@ -409,7 +358,10 @@ def gleser_mixing_density(r, mu, z) -> float:
     if z <= mu:
         return 0.0
     const = mu**r / (float(sc.gamma(1.0 - r)) * float(sc.gamma(r)))
-    return const * (z - mu) ** (-r) / z
+    out = const * _power(z - mu, -r) / z
+    if out == math.inf:
+        raise AccuracyError(f"gleser_mixing_density({r}, {mu}, {z}) exceeds float64")
+    return out
 
 
 def snedecor_fisher_density(r, x) -> float:
@@ -460,6 +412,10 @@ def genml_lst(delta, nu, s) -> float:
 # lies at angle pi/alpha) and on which e^(ixt) decays like e^(-xu sin beta).
 # With k = (1 + t^alpha)^(-nu) and v = ln u, over the whole v axis,
 #     1 - F(x) = -(1/pi) Im int e^(ixt) (k - 1) dv,  f(x) = (1/pi) Re int e^(ixt) k t dv.
+# The positive law with Laplace transform (1 + s^alpha)^(-nu), the
+# Mittag-Leffler law at nu = 1, has cf k(-t) with k = (1 + (it)^alpha)^(-nu),
+# and the same two integrals hold with that k; on the imaginary axis they are
+# the spectral integrals of E_alpha (Gorenflo, Loutchko & Luchko 2002).
 
 _STRIP = 1.5  # panel width over the half-width of the integrand's analytic strip
 _FLAT = 38.0  # below ln u = ln(1/x) - 38, |e^(ixt) - 1| <= xu < e^-38
@@ -482,6 +438,7 @@ class _Ray(NamedTuple):
     beta: float  # the ray's angle, with its sin and cos (0 on the imaginary axis)
     sin: float
     cos: float
+    psi: float  # the angle of the kernel's power on the ray
     coarse: float  # panel width in v below a point's damped window
     fine: float  # panel width in the window; coarse / fine is a whole number
 
@@ -493,31 +450,37 @@ def _nodes():
     return tuple(0.5 * (np.concatenate([r[i] for r in rules]) + 1.0 - i) for i in (0, 1))
 
 
-def _ray(alpha: float, nu: float) -> _Ray:
-    """The imaginary axis, where e^(ixt) = e^(-xu), unless alpha > 1: there
-    |1 + t^alpha| falls to sin(pi alpha/2), raising the kernel to that power
-    -nu in a strip narrowed to pi/alpha - pi/2. Past alpha = 1.5 or a
-    1000-fold rise the ray tilts to pi/(2 alpha), where |1 + t^alpha| >= 1."""
+def _ray(alpha: float, nu: float, lst: bool = False) -> _Ray:
+    """The ray for the cf's kernel (1 + t^alpha)^(-nu), or if lst for the
+    Laplace transform's, (1 + s^alpha)^(-nu) at s = it: on t = u e^(i beta)
+    the power is u^alpha e^(i psi), psi = alpha (beta + turn), turn = pi/2
+    for the lst. The imaginary axis, where e^(ixt) = e^(-xu), unless
+    psi > pi/2 there: |1 + u^alpha e^(i psi)| then falls to sin(psi), raising
+    the kernel to that power -nu in a strip narrowed to (pi - psi)/alpha.
+    Past psi = 3 pi/4 or a 1000-fold rise the ray tilts to the beta where
+    that strip equals e^(ixt)'s, (pi/alpha - turn)/2."""
+    turn = math.pi / 2 if lst else 0.0
+    axis = 2.0 * alpha if lst else alpha  # psi / (pi/2) on the imaginary axis
     beta = math.pi / 2
-    if alpha > 1.5 or (alpha > 1.0 and -nu * math.log(math.sin(beta * alpha)) > _RISE):
-        beta = math.pi / (2.0 * alpha)
-    # In v the kernel is analytic up to pi/alpha - beta above the axis, and its
-    # phase turns alpha nu times as fast as u^alpha grows; e^(ixt) is bounded
-    # from -beta to pi - beta.
-    kernel = math.pi / alpha - beta
+    if axis > 1.5 or (axis > 1.0 and -nu * math.log(math.sin(beta * axis)) > _RISE):
+        beta = (math.pi / alpha - turn) / 2.0
+    # The kernel's phase turns alpha nu times as fast as u^alpha grows;
+    # e^(ixt) is bounded from -beta to pi - beta.
+    kernel = math.pi / alpha - beta - turn
     coarse = _STRIP * kernel / max(1.0, alpha * nu / _TURNS)
     if not (math.isfinite(coarse) and math.isfinite(_FAR / alpha)):
         raise AccuracyError(f"alpha = {alpha!r} is below the inversion's range")
     fine = coarse / max(1.0, math.floor(kernel / min(beta, kernel)))
+    psi = alpha * (beta + turn)
     if beta == math.pi / 2:
-        return _Ray(beta, 1.0, 0.0, coarse, fine)
-    return _Ray(beta, math.sin(beta), math.cos(beta), coarse, fine)
+        return _Ray(beta, 1.0, 0.0, psi, coarse, fine)
+    return _Ray(beta, math.sin(beta), math.cos(beta), psi, coarse, fine)
 
 
 def _kernel(alpha, nu, ray: _Ray, v, density: bool) -> np.ndarray:
     """kappa at v = ln u: Re[e^(ixt) kappa] is the integrand of 1 - F(x), or
     of f(x) if density. Formed from ln u, so u^alpha never overflows."""
-    psi = alpha * ray.beta  # t^alpha = u^alpha e^(i psi), psi <= pi/2 on a tilted ray
+    psi = ray.psi  # t^alpha = u^alpha e^(i psi)
     w = alpha * v
     near = np.exp(-np.abs(w))  # min(u^alpha, u^-alpha)
     low, high = np.where(w > 0.0, 1.0, near), np.where(w > 0.0, near, 1.0)
@@ -534,9 +497,11 @@ def _far_left(alpha, nu, ray: _Ray, v, density: bool):
     """Integral of Re kappa over (-inf, v], where u^alpha < e^-40 and
     e^(ixt) = 1, from its first term in u^alpha, in closed form."""
     if density:
-        return (ray.cos * np.exp(v) - nu * math.cos((1.0 + alpha) * ray.beta)
+        # cos(beta + psi), as cos((1 + alpha) beta) to the bit for the cf
+        lead = math.cos((1.0 + alpha) * ray.beta + (ray.psi - alpha * ray.beta))
+        return (ray.cos * np.exp(v) - nu * lead
                 * np.exp((1.0 + alpha) * v) / (1.0 + alpha)) / math.pi
-    return nu * math.sin(alpha * ray.beta) / (alpha * math.pi) * np.exp(alpha * v)
+    return nu * math.sin(ray.psi) / (alpha * math.pi) * np.exp(alpha * v)
 
 
 def _rule_sums(f: np.ndarray) -> np.ndarray:
@@ -544,8 +509,11 @@ def _rule_sums(f: np.ndarray) -> np.ndarray:
     return np.stack([f[..., :32].sum(axis=-1), f[..., 32:].sum(axis=-1)])
 
 
-def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy) -> _Inversion:
-    """1 - F(x), or f(x) if density, at each x > 0 in ax.
+def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy,
+           lst: bool = False) -> _Inversion:
+    """1 - F(x), or f(x) if density, at each x > 0 in ax, of the law with cf
+    (1 + |t|^alpha)^(-nu), or, if lst, with Laplace transform
+    (1 + s^alpha)^(-nu).
 
     A point sums, in this order and by both rules: the closed far-left tail;
     the undamped panels of a coarse lattice in ln u fixed by alpha and nu
@@ -557,7 +525,7 @@ def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy) -> _Inversion:
     """
     if alpha == 2.0 and nu == 1.0:  # the Laplace law, in closed form
         return _Inversion(0.5 * np.exp(-ax), np.zeros(ax.size, np.int64), np.zeros(ax.size))
-    ray, (t, w) = _ray(alpha, nu), _nodes()
+    ray, (t, w) = _ray(alpha, nu, lst), _nodes()
     v_star = -np.log(ax)
     start = np.floor((v_star - _FLAT) / ray.fine)  # a window's first fine panel
     width = math.ceil((_FLAT + math.log(40.0 / ray.sin)) / ray.fine) + 1

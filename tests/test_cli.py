@@ -314,6 +314,9 @@ class TestLimit:
             (["limit", "--theorem", "thm6", "--alpha", "2", "--nu", "1",
               "--n-grid", "100000000000000000000", "--reps", "1000"],
              "htmix: accuracy limit: "),
+            (["eval", "--fn", "gleser-density", "--r", "0.99", "--mu", "1e-300", "--grid",
+              "1.0000000000000002e-300:1.0000000000000002e-300:1"],
+             "htmix: accuracy limit: "),
         ],
     )
     def test_exit_four_names_its_cause(self, argv, label, capsys):
@@ -513,8 +516,8 @@ class TestSampleRows:
         _assert_is_fmt_join(_csv_text(values), values)
 
 
-# scipy submodules that pull in optimize, sparse and linalg; they load on
-# first use (an inversion CDF build, a Mittag-Leffler spectral integral).
+# scipy submodules that pull in optimize, sparse and linalg. The package uses
+# only scipy.interpolate, loaded on first use (an inversion CDF build).
 HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.integrate",
                "scipy.interpolate")
 
@@ -526,6 +529,7 @@ HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.integrat
     " '--nu', '2', '--n', '1000'])",
     "from htmix import cli; cli.main(['verify', '--identity', 'I01', '--alpha', '1.5',"
     " '--b', '0.5', '--n', '2000'])",
+    "from htmix import special; special.mittag_leffler(0.6, -6.3); special.ml_density(0.9, 10.9)",
 ])
 def test_heavy_scipy_stays_off_the_import_path(code):
     env = {**os.environ, "PYTHONPATH": str(Path(htmix.__file__).parents[1])}

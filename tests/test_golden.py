@@ -242,9 +242,9 @@ ML_DELTAS = (0.3, 0.6, 0.9)
 ML_X = np.logspace(-2.0, 3.0, 40)
 ML_POSITIVE_Z = (0.1, 1.0, 5.0)
 ML_DIGESTS = {
-    "mittag_leffler": "48212094def102d2c919209f6d73d87889cb405039fc843f500acc456b435f26",
-    "ml_density": "9c2a483c7921d9d768b740855db85e1443bfcfa841c76674a8b494663e800ba3",
-    "ml_cdf": "b267ea8801101c29366f4f6ab002912fdf6869e2996941ff88ebf0d89636d964",
+    "mittag_leffler": "a6d0bd08cfda3f03da336a9b54ef9c9e085af35fe7d88d5723354481f2906880",
+    "ml_density": "dcc421186b29669cb6ee1d5a61d9cd01bbe8c328abef57838238d9e8baef19c8",
+    "ml_cdf": "02587b41a4d1bfbdead72eef8afba598ce2e185d6d19d98a44ec6c743588ef9e",
 }
 
 

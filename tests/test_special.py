@@ -94,6 +94,26 @@ def ml_density_reference(delta, x):
     return out
 
 
+def spectral_band(name, delta, x):
+    """Whether special.<name>(delta, x) (at -x for mittag_leffler) passes
+    both the series and the tail by, to the damped inversion: the
+    predicates bench/layers.py's ml_branch uses."""
+    acc, density = DEFAULT_ACCURACY, name == "ml_density"
+    series = special._ml_density_series if density else special._ml_series_negative
+    return (series(delta, x, acc) is None
+            and special._alternating_tail(delta, x, acc, density=density) is None)
+
+
+# delta at the edges of (0, 1), at x in the band between the series and the
+# tail: (x, delta) pairs, the x as the tests below take it. At delta = 0.003
+# powers u^(1/delta) pass float64 in the band; the inversion forms them from
+# ln u.
+ML_SPECTRAL_EDGE = [(-1.12, 0.05), (-10.0, 0.99), (-8.0, 0.999), (-20.0, 0.999),
+                    (-1.0, 0.003)]
+DENSITY_SPECTRAL_EDGE = [(5.0, 0.05), (30.0, 0.05), (10.0, 0.99), (8.0, 0.999), (20.0, 0.999),
+                         (1.0, 0.003)]
+
+
 class TestGammaFn:
     def test_matches_math_gamma(self):
         for s in (0.1, 0.5, 1.0, 2.5, 10.0, 100.0):
@@ -129,12 +149,22 @@ class TestMittagLeffler:
             want = math.exp(z * z) * sc.erfc(-z)
             assert mittag_leffler(0.5, z) == pytest.approx(want, rel=1e-11)
 
-    @pytest.mark.parametrize("delta", [0.3, 0.7, 0.9])
-    @pytest.mark.parametrize("z", [-30.0, -5.0, -1.0, -0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("z, delta", [
+        (z, delta) for z in (-30.0, -5.0, -1.0, -0.1, 0.5, 2.0) for delta in (0.3, 0.7, 0.9)
+    ] + ML_SPECTRAL_EDGE)
     def test_against_mpmath(self, delta, z):
+        if (z, delta) in ML_SPECTRAL_EDGE:
+            assert spectral_band("mittag_leffler", delta, -z)
         assert mittag_leffler(delta, z) == pytest.approx(
             ml_reference(delta, z), abs=1e-10
         )
+
+    def test_band_past_the_float_range(self):
+        # E_delta(-x) = 1 - F(x^(1/delta)): where x^(1/delta) overflows, an
+        # AccuracyError.
+        assert spectral_band("mittag_leffler", 1e-4, 1.1)
+        with pytest.raises(AccuracyError):
+            mittag_leffler(1e-4, -1.1)
 
     def test_completely_monotone_tail(self):
         xs = np.linspace(0.1, 80.0, 60)
@@ -159,9 +189,12 @@ class TestMlDensity:
     def test_origin_divergence(self):
         assert ml_density(0.7, 0.0) == math.inf
 
-    @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9])
-    @pytest.mark.parametrize("x", [0.05, 1.0, 8.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("x, delta", [
+        (x, delta) for x in (0.05, 1.0, 8.0, 50.0, 1000.0) for delta in (0.3, 0.5, 0.9)
+    ] + DENSITY_SPECTRAL_EDGE)
     def test_against_mpmath(self, delta, x):
+        if (x, delta) in DENSITY_SPECTRAL_EDGE:
+            assert spectral_band("ml_density", delta, x)
         assert ml_density(delta, x) == pytest.approx(
             ml_density_reference(delta, x), abs=1e-10
         )
@@ -351,6 +384,19 @@ class TestGleserDensity:
     def test_domain(self):
         with pytest.raises(DomainError):
             gleser_mixing_density(1.0, 1.0, 2.0)
+
+    def test_subnormal_x_past_the_float_range(self):
+        # (z - mu)^(-r) passes the float64 range at a subnormal z - mu, and
+        # so can the product after it: an AccuracyError, not an OverflowError,
+        # an inf or a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r, mu, z in [(0.99, 1e-300, 1.0000000000000002e-300),
+                             (0.99, 5e-324, 1e-323),
+                             (0.9, 1e-300, 1.0000000000000004e-300)]:
+                with pytest.raises(AccuracyError):
+                    gleser_mixing_density(r, mu, z)
+            assert math.isfinite(gleser_mixing_density(0.5, 1e-300, 1.0000000000000004e-300))
 
 
 class TestSnedecorFisherDensity:
