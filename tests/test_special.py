@@ -95,8 +95,8 @@ def ml_density_reference(delta, x):
 
 
 def spectral_band(name, delta, x):
-    """Whether special.<name>(delta, x) (at -x for mittag_leffler) passes
-    both the series and the tail by, to the damped inversion: the
+    """Whether special.<name>(delta, x) (at -x for mittag_leffler) reaches
+    the damped inversion: neither the series nor the tail takes it, by the
     predicates bench/layers.py's ml_branch uses."""
     acc, density = DEFAULT_ACCURACY, name == "ml_density"
     series = special._ml_density_series if density else special._ml_series_negative
