@@ -52,7 +52,16 @@ Measures, best of REPEATS runs each unless noted:
   (series, tail or spectral; ``ml_cdf`` takes that of E_delta(-x^delta)),
   each point's best of REPEATS calls averaged over the branch's points;
   and us per call of ``special._logsumexp`` (where the checkout has it)
-  and ``scipy.special.logsumexp`` on a LSE_TERMS-term series vector.
+  and ``scipy.special.logsumexp`` on a LSE_TERMS-term series vector;
+* us per call, cold and warm, of ``pdf_by_inversion(1.5, 2, x)`` over
+  PDF_X, ``cdf_by_inversion(0.6, 0.5, x)`` over CDF_X (the laws of the
+  ``special_eval`` benchmark), and ``mittag_leffler`` and ``ml_density``
+  at each delta of ML_DELTAS over the x of ML_X that take the spectral
+  branch; ms per ``InversionCdf(1.5, 2, 200)`` build, cold and warm; and
+  seconds per ``htmix eval`` over the EVAL_GRID grid of each of
+  EVAL_FUNCTIONS, cold, with the SHA-256 of its output. Cold calls run on
+  cleared inversion caches (where the checkout has them), as the first
+  call for a law in a process does.
 
 Run it against another checkout's ``src`` to compare.
 """
@@ -60,10 +69,12 @@ Run it against another checkout's ``src`` to compare.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -101,6 +112,13 @@ INVERSION_X = (0.05, 1.0, 3.0, 30.0, 200.0)
 FAR_X = (1e6, 1e100)
 ML_DELTAS = (0.3, 0.6, 0.9)
 ML_X = np.logspace(-2.0, 3.0, 40)
+PDF_X = np.linspace(0.5, 20.0, 8)
+CDF_X = np.geomspace(0.05, 30.0, 8)
+EVAL_FUNCTIONS = (("genlinnik-cdf", "--alpha", "0.6", "--nu", "0.5"),
+                  ("genlinnik-pdf", "--alpha", "1.5", "--nu", "2"),
+                  ("ml-density", "--delta", "0.9"))
+EVAL_GRID = "0.01:20:0.01"  # 2,000 points
+INVERSION_CACHES = ("_plan", "_lattice", "_heads", "_coarse")
 LSE_TERMS = 600
 LSE_CALLS = 200
 KERNELS = {
@@ -384,6 +402,46 @@ def ml_us_per_call() -> dict:
     return out
 
 
+def cold(fn):
+    """fn, run on cleared inversion caches where the checkout has them."""
+    def run():
+        for name in INVERSION_CACHES:
+            if hasattr(special, name):
+                getattr(special, name).cache_clear()
+        return fn()
+
+    return run
+
+
+def inversion_plan_us() -> dict:
+    points = {"pdf_by_inversion(1.5, 2)": (special.pdf_by_inversion, 1.5, 2.0, PDF_X),
+              "cdf_by_inversion(0.6, 0.5)": (special.cdf_by_inversion, 0.6, 0.5, CDF_X)}
+    for name, sign in (("mittag_leffler", -1.0), ("ml_density", 1.0)):
+        for delta in ML_DELTAS:
+            xs = [sign * x for x in ML_X if ml_branch(name, delta, x) == "spectral"]
+            points[f"{name}({delta}).spectral"] = (getattr(special, name), delta, xs)
+    out = {}
+    for key, (fn, *args, xs) in points.items():
+        out[key] = {"points": len(xs)}
+        for state, wrap in (("cold_us", cold), ("warm_us", lambda f: f)):
+            best = [best_seconds(wrap(lambda x=x: fn(*args, x))) for x in xs]
+            out[key][state] = round(1e6 * sum(best) / len(best), 1)
+    def build():
+        return special.InversionCdf(1.5, 2.0, 200.0)
+
+    out["InversionCdf(1.5, 2, 200)"] = {
+        "cold_ms": round(1e3 * best_seconds(cold(build)), 2),
+        "warm_ms": round(1e3 * best_seconds(build), 2)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "eval.csv"
+        for fn, *params in EVAL_FUNCTIONS:
+            argv = ["eval", "--fn", fn, *params, "--grid", EVAL_GRID, "--out", str(path)]
+            out[f"htmix eval --fn {fn} {' '.join(params)}"] = {
+                "s": round(best_seconds(cold(lambda: cli.main(argv)), repeats=3), 3),
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    return out
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--kernels"]:
         print(json.dumps(kernels()))
@@ -399,4 +457,5 @@ if __name__ == "__main__":
         "verify_ms_per_point": verify_ms_per_point(),
         "inversion_ms": inversion_ms(),
         "ml_us_per_call": ml_us_per_call(),
+        "inversion_plan_us": inversion_plan_us(),
     }))

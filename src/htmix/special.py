@@ -11,7 +11,10 @@ Erdogan & Ostrovskii (1998). Fixed Gauss-Legendre panels in ln u integrate
 it; a 32-point and a 24-point rule on the same panels must agree to
 Accuracy.abs_tol, or AccuracyError is raised. One pass evaluates a whole
 vector of abscissae, each a sum of its own panels in a fixed order, so
-InversionCdf's grid values are the scalar values bit for bit.
+InversionCdf's grid values are the scalar values bit for bit. The x-free
+parts of a law's sums are built on first use, in bounded caches of read-only
+arrays whose entries each depend on their lattice index alone, so a value
+does not depend on the calls or threads before it either.
 
 Branch selection for the Mittag-Leffler family is tolerance-aware: the power
 series is used only where float64 cancellation stays inside the error budget,
@@ -252,7 +255,8 @@ def _ml_negative(delta: float, x: float, density: bool, acc: Accuracy) -> float:
     """E_delta(-x), or the Mittag-Leffler density at x if density, for x > 0:
     the series where it is safe, else the tail, else the damped inversion of
     the law's Laplace transform 1 / (1 + s^delta) (see _upper), at x for the
-    density and at x^(1/delta) for E_delta(-x) = 1 - F(x^(1/delta))."""
+    density and at x^(1/delta) for E_delta(-x) = 1 - F(x^(1/delta)), whose
+    log -ln(x) / delta it takes where that power leaves float64."""
     series = _ml_density_series if density else _ml_series_negative
     val = series(delta, x, acc)
     if val is None:
@@ -260,9 +264,8 @@ def _ml_negative(delta: float, x: float, density: bool, acc: Accuracy) -> float:
     if val is not None:
         return val
     ax = x if density else _power(x, 1.0 / delta)
-    if not 0.0 < ax < math.inf:
-        raise AccuracyError(f"x^(1/delta) at delta = {delta!r}, x = {x!r} is outside float64")
-    return float(_upper(delta, 1.0, np.array([ax]), density, acc, True).values[0])
+    v_star = -np.log(np.array([ax])) if 0.0 < ax < math.inf else np.array([-math.log(x) / delta])
+    return float(_invert((delta, 1.0, density, True), v_star, acc).values[0])
 
 
 def ml_density(delta, x, accuracy: Accuracy | None = None) -> float:
@@ -424,6 +427,8 @@ _TURNS = 16.0  # alpha * nu up to which the panels need not narrow
 _RISE = math.log(1e3)  # the most the kernel may rise above 1 on the imaginary axis
 _MOST_PANELS = 4096  # fine panels per damped window
 _ENTRIES = 1 << 15  # damped matrix entries per row block, to bound memory
+_CHUNK = 32  # fine panels, and window starts, per cached lattice chunk
+_COARSE = 16  # coarse panels in the first cached chunk of running sums
 
 
 class _Inversion(NamedTuple):
@@ -509,52 +514,115 @@ def _rule_sums(f: np.ndarray) -> np.ndarray:
     return np.stack([f[..., :32].sum(axis=-1), f[..., 32:].sum(axis=-1)])
 
 
-def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy,
-           lst: bool = False) -> _Inversion:
-    """1 - F(x), or f(x) if density, at each x > 0 in ax, of the law with cf
-    (1 + |t|^alpha)^(-nu), or, if lst, with Laplace transform
-    (1 + s^alpha)^(-nu).
+class _Plan(NamedTuple):
+    """The x-free part of one law's inversion; see _upper."""
 
-    A point sums, in this order and by both rules: the closed far-left tail;
-    the undamped panels of a coarse lattice in ln u fixed by alpha and nu
-    (one running sum per call); one undamped panel up to its damped window;
-    then the window, the fine lattice panels from ln(1/x) - 38 to past
-    ln(40/x), whose e^(ixt) times the weighted kernel (evaluated once per
-    call at every lattice node) it sums panel by panel. So a value does not
-    depend on the other points of the call.
-    """
-    if alpha == 2.0 and nu == 1.0:  # the Laplace law, in closed form
-        return _Inversion(0.5 * np.exp(-ax), np.zeros(ax.size, np.int64), np.zeros(ax.size))
-    ray, (t, w) = _ray(alpha, nu, lst), _nodes()
-    v_star = -np.log(ax)
-    start = np.floor((v_star - _FLAT) / ray.fine)  # a window's first fine panel
+    ray: _Ray
+    width: int  # fine panels per damped window
+    j_lo: int  # the first coarse panel
+    grow: np.ndarray  # u / e^v_win at a window's nodes
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(alpha, nu, density: bool, lst: bool) -> _Plan:
+    ray = _ray(alpha, nu, lst)
     width = math.ceil((_FLAT + math.log(40.0 / ray.sin)) / ray.fine) + 1
     if width > _MOST_PANELS:
         raise AccuracyError(f"alpha * nu = {alpha * nu:.3g} needs too many panels")
-    v_win = start * ray.fine
-    j_lo = math.floor(-_FAR / alpha / ray.coarse)
-    inner = v_win > j_lo * ray.coarse
-    j = np.where(inner, np.floor(v_win / ray.coarse), j_lo)  # coarse panels j_lo .. j - 1
+    grow = np.exp((np.arange(width)[:, None] + _nodes()[0]) * ray.fine)
+    return _Plan(ray, width, math.floor(-_FAR / alpha / ray.coarse), *_frozen(grow))
+
+
+@functools.lru_cache(maxsize=16)
+def _coarse(law: tuple, b: int) -> np.ndarray:
+    """The running sums of the coarse panels j_lo .. j - 1 at j - j_lo from
+    _COARSE (2^b - 1) to _COARSE (2^(b+1) - 1): both rules', then the 32-point
+    rule's of |panel|. Each chunk goes on from the one below, so the sums have
+    one cumsum's bits, and the sum at j - j_lo = p costs at most 2p + _COARSE panels."""
+    (alpha, nu, density, _), plan, (t, w) = law, _plan(*law), _nodes()
+    prev, ray = _coarse(law, b - 1)[:, -1] if b else np.zeros(3), plan.ray
+    j, step = plan.j_lo + _COARSE * (2**b - 1) + np.arange(_COARSE * 2**b), _ENTRIES // t.size
+    with np.errstate(over="ignore", invalid="ignore"):  # nodes no point may need
+        panels = np.concatenate([  # in row blocks, to bound memory
+            _rule_sums(_kernel(alpha, nu, ray, (j[i:i + step, None] + t) * ray.coarse,
+                               density).real * w) for i in range(0, j.size, step)], axis=1)
+    panels *= ray.coarse
+    sums = np.cumsum(np.concatenate([prev[:2, None], panels], axis=1), axis=1)
+    return _frozen(np.vstack([sums, np.cumsum(np.append(prev[2], np.abs(panels[0])))]))[0]
+
+
+@functools.lru_cache(maxsize=128)
+def _lattice(law: tuple, c: int) -> np.ndarray:
+    """The weighted kernel at the nodes of fine panels c _CHUNK .. (c + 1) _CHUNK - 1."""
+    (alpha, nu, density, _), plan, (t, w) = law, _plan(*law), _nodes()
+    fine_v = (np.arange(c * _CHUNK, (c + 1) * _CHUNK)[:, None] + t) * plan.ray.fine
+    with np.errstate(over="ignore", invalid="ignore"):  # nodes no point may need
+        return _frozen(_kernel(alpha, nu, plan.ray, fine_v, density) * (w * plan.ray.fine))[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _heads(law: tuple, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the windows that start at fine panels c _CHUNK .. (c + 1) _CHUNK - 1:
+    both rules' sums below them, then the 32-point rule's of |.|; and the
+    32-point rule's node counts."""
+    (alpha, nu, density, _), plan, (t, w) = law, _plan(*law), _nodes()
+    ray, n = plan.ray, np.arange(c * _CHUNK, (c + 1) * _CHUNK)
+    v_win = n * ray.fine  # where a window starting at n begins
+    inner = v_win > plan.j_lo * ray.coarse
+    j = np.where(inner, np.floor(v_win / ray.coarse), plan.j_lo)  # coarse panels j_lo .. j - 1
     span = np.where(inner, v_win - j * ray.coarse, 0.0)
-    coarse_v = (np.arange(j_lo, max(j_lo, int(j.max())))[:, None] + t) * ray.coarse
-    panels = _rule_sums(_kernel(alpha, nu, ray, coarse_v, density).real * w) * ray.coarse
-    pick = (j - j_lo).astype(np.int64)
-    below = np.cumsum(np.concatenate([np.zeros((2, 1)), panels], axis=1), axis=1)[:, pick]
-    part, cut = np.zeros((2, ax.size)), span > 0.0
-    part_v = j[cut, None] * ray.coarse + t * span[cut, None]
-    part[:, cut] = _rule_sums(_kernel(alpha, nu, ray, part_v, density).real * w) * span[cut]
-    left = _far_left(alpha, nu, ray, np.where(inner, j_lo * ray.coarse, v_win), density)
-    total = left + below + part
-    size = np.abs(left) + np.cumsum(np.abs(np.append(0.0, panels[0])))[pick] + np.abs(part[0])
-    first = int(start.min())
-    fine_v = (np.arange(first, int(start.max()) + width)[:, None] + t) * ray.fine
-    kappa = _kernel(alpha, nu, ray, fine_v, density) * (w * ray.fine)
-    grow = np.exp((np.arange(width)[:, None] + t) * ray.fine)  # u / e^v_win
-    x_win = np.exp(v_win - v_star)  # x e^v_win
-    step = max(1, _ENTRIES // kappa[:width].size)
-    for rows in (slice(lo, lo + step) for lo in range(0, ax.size, step)):
-        k = kappa[(start[rows] - first).astype(np.int64)[:, None] + np.arange(width)]
-        xu = x_win[rows, None, None] * grow
+    cut = span > 0.0
+    pick = (j - plan.j_lo).astype(np.int64)
+    low, high = (int(p // _COARSE + 1).bit_length() - 1 for p in (pick.min(), pick.max()))
+    below = np.concatenate([_coarse(law, b)[:, :-1] for b in range(low, high + 1)], axis=1)
+    below, part = below[:, pick - _COARSE * (2**low - 1)], np.zeros((2, _CHUNK))
+    with np.errstate(over="ignore", invalid="ignore"):  # windows no point may need
+        part_v = j[cut, None] * ray.coarse + t * span[cut, None]
+        part[:, cut] = _rule_sums(_kernel(alpha, nu, ray, part_v, density).real * w) * span[cut]
+        left = _far_left(alpha, nu, ray, np.where(inner, plan.j_lo * ray.coarse, v_win), density)
+    head = np.vstack([left + below[:2] + part, np.abs(left) + below[2] + np.abs(part[0])])
+    return _frozen(head, 32 * (pick + cut + plan.width))
+
+
+def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy) -> _Inversion:
+    """1 - F(x), or f(x) if density, at each x > 0 in ax, of the law with cf
+    (1 + |t|^alpha)^(-nu); the Laplace law (2, 1) is in closed form.
+
+    A point sums, in this order and by both rules: the closed far-left tail;
+    the undamped panels of a coarse lattice in ln u fixed by alpha and nu;
+    one undamped panel up to its damped window; then the window, the fine
+    lattice panels from ln(1/x) - 38 to past ln(40/x), whose e^(ixt) times
+    the weighted kernel it sums panel by panel. All but e^(ixt) is x-free and
+    is cached per law (_plan), per chunk of fine panels (_lattice) and per
+    chunk of window starts (_heads, from _coarse's running sums). An entry
+    depends on its lattice index alone (elementwise ufuncs, row sums and a
+    sequential cumsum), so a value depends neither on the other points of
+    the call nor on the calls or threads before it.
+    """
+    if alpha == 2.0 and nu == 1.0:
+        return _Inversion(0.5 * np.exp(-ax), np.zeros(ax.size, np.int64), np.zeros(ax.size))
+    return _invert((alpha, nu, density, False), -np.log(ax), accuracy)
+
+
+def _invert(law: tuple, v_star: np.ndarray, accuracy) -> _Inversion:
+    """_upper's sums at x = e^-v_star for law = (alpha, nu, density, lst); see _ray."""
+    plan = _plan(*law)
+    ray, width = plan.ray, plan.width
+    start = np.floor((v_star - _FLAT) / ray.fine)  # a window's first fine panel
+    first, last = start.min(), start.max()
+    if not -2.0**52 < first <= last < 2.0**52:
+        raise AccuracyError("x is outside the inversion's range")
+    low, high = int(first) // _CHUNK, int(last + width - 1) // _CHUNK
+    kappa = np.concatenate([_lattice(law, c) for c in range(low, high + 1)])
+    heads = [_heads(law, c) for c in range(low, int(last) // _CHUNK + 1)]
+    at = (start - low * _CHUNK).astype(np.int64)
+    total = np.concatenate([h for h, _ in heads], axis=1)[:, at]
+    total, size = total[:2], total[2]
+    x_win = np.exp(start * ray.fine - v_star)  # x e^v_win
+    step = max(1, _ENTRIES // plan.grow.size)
+    for rows in (slice(lo, lo + step) for lo in range(0, v_star.size, step)):
+        k = kappa[at[rows, None] + np.arange(width)]
+        xu = x_win[rows, None, None] * plan.grow
         if ray.cos:  # Re[e^(ixt) kappa]
             f = np.exp(-ray.sin * xu) * (np.cos(ray.cos * xu) * k.real
                                          - np.sin(ray.cos * xu) * k.imag)
@@ -570,7 +638,7 @@ def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy,
         raise AccuracyError("abs_tol is below the float64 roundoff of the inversion sum")
     if not (errors <= acc.abs_tol).all():
         raise AccuracyError(f"inversion rules differ by {errors.max():.2e}, more than abs_tol")
-    nodes = 32 * ((j - j_lo) + cut + width).astype(np.int64)
+    nodes = np.concatenate([n for _, n in heads])[at]
     return _Inversion(total[0], nodes, errors)
 
 

@@ -1,6 +1,10 @@
 import dataclasses
+import gc
 import inspect
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -160,11 +164,19 @@ class TestMittagLeffler:
         )
 
     def test_band_past_the_float_range(self):
-        # E_delta(-x) = 1 - F(x^(1/delta)): where x^(1/delta) overflows, an
-        # AccuracyError.
-        assert spectral_band("mittag_leffler", 1e-4, 1.1)
-        with pytest.raises(AccuracyError):
-            mittag_leffler(1e-4, -1.1)
+        # E_delta(-x) = 1 - F(x^(1/delta)): where x^(1/delta) overflows or
+        # underflows, the inversion takes ln(x) / delta. To first order in
+        # delta, E_delta(-x) = 1/(1 + x) - gamma delta x / (1 + x)^2.
+        for delta, x in [(1e-4, 1.1), (1e-6, 1.01), (1e-6, 1.1), (1e-6, 0.995), (1e-6, 0.999)]:
+            assert spectral_band("mittag_leffler", delta, x)
+            assert special._power(x, 1.0 / delta) in (0.0, math.inf)
+            got = mittag_leffler(delta, -x)
+            assert abs(got - 1.0 / (1.0 + x)) <= delta * x / (1.0 + x) ** 2
+        # delta log-uniform in [1e-6, 1] and x in [1e-3, 1e4]: no point raises.
+        rng = np.random.default_rng(0)
+        deltas = np.exp(rng.uniform(math.log(1e-6), 0.0, 4000))
+        xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 4000))
+        assert all(0.0 <= mittag_leffler(d, -x) <= 1.0 for d, x in zip(deltas, xs))
 
     def test_completely_monotone_tail(self):
         xs = np.linspace(0.1, 80.0, 60)
@@ -767,6 +779,143 @@ class TestBatchedInversion:
         # nodes; the two rules agree to well inside abs_tol.
         assert first.head_panels >= 32 * 17 * (first.points - 1)
         assert 0.0 < first.max_rounds <= 1e-14
+
+
+INVERSION_CACHES = (special._plan, special._lattice, special._heads, special._coarse)
+
+
+def clear_inversion_caches():
+    for cache in INVERSION_CACHES:
+        cache.cache_clear()
+
+
+def outcome(fn, *args):
+    """The bytes of what fn(*args) returns (all three fields of an inversion),
+    or the text of the AccuracyError it raises."""
+    try:
+        got = fn(*args)
+    except AccuracyError as exc:
+        return f"AccuracyError: {exc}"
+    fields = got if isinstance(got, tuple) else [got]
+    return b"".join(np.asarray(a).tobytes() for a in fields)
+
+
+# |x| from 1e-300 to 1e300 and on (0.05, 30) for 1 - F and f: on the imaginary
+# axis (1.5, 2), with partial panels below the windows (0.1, 0.3; 0.6, 0.5)
+# and on a tilted ray (1.9, 3); then the Mittag-Leffler band, whose inversion
+# runs on the transform's own rays.
+PLAN_XS = np.concatenate([np.geomspace(1e-300, 1e300, 25), np.linspace(0.05, 30.0, 8)])
+PLAN_CALLS = (
+    [(special._upper, alpha, nu, np.array([x]), density, None)
+     for alpha, nu in [(1.5, 2.0), (0.1, 0.3), (0.6, 0.5), (1.9, 3.0)]
+     for density in (False, True) for x in PLAN_XS]
+    + [(fn, delta, sign * x)
+       for fn, sign in ((mittag_leffler, -1.0), (ml_density, 1.0), (ml_cdf, 1.0))
+       for delta in (0.05, 0.3, 0.9, 0.999) for x in (2.0, 5.0, 8.0, 12.0, 20.0)]
+)
+
+
+class TestInversionPlans:
+    """The x-free terms are cached per law; no value depends on that."""
+
+    def test_order_and_warmth_keep_the_bits(self):
+        want = []
+        for fn, *args in PLAN_CALLS:
+            clear_inversion_caches()
+            want.append(outcome(fn, *args))
+        assert any(isinstance(w, str) for w in want) and any(isinstance(w, bytes) for w in want)
+        clear_inversion_caches()
+        order = np.random.default_rng(23).permutation(len(PLAN_CALLS))
+        got = {i: outcome(*PLAN_CALLS[i]) for i in order}
+        assert [got[i] for i in range(len(PLAN_CALLS))] == want
+        # A batch over the same caches, warm now, gives each point its bits.
+        inv = special._upper(1.9, 3.0, PLAN_XS, False, None)
+        for i, x in enumerate(PLAN_XS):
+            one = special._upper(1.9, 3.0, np.array([x]), False, None)
+            assert [f[i:i + 1].tobytes() for f in inv] == [f.tobytes() for f in one]
+
+    def test_threads_give_the_serial_bits(self):
+        calls = PLAN_CALLS[::3]
+        clear_inversion_caches()
+        want = [outcome(*call) for call in calls]
+        clear_inversion_caches()
+        results = [None] * 8
+
+        def work(k):
+            order = np.random.default_rng(k).permutation(len(calls))
+            got = {i: outcome(*calls[i]) for i in order}
+            results[k] = [got[i] for i in range(len(calls))]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 8
+
+    def test_warm_calls_evaluate_no_kernel(self, monkeypatch):
+        kernel, count = special._kernel, [0]
+
+        def counted(*args):
+            count[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(special, "_kernel", counted)
+        calls = [lambda: cdf_by_inversion(0.6, 0.5, 1.7), lambda: pdf_by_inversion(1.5, 2.0, 3.3),
+                 lambda: pdf_by_inversion(1.9, 3.0, 1e-200),
+                 lambda: mittag_leffler(0.9, -12.0), lambda: ml_density(0.3, 8.0),
+                 lambda: InversionCdf(1.5, 2.0, 200.0)(1.0)]
+        for call in calls:
+            clear_inversion_caches()
+            count[0] = 0
+            call()
+            assert count[0] > 0
+            count[0] = 0
+            call()
+            assert count[0] == 0
+        # The range and panel-count errors raise before any kernel work, on
+        # every call: they are not cached.
+        for _ in range(2):
+            with pytest.raises(AccuracyError, match="below the inversion's range"):
+                special._upper(1e-310, 1.0, np.array([1.0]), False, None)
+            with pytest.raises(AccuracyError, match="too many panels"):
+                cdf_by_inversion(2.0, 1e6, 1.0)
+        assert count[0] == 0
+
+    def test_cached_arrays_are_read_only(self):
+        # A law with coarse panels below its windows, and one on a tilted ray.
+        law, tilted = (0.1, 0.3, False, False), (1.9, 3.0, True, False)
+        plan = special._plan(*law)
+        c = math.floor((30.0 * math.log(10.0) - 38.0) / plan.ray.fine) // special._CHUNK
+        for a in [plan.grow, special._lattice(law, c), *special._heads(law, c),
+                  special._coarse(law, 0), special._lattice(tilted, -3)]:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+
+    def test_caches_are_bounded(self):
+        assert all(cache.cache_info().maxsize is not None for cache in INVERSION_CACHES)
+        clear_inversion_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for alpha, nu in [(1.5, 300.0), (1.0, 1000.0)]:
+                for x in np.geomspace(5e-324, 1e300, 16):
+                    for fn in (cdf_by_inversion, pdf_by_inversion):
+                        outcome(fn, alpha, nu, x)
+            gc.collect()
+            cached = tracemalloc.get_traced_memory()[0]
+            clear_inversion_caches()
+            gc.collect()
+            cached -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < cached <= 8 * 2**20
 
 
 @settings(max_examples=50, deadline=None)
