@@ -21,16 +21,16 @@ Measures, best of REPEATS runs each unless noted:
   of gamma(2) * 99 over 10^5 replications, about 2e7 symmetric-stable draws
   at alpha = 1.5), once on a 1-worker pool and once on the default pool;
 * ms per call of ``ecf_distance`` on a 2e5-draw symmetric-stable sample at
-  alpha = 1.5, and on 2e5 standard normal and 2e5 standard Cauchy draws, on
-  the default grid (each t twice the one before, so cos and sin are stepped
-  by angle doubling) and on NON_DOUBLING_T_GRID (cos and sin at every t);
+  alpha = 1.5, and on 2e5 standard normal and 2e5 standard Cauchy draws (on
+  its fixed grid each t is twice the one before, so cos and sin are stepped
+  by angle doubling);
 * ms per call of ``ks_two_sample`` on the 2e5-draw pairs of ``ks_pairs``: two
   independent symmetric-stable samples at alpha = 1.5 (null), the second
   shifted by 0.05 (shifted), two negative-binomial samples (tied), two
   uniform samples on disjoint ranges (disjoint), a sample and its copy
   (identical) and a sample and each value's next float up (one_ulp), with
   the share of their points the checkpoint bound leaves to be searched
-  (counted through ``verification._gaps``, where the checkout has it);
+  (counted through ``verification._gaps``);
 * ``verify`` ms per point over the 80 canonical identity points (the
   ``identity_registry`` benchmark's calls), best of VERIFY_REPEATS passes,
   once on a 1-worker pool and once on the default pool;
@@ -38,10 +38,9 @@ Measures, best of REPEATS runs each unless noted:
   (the reference CDFs of ``limit_lab``: thm7/thm8 at (2, 1), a (1.5, 2)
   experiment out to x_max = 100 and thm7 (1.5, 2) out to its largest
   |statistic|, and a (1.5, 2) build out to 2e4), with each build's
-  ``points``, its ``nodes`` (the ``head_panels`` counter: the 32-point
-  rule's nodes summed over the grid) and its ``rule_difference`` (the
-  ``max_rounds`` counter: the largest difference between the 32-point and
-  24-point rules);
+  ``points``, its ``nodes`` (the 32-point rule's nodes summed over the
+  grid) and its ``rule_difference`` (the largest difference between the
+  32-point and 24-point rules);
 * ms per call of ``cdf_by_inversion`` and ``pdf_by_inversion`` at
   (1.5, 2), averaged over the |x| in INVERSION_X, and of
   ``cdf_by_inversion`` at (1.5, 2) alone at each |x| in FAR_X (the name
@@ -51,8 +50,8 @@ Measures, best of REPEATS runs each unless noted:
   golden and ``special_eval`` grid), split by the branch each point takes
   (series, tail or spectral; ``ml_cdf`` takes that of E_delta(-x^delta)),
   each point's best of REPEATS calls averaged over the branch's points;
-  and us per call of ``special._logsumexp`` (where the checkout has it)
-  and ``scipy.special.logsumexp`` on a LSE_TERMS-term series vector;
+  and us per call of ``special._logsumexp`` and
+  ``scipy.special.logsumexp`` on a LSE_TERMS-term series vector;
 * us per call, cold and warm, of ``pdf_by_inversion(1.5, 2, x)`` over
   PDF_X, ``cdf_by_inversion(0.6, 0.5, x)`` over CDF_X (the laws of the
   ``special_eval`` benchmark), and ``mittag_leffler`` and ``ml_density``
@@ -60,8 +59,7 @@ Measures, best of REPEATS runs each unless noted:
   branch; ms per ``InversionCdf(1.5, 2, 200)`` build, cold and warm; and
   seconds per ``htmix eval`` over the EVAL_GRID grid of each of
   EVAL_FUNCTIONS, cold, with the SHA-256 of its output. Cold calls run on
-  cleared inversion caches (where the checkout has them), as the first
-  call for a law in a process does.
+  cleared inversion caches, as the first call for a law in a process does.
 
 Run it against another checkout's ``src`` to compare.
 """
@@ -105,7 +103,6 @@ REPEATS = 5
 VERIFY_REPEATS = 3
 SAMPLE_N = 1_000_000
 METRIC_N = 200_000
-NON_DOUBLING_T_GRID = (0.25, 0.5, 1.0, 2.0, 3.0)
 INVERSION_BUILDS = ((2.0, 1.0, 13.27), (1.5, 2.0, 100.0), (1.5, 2.0, 2642.4),
                     (1.5, 2.0, 2e4))
 INVERSION_X = (0.05, 1.0, 3.0, 30.0, 200.0)
@@ -118,7 +115,7 @@ EVAL_FUNCTIONS = (("genlinnik-cdf", "--alpha", "0.6", "--nu", "0.5"),
                   ("genlinnik-pdf", "--alpha", "1.5", "--nu", "2"),
                   ("ml-density", "--delta", "0.9"))
 EVAL_GRID = "0.01:20:0.01"  # 2,000 points
-INVERSION_CACHES = ("_plan", "_lattice", "_heads", "_coarse")
+INVERSION_CACHES = (special._plan, special._lattice, special._heads, special._coarse)
 LSE_TERMS = 600
 LSE_CALLS = 200
 KERNELS = {
@@ -269,14 +266,9 @@ def metric_ms_per_call() -> dict:
     rng = np.random.default_rng(5)
     samples = {"normal": rng.standard_normal(METRIC_N),
                "cauchy": rng.standard_cauchy(METRIC_N)}
-    grids = {"default_grid": verification.DEFAULT_T_GRID,
-             "non_doubling_grid": NON_DOUBLING_T_GRID}
     for law, x in samples.items():
-        for grid_name, grid in grids.items():
-            seconds = best_seconds(
-                lambda: verification.ecf_distance(x, cf, t_grid=grid))
-            out[f"ecf_distance.{law}.{grid_name}.n{METRIC_N}"] = round(
-                1e3 * seconds, 3)
+        seconds = best_seconds(lambda: verification.ecf_distance(x, cf))
+        out[f"ecf_distance.{law}.n{METRIC_N}"] = round(1e3 * seconds, 3)
     return out
 
 
@@ -316,9 +308,7 @@ def ks_ms_per_call() -> dict:
     out = {}
     for name, (a, b) in ks_pairs().items():
         seconds = best_seconds(lambda: verification.ks_two_sample(a, b))
-        out[name] = {"ms": round(1e3 * seconds, 3)}
-        if hasattr(verification, "_gaps"):
-            out[name]["searched_share"] = searched_share(a, b)
+        out[name] = {"ms": round(1e3 * seconds, 3), "searched_share": searched_share(a, b)}
     return out
 
 
@@ -352,8 +342,8 @@ def inversion_ms() -> dict:
             "ms": round(1e3 * best_seconds(
                 lambda: special.InversionCdf(alpha, nu, x_max)), 1),
             "points": build.points,
-            "nodes": build.head_panels,
-            "rule_difference": build.max_rounds,
+            "nodes": build.nodes,
+            "rule_difference": build.rule_difference,
         }
     for fn in (special.cdf_by_inversion, special.pdf_by_inversion):
         seconds = best_seconds(lambda: [fn(1.5, 2.0, x) for x in INVERSION_X])
@@ -372,8 +362,7 @@ def ml_branch(name: str, delta: float, x: float) -> str:
     acc = special.DEFAULT_ACCURACY
     density = name == "ml_density"
     arg = x**delta if name == "ml_cdf" else x
-    series = special._ml_density_series if density else special._ml_series_negative
-    if series(delta, arg, acc) is not None:
+    if special._ml_series(delta, arg, density, acc) is not None:
         return "series"
     if special._alternating_tail(delta, arg, acc, density=density) is not None:
         return "tail"
@@ -392,9 +381,7 @@ def ml_us_per_call() -> dict:
         out[name] = {branch: {"points": len(s), "us": round(1e6 * sum(s) / len(s), 1)}
                      for branch, s in sorted(seconds.items())}
     terms = np.arange(LSE_TERMS) * np.log(3.0) - sc.gammaln(0.6 * np.arange(LSE_TERMS) + 1.0)
-    lse = {"scipy": sc.logsumexp}
-    if hasattr(special, "_logsumexp"):
-        lse["replica"] = special._logsumexp
+    lse = {"scipy": sc.logsumexp, "replica": special._logsumexp}
     out[f"logsumexp.n{LSE_TERMS}"] = {
         key: round(1e6 * best_seconds(lambda: [fn(terms) for _ in range(LSE_CALLS)])
                    / LSE_CALLS, 1)
@@ -403,11 +390,10 @@ def ml_us_per_call() -> dict:
 
 
 def cold(fn):
-    """fn, run on cleared inversion caches where the checkout has them."""
+    """fn, run on cleared inversion caches."""
     def run():
-        for name in INVERSION_CACHES:
-            if hasattr(special, name):
-                getattr(special, name).cache_clear()
+        for cache in INVERSION_CACHES:
+            cache.cache_clear()
         return fn()
 
     return run

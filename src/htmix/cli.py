@@ -222,10 +222,14 @@ def _parse_grid(spec: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise DomainError(f"grid values must be numbers, got {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DomainError(f"grid values must be finite, got {spec!r}")
     if step <= 0:
         raise DomainError("grid step must be positive")
     if hi < lo:
         raise DomainError("grid needs lo <= hi")
+    if (hi - lo) / step > 999_999:
+        raise DomainError("grid holds more than 1000000 points")
     count = int((hi - lo) / step + 1e-9) + 1
     return [lo + step * i for i in range(count)]
 

@@ -40,7 +40,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -198,23 +198,15 @@ def _check_expr(expr) -> None:
         raise DomainError(f"not an expression node: {expr!r}")
 
 
-def evaluate(
-    expr,
-    n: int,
-    stream: RandomStream,
-    offsets: Iterator[int] | None = None,
-) -> np.ndarray:
+def evaluate(expr, n: int, stream: RandomStream) -> np.ndarray:
     """Draw n values of an expression, one substream per leaf.
 
-    Leaves take consecutive substream offsets from `offsets` (default
-    0, 1, 2, ... off the given stream) in depth-first order, which is what
-    makes distinct leaves independent. Passing a custom iterator exists so
-    tests can deliberately violate that discipline.
+    Leaves take consecutive substream offsets 0, 1, 2, ... off the given
+    stream in depth-first order, which is what makes distinct leaves
+    independent.
     """
     _check_expr(expr)
-    if offsets is None:
-        offsets = itertools.count()
-    return _eval(expr, int(n), stream, offsets)
+    return _eval(expr, int(n), stream, itertools.count())
 
 
 def _leaf_count(expr) -> int:
@@ -668,12 +660,12 @@ def instantiate(
     """Draw both sides of one case at given parameters.
 
     Leaves on the two sides take consecutive substream offsets off the same
-    stream, so every leaf is independent of every other. The offsets are
-    taken up front, first the lhs leaves and then the rhs leaves, each side
-    depth-first as in ``evaluate``; the two sides are then drawn through
-    ``_pool.imap``, each with its own offsets: concurrently on the package's
-    worker pool, or one after the other in a call from a pool task. The
-    values depend on the seed alone, never on the thread count.
+    stream, so every leaf is independent of every other: the lhs is drawn
+    by ``evaluate`` on the stream and the rhs on the stream shifted past the
+    lhs leaves. The two sides are drawn through ``_pool.imap``: concurrently
+    on the package's worker pool, or one after the other in a call from a
+    pool task. The values depend on the seed alone, never on the thread
+    count.
     """
     try:
         exprs = case.lhs(params), case.rhs(params)
@@ -684,17 +676,13 @@ def instantiate(
     n = int(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
-    offsets = itertools.count()
-    taken = [list(itertools.islice(offsets, _leaf_count(expr))) for expr in exprs]
-
-    def draw(side: int) -> np.ndarray:
-        return evaluate(exprs[side], n, stream, iter(taken[side]))
-
+    streams = stream, stream.shifted(_leaf_count(exprs[0]))
+    drawn = _pool.imap(lambda side: evaluate(exprs[side], n, streams[side]), (0, 1))
     lhs, rhs = (
         SampleBatch(
             values, f"{case.id}:{side} {expr.describe()}", stream.seed, stream.substream
         )
-        for side, expr, values in zip(("lhs", "rhs"), exprs, _pool.imap(draw, (0, 1)))
+        for side, expr, values in zip(("lhs", "rhs"), exprs, drawn)
     )
     return lhs, rhs
 

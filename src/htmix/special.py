@@ -112,21 +112,18 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@functools.lru_cache(maxsize=64)
-def _series_table(delta: float):
-    """n, gammaln(delta n + 1) and (-1)^n for n < _MAX_TERMS: the x-free
-    parts of the series of E_delta(-x)."""
-    n = np.arange(_MAX_TERMS, dtype=float)
-    return _frozen(n, sc.gammaln(delta * n + 1.0), np.where(n.astype(int) % 2 == 0, 1.0, -1.0))
-
-
-@functools.lru_cache(maxsize=64)
-def _density_series_table(delta: float):
-    """delta n - 1, gammaln(delta n) and (-1)^(n-1) for 1 <= n <= _MAX_TERMS:
-    the x-free parts of the series of the ML density."""
-    n = np.arange(1, _MAX_TERMS + 1, dtype=float)
-    signs = np.where(n.astype(int) % 2 == 1, 1.0, -1.0)
-    return _frozen(delta * n - 1.0, sc.gammaln(delta * n), signs)
+@functools.lru_cache(maxsize=128)
+def _series_table(delta: float, density: bool):
+    """The power of x, the log-gamma and the sign of the first _MAX_TERMS
+    terms (-1)^n x^n / Gamma(delta n + 1), n >= 0, of E_delta(-x), or if
+    density (-1)^(n-1) x^(delta n - 1) / Gamma(delta n), n >= 1, of the ML
+    density. See _ml_series."""
+    n = np.arange(int(density), _MAX_TERMS + int(density), dtype=float)
+    if density:
+        power, gln = delta * n - 1.0, sc.gammaln(delta * n)
+    else:
+        power, gln = n, sc.gammaln(delta * n + 1.0)
+    return _frozen(power, gln, np.where(np.arange(_MAX_TERMS) % 2 == 0, 1.0, -1.0))
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,11 +158,22 @@ def _series_roundoff_ok(ln_terms: np.ndarray, acc: Accuracy) -> bool:
     return _logsumexp(ln_terms) <= math.log(acc.abs_tol * 0.005) - _LN_EPS
 
 
-def _ml_series_negative(delta: float, x: float, acc: Accuracy):
-    """Alternating series for E_delta(-x), x > 0, or None if unsafe."""
-    n, gln, signs = _series_table(delta)
-    ln_terms = n * math.log(x) - gln
-    if ln_terms[-1] > math.log(acc.abs_tol) - 5.0 or not _series_roundoff_ok(ln_terms, acc):
+def _ml_series(delta: float, x: float, density: bool, acc: Accuracy):
+    """Alternating series for E_delta(-x), or the ML density at x if
+    density, x > 0, or None if unsafe."""
+    power, gln, signs = _series_table(delta, density)
+    ln_terms = power * math.log(x) - gln
+    # Near the origin the density's first term dominates and its value is
+    # large; roundoff is then relative to the value, which is the best a
+    # float64 result can promise there.
+    dominated_head = density and (
+        ln_terms[0] == ln_terms.max() and ln_terms[1] - ln_terms[0] < math.log(0.5)
+    )
+    if ln_terms[-1] > math.log(acc.abs_tol) - 5.0 and not (
+        dominated_head and ln_terms[-1] < ln_terms[0] - 40.0
+    ):
+        return None
+    if not dominated_head and not _series_roundoff_ok(ln_terms, acc):
         return None
     return float(np.sum(signs * np.exp(ln_terms)))
 
@@ -233,32 +241,13 @@ def mittag_leffler(delta, z, accuracy: Accuracy | None = None) -> float:
     return min(max(_ml_negative(delta, -z, False, acc), 0.0), 1.0)
 
 
-def _ml_density_series(delta: float, x: float, acc: Accuracy):
-    power, gln, signs = _density_series_table(delta)
-    ln_terms = power * math.log(x) - gln
-    # Near the origin the first term dominates and the value itself is
-    # large; roundoff is then relative to the value, which is the best a
-    # float64 result can promise there.
-    dominated_head = ln_terms[0] == ln_terms.max() and (
-        ln_terms[1] - ln_terms[0] < math.log(0.5)
-    )
-    if ln_terms[-1] > math.log(acc.abs_tol) - 5.0 and not (
-        dominated_head and ln_terms[-1] < ln_terms[0] - 40.0
-    ):
-        return None
-    if not dominated_head and not _series_roundoff_ok(ln_terms, acc):
-        return None
-    return float(np.sum(signs * np.exp(ln_terms)))
-
-
 def _ml_negative(delta: float, x: float, density: bool, acc: Accuracy) -> float:
     """E_delta(-x), or the Mittag-Leffler density at x if density, for x > 0:
     the series where it is safe, else the tail, else the damped inversion of
     the law's Laplace transform 1 / (1 + s^delta) (see _upper), at x for the
     density and at x^(1/delta) for E_delta(-x) = 1 - F(x^(1/delta)), whose
     log -ln(x) / delta it takes where that power leaves float64."""
-    series = _ml_density_series if density else _ml_series_negative
-    val = series(delta, x, acc)
+    val = _ml_series(delta, x, density, acc)
     if val is None:
         val = _alternating_tail(delta, x, acc, density=density)
     if val is not None:
@@ -737,8 +726,8 @@ class InversionCdf:
     depend on x_max, so one build out to the largest |x| of several samples
     serves them all.
 
-    Deterministic build counters: points (grid abscissae), head_panels (the
-    32-point rule's nodes, summed over the points) and max_rounds (the
+    Deterministic build counters: points (grid abscissae), nodes (the
+    32-point rule's nodes, summed over the points) and rule_difference (the
     largest difference between the 32-point and 24-point rules over the
     grid, at most accuracy.abs_tol).
     """
@@ -770,8 +759,8 @@ class InversionCdf:
         inv = _cdf_values(alpha, nu, xs, accuracy)
         vals = np.clip(np.maximum.accumulate(inv.values), 0.5, 1.0)
         self.points = int(xs.size)
-        self.head_panels = int(inv.nodes.sum())
-        self.max_rounds = float(inv.errors.max())
+        self.nodes = int(inv.nodes.sum())
+        self.rule_difference = float(inv.errors.max())
         self.x_max = float(xs[-1])
         self._interp = _Pchip(xs, vals)
 

@@ -120,15 +120,13 @@ def ks_two_sample_threshold(n: int, m: int, q: float = 0.01) -> float:
 
 
 def ks_one_sample(a, cdf: Callable) -> float:
-    """Exact sup distance between the empirical CDF and a model CDF."""
+    """Exact sup distance between the empirical CDF and a model CDF, which is
+    called once, on the sorted sample, and must return an array of its shape."""
     x = np.sort(_values(a))
     n = x.size
-    try:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([float(cdf(v)) for v in x])
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise DomainError(f"cdf returned shape {f.shape} for a sample of shape {x.shape}")
     hi = np.arange(1, n + 1) / n - f
     lo = f - np.arange(0, n) / n
     return float(max(hi.max(), lo.max()))
@@ -141,59 +139,35 @@ def ks_one_sample_threshold(n: int, q: float = 0.01) -> float:
     return _critical(q) / math.sqrt(n)
 
 
-def _doubling_means(x: np.ndarray, t_grid: tuple[float, ...]) -> Iterator[tuple]:
-    """(t, mean cos(t x), mean sin(t x)) along a grid where each t doubles.
+def ecf_distance(a, cf: Callable[[float], float]) -> float:
+    """Worst deviation of the empirical CF from a real even target CF over
+    DEFAULT_T_GRID.
 
-    cos and sin are taken at the first t only; each later step is
-    sin 2a = 2 sin a cos a and cos 2a = 2 cos^2 a - 1, in place. Since
-    fl(2t x) = 2 fl(t x), the angles are those of the per-t calls, and the
-    means differ from theirs by a few ulp.
+    Real and imaginary parts enter separately: mean cos(t x) is compared to
+    cf(t) and mean sin(t x) to zero, so symmetry violations are not hidden
+    by a modulus. Each t of the grid doubles the one before, so cos and sin
+    are taken at the first t only; each later step is sin 2a = 2 sin a cos a
+    and cos 2a = 2 cos^2 a - 1, in place. Since fl(2t x) = 2 fl(t x), the
+    angles are those of per-t calls, and the means differ from theirs by a
+    few ulp. An infinite value raises DomainError rather than dropping a
+    grid point.
     """
-    tx = t_grid[0] * x
+    x = _values(a)
+    infs = np.count_nonzero(np.isinf(x))
+    if infs:
+        raise DomainError(f"sample holds {infs} infinite values of {x.size}")
+    tx = DEFAULT_T_GRID[0] * x
     c = np.cos(tx)
     s = np.sin(tx, out=tx)
-    for k, t in enumerate(t_grid):
+    worst = 0.0
+    for k, t in enumerate(DEFAULT_T_GRID):
         if k:
             s *= c
             s *= 2.0
             c *= c
             c *= 2.0
             c -= 1.0
-        yield t, float(c.mean()), float(s.mean())
-
-
-def _per_t_means(x: np.ndarray, t_grid: tuple[float, ...]) -> Iterator[tuple]:
-    for t in t_grid:
-        tx = t * x
-        yield t, float(np.cos(tx).mean()), float(np.sin(tx).mean())
-
-
-def ecf_distance(a, cf: Callable[[float], float], t_grid=DEFAULT_T_GRID) -> float:
-    """Worst deviation of the empirical CF from a real even target CF.
-
-    Real and imaginary parts enter separately: mean cos(t x) is compared to
-    cf(t) and mean sin(t x) to zero, so symmetry violations are not hidden
-    by a modulus. When each t of the grid is exactly twice the one before,
-    as on DEFAULT_T_GRID, cos and sin are taken at the first t only and
-    stepped by angle doubling, which moves a mean by a few ulp; any other
-    grid takes cos and sin at every t. An infinite value, or a t x that
-    overflows, raises DomainError rather than dropping a grid point.
-    """
-    x = _values(a)
-    infs = np.count_nonzero(np.isinf(x))
-    if infs:
-        raise DomainError(f"sample holds {infs} infinite values of {x.size}")
-    t_grid = tuple(float(t) for t in t_grid)
-    if not t_grid:
-        raise DomainError("t_grid must be nonempty")
-    doubling = all(hi == 2.0 * lo for lo, hi in zip(t_grid, t_grid[1:]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = list((_doubling_means if doubling else _per_t_means)(x, t_grid))
-    worst = 0.0
-    for t, cos_mean, sin_mean in means:
-        if not (math.isfinite(cos_mean) and math.isfinite(sin_mean)):
-            raise DomainError(f"t x overflows at t = {t:g}")
-        worst = max(worst, abs(cos_mean - float(cf(t))), abs(sin_mean))
+        worst = max(worst, abs(float(c.mean()) - float(cf(t))), abs(float(s.mean())))
     return worst
 
 

@@ -203,6 +203,24 @@ class TestEval:
         assert run("eval", "--fn", "gamma", "--grid", "1:2:0") == 2
         assert run("eval", "--fn", "gamma", "--grid", "a:b:c") == 2
 
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:1", "1:2:inf", "0:1:nan"])
+    def test_non_finite_grid_values_exit_2(self, capsys, grid):
+        assert run("eval", "--fn", "gamma", "--grid", grid) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid values must be finite" in captured.err
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "-1e308:1e308:1", "0:1e6:1"])
+    def test_grid_over_a_million_points_exits_2(self, capsys, grid):
+        assert run("eval", "--fn", "gamma", "--grid", grid) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid holds more than 1000000 points" in captured.err
+
+    def test_grid_of_a_million_points_is_accepted(self):
+        grid = cli._parse_grid("0:999999:1")
+        assert (len(grid), grid[-1]) == (10**6, 999999.0)
+
 
 class TestVerify:
     def test_single_identity_json(self, capsys):

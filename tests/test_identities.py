@@ -1,5 +1,6 @@
 """Tests for the distributional-identity registry and its checker."""
 
+import inspect
 import itertools
 import re
 import sys
@@ -373,27 +374,25 @@ class TestSubstreamDiscipline:
         assert ks_two_sample(a, b) < ks_two_sample_threshold(len(a), len(b), 0.01)
 
     def test_shared_substreams_break_the_law(self):
-        # Forcing both leaves onto one substream makes the ratio collapse
-        # to the constant 1, which the two-sample check must catch.
-        expr = self._ratio_expr()
-        honest = evaluate(expr, 50_000, RandomStream(41, 0))
-        shared = evaluate(
-            expr, 50_000, RandomStream(41, 0), offsets=itertools.repeat(0)
+        # Drawing both leaves on one substream makes the ratio collapse to
+        # the constant 1, which the two-sample check must catch.
+        honest = evaluate(self._ratio_expr(), 50_000, RandomStream(41, 0))
+        leaf = Draw(DistSpec("exponential"))
+        shared = evaluate(leaf, 50_000, RandomStream(41, 0)) * (
+            1.0 / evaluate(leaf, 50_000, RandomStream(41, 0))
         )
         assert np.allclose(shared, 1.0)
         stat = ks_two_sample(honest, shared)
         assert stat > ks_two_sample_threshold(len(honest), len(shared), 0.01)
 
     def test_sides_use_disjoint_offsets(self):
-        # Rerunning one side alone with the documented offset layout
-        # reproduces the instantiate() output bit for bit.
+        # Rerunning each side alone, the rhs on the stream shifted past the
+        # lhs leaf, reproduces the instantiate() output bit for bit.
         case = get_case("I09")
         stream = RandomStream(53, 0)
         lhs, rhs = instantiate(case, {"d": 0.5}, 1000, stream)
-        again = evaluate(case.lhs({"d": 0.5}), 1000, stream, offsets=itertools.count())
-        assert np.array_equal(lhs.values, again)
-        offset_after_lhs = itertools.count(1)
-        rhs_again = evaluate(
-            case.rhs({"d": 0.5}), 1000, stream, offsets=offset_after_lhs
-        )
+        assert np.array_equal(lhs.values, evaluate(case.lhs({"d": 0.5}), 1000, stream))
+        rhs_again = evaluate(case.rhs({"d": 0.5}), 1000, stream.shifted(1))
         assert np.array_equal(rhs.values, rhs_again)
+        # Leaves always take offsets 0, 1, 2, ... depth-first.
+        assert list(inspect.signature(evaluate).parameters) == ["expr", "n", "stream"]

@@ -103,8 +103,7 @@ def spectral_band(name, delta, x):
     the damped inversion: neither the series nor the tail takes it, by the
     predicates bench/layers.py's ml_branch uses."""
     acc, density = DEFAULT_ACCURACY, name == "ml_density"
-    series = special._ml_density_series if density else special._ml_series_negative
-    return (series(delta, x, acc) is None
+    return (special._ml_series(delta, x, density, acc) is None
             and special._alternating_tail(delta, x, acc, density=density) is None)
 
 
@@ -252,7 +251,7 @@ ML_GRID = (
 # The scipy whose real-input _logsumexp special._logsumexp replicates step by
 # step; the golden pins install it.
 LSE_SCIPY = "1.17.1"
-ML_TABLES = (special._series_table, special._density_series_table, special._tail_table)
+ML_TABLES = (special._series_table, special._tail_table)
 
 
 class TestMittagLefflerTerms:
@@ -279,8 +278,8 @@ class TestMittagLefflerTerms:
                 assert abs(got - want) <= 2 * np.spacing(abs(want)), a
 
     @pytest.mark.parametrize("table, args", [
-        (special._series_table, (0.6,)),
-        (special._density_series_table, (0.6,)),
+        (special._series_table, (0.6, False)),
+        (special._series_table, (0.6, True)),
         (special._tail_table, (0.6, False)),
         (special._tail_table, (0.6, True)),
     ])
@@ -289,6 +288,10 @@ class TestMittagLefflerTerms:
         for a in table(*args):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+    def test_series_cache_holds_both_series_of_64_deltas(self):
+        # One cache serves E_delta(-x) and the density, as two of 64 did.
+        assert special._series_table.cache_info().maxsize == 128
 
     def test_shuffled_grid_keeps_the_bits(self):
         # Against each point on freshly built tables, so that a table which
@@ -770,15 +773,15 @@ class TestBatchedInversion:
     def test_build_counters_are_deterministic(self):
         first = InversionCdf(0.6, 0.5, 50.0)
         second = InversionCdf(0.6, 0.5, 50.0)
-        counters = ("points", "head_panels", "max_rounds")
+        counters = ("points", "nodes", "rule_difference")
         assert [getattr(first, c) for c in counters] == [
             getattr(second, c) for c in counters
         ]
         assert first.points == first._interp.x.size
         # Each point past 0 sums a damped window of 17 fine panels of 32
         # nodes; the two rules agree to well inside abs_tol.
-        assert first.head_panels >= 32 * 17 * (first.points - 1)
-        assert 0.0 < first.max_rounds <= 1e-14
+        assert first.nodes >= 32 * 17 * (first.points - 1)
+        assert 0.0 < first.rule_difference <= 1e-14
 
 
 INVERSION_CACHES = (special._plan, special._lattice, special._heads, special._coarse)
