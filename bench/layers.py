@@ -84,13 +84,15 @@ from htmix import _pool, cli, identities, limits, special, verification
 from htmix.errors import AccuracyError
 from htmix.distributions import (
     _BLOCK,
+    _FAMILY_TABLE,
     DistSpec,
     NegBinParams,
+    StableParams,
     _cms,
     _cms_draw,
     _kanter,
     _kanter_draw,
-    _stable_one_sided_values,
+    _run,
     _stable_symmetric_values,
     sample,
 )
@@ -120,7 +122,8 @@ LSE_TERMS = 600
 LSE_CALLS = 200
 KERNELS = {
     "stable.symmetric": (_stable_symmetric_values, 1.5),
-    "stable.one_sided": (_stable_one_sided_values, 0.6),
+    "stable.one_sided": (lambda rng, n, alpha: _run(
+        _FAMILY_TABLE["stable"].routes[None], rng, n, StableParams(alpha, "one_sided")), 0.6),
 }
 TRANSFORMS = {"cms": (_cms_draw, _cms, 1.5), "kanter": (_kanter_draw, _kanter, 0.6)}
 TRANSFORM_BLOCKS = 16

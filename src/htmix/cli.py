@@ -231,7 +231,10 @@ def _parse_grid(spec: str):
     if (hi - lo) / step > 999_999:
         raise DomainError("grid holds more than 1000000 points")
     count = int((hi - lo) / step + 1e-9) + 1
-    return [lo + step * i for i in range(count)]
+    xs = [lo + step * i for i in range(count)]
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise DomainError(f"grid step is below the spacing of doubles near its points: {spec!r}")
+    return xs
 
 
 def _parse_number_list(text: str, kind: type):

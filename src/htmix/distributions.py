@@ -316,15 +316,6 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.n
 
-    def meta(self) -> dict:
-        label = self.spec.describe() if isinstance(self.spec, DistSpec) else str(self.spec)
-        return {
-            "spec": label,
-            "seed": int(self.seed),
-            "substream": int(self.substream),
-            "n": self.n,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Routes. A route draws in two steps. Its draw step makes every
@@ -855,12 +846,6 @@ def sample(spec: DistSpec, n, stream: RandomStream) -> SampleBatch:
 
 def _stable_symmetric_values(rng: np.random.Generator, n: int, alpha: float):
     return _run(_FAMILY_TABLE["stable"].routes[None], rng, n, StableParams(alpha))
-
-
-def _stable_one_sided_values(rng: np.random.Generator, n: int, alpha: float):
-    return _run(
-        _FAMILY_TABLE["stable"].routes[None], rng, n, StableParams(alpha, "one_sided")
-    )
 
 
 def _gen_ml_values(rng: np.random.Generator, n: int, delta: float, nu: float):

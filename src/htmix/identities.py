@@ -75,7 +75,6 @@ __all__ = [
     "instantiate",
     "verify",
     "run_grid",
-    "registry_json",
 ]
 
 
@@ -762,15 +761,3 @@ def run_grid(
         )
     return reports
 
-
-def registry_json() -> list[dict]:
-    """Exportable registry summary: id, anchor, parameters, domain."""
-    return [
-        {
-            "id": case.id,
-            "anchor": case.anchor,
-            "params": list(case.param_names),
-            "domain": case.domain_text,
-        }
-        for case in _REGISTRY
-    ]

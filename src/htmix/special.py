@@ -23,7 +23,7 @@ below the budget, and the band between them is the damped rule's, applied to
 the law's Laplace transform 1 / (1 + s^delta) with E_delta(-x) =
 1 - F(x^(1/delta)). The terms of the series and of the tail that do not
 depend on x (log-gammas, powers, signs and sines) are tabled per delta on
-first use, in bounded caches of read-only arrays, so a call pays only for its
+first use, in a bounded cache of read-only arrays, so a call pays only for its
 x.
 """
 
@@ -37,7 +37,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sc
 
-from .distributions import GGParams, LinnikParams, MLParams, StableRatioParams, _power
+from .distributions import (
+    _FAMILY_TABLE, GGParams, LinnikParams, MLParams, StableRatioParams, ZParams, _power
+)
 from .errors import AccuracyError, DomainError, UnsupportedRegimeError
 
 __all__ = [
@@ -113,30 +115,24 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=128)
-def _series_table(delta: float, density: bool):
-    """The power of x, the log-gamma and the sign of the first _MAX_TERMS
-    terms (-1)^n x^n / Gamma(delta n + 1), n >= 0, of E_delta(-x), or if
-    density (-1)^(n-1) x^(delta n - 1) / Gamma(delta n), n >= 1, of the ML
-    density. See _ml_series."""
+def _ml_table(delta: float, density: bool):
+    """The x-free terms of E_delta(-x), or if density of the ML density.
+    Series (see _ml_series): the power of x, the log-gamma and the sign of the
+    first _MAX_TERMS terms (-1)^n x^n / Gamma(delta n + 1), n >= 0, or
+    (-1)^(n-1) x^(delta n - 1) / Gamma(delta n), n >= 1. Tail (see
+    _alternating_tail), for k = 1 .. 200: the log-gamma part of the envelope,
+    the power of x it divides by, and (-1)^(k-1) sin(pi delta k)."""
     n = np.arange(int(density), _MAX_TERMS + int(density), dtype=float)
-    if density:
-        power, gln = delta * n - 1.0, sc.gammaln(delta * n)
-    else:
-        power, gln = n, sc.gammaln(delta * n + 1.0)
-    return _frozen(power, gln, np.where(np.arange(_MAX_TERMS) % 2 == 0, 1.0, -1.0))
-
-
-@functools.lru_cache(maxsize=64)
-def _tail_table(delta: float, density: bool):
-    """For k = 1 .. 200: the log-gamma part of the tail envelope, the power of
-    x it divides by, and (-1)^(k-1) sin(pi delta k). See _alternating_tail."""
     k = np.arange(1, 201, dtype=float)
     if density:
-        gln, power = sc.gammaln(delta * k + 1.0), delta * k + 1.0
+        series = delta * n - 1.0, sc.gammaln(delta * n)
+        tail = sc.gammaln(delta * k + 1.0), delta * k + 1.0
     else:
-        gln, power = sc.gammaln(delta * k), k
-    signs = np.where(k.astype(int) % 2 == 1, 1.0, -1.0)
-    return _frozen(gln, power, signs * np.sin(math.pi * delta * k))
+        series = n, sc.gammaln(delta * n + 1.0)
+        tail = sc.gammaln(delta * k), k
+    signs = np.where(np.arange(_MAX_TERMS) % 2 == 0, 1.0, -1.0)
+    signed_sin = np.where(k.astype(int) % 2 == 1, 1.0, -1.0) * np.sin(math.pi * delta * k)
+    return _frozen(*series, signs), _frozen(*tail, signed_sin)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -161,7 +157,7 @@ def _series_roundoff_ok(ln_terms: np.ndarray, acc: Accuracy) -> bool:
 def _ml_series(delta: float, x: float, density: bool, acc: Accuracy):
     """Alternating series for E_delta(-x), or the ML density at x if
     density, x > 0, or None if unsafe."""
-    power, gln, signs = _series_table(delta, density)
+    power, gln, signs = _ml_table(delta, density)[0]
     ln_terms = power * math.log(x) - gln
     # Near the origin the density's first term dominates and its value is
     # large; roundoff is then relative to the value, which is the best a
@@ -187,7 +183,7 @@ def _alternating_tail(delta: float, x: float, acc: Accuracy, *, density: bool):
     cannot trigger a premature stop. Returns None when the envelope's
     optimal-truncation floor misses the budget.
     """
-    gln, power, signed_sin = _tail_table(delta, density)
+    gln, power, signed_sin = _ml_table(delta, density)[1]
     ln_env = gln - power * math.log(x) - _LN_PI
     # Absolute budget alone would leave the far tail relatively biased and
     # shift integrated mass, so demand relative accuracy as well.
@@ -287,8 +283,7 @@ def ml_cdf(delta, x, accuracy: Accuracy | None = None) -> float:
         return 0.0
     if delta == 1.0:
         return -math.expm1(-x) if x < 745.0 else 1.0
-    val = 1.0 - mittag_leffler(delta, -(x**delta), acc)
-    return min(max(val, 0.0), 1.0)
+    return min(max(1.0 - _ml_negative(delta, x**delta, False, acc), 0.0), 1.0)
 
 
 def stable_ratio_density(delta, x) -> float:
@@ -338,15 +333,14 @@ def gleser_mixing_density(r, mu, z) -> float:
     """Density of the gamma-ratio mixing law supported on (mu, inf).
 
     f(z) = mu^r / (Gamma(1-r) Gamma(r)) * (z - mu)^(-r) / z for z > mu,
-    and 0 at or below mu. r in (0, 1), mu > 0.
+    and 0 at or below mu: the z_mix law of ZParams(r, mu) short of its
+    point-mass end r = 1, so r in (0, 1) and mu positive and finite.
     """
-    r = _as_float(r, "r")
-    mu = _as_float(mu, "mu")
+    law = ZParams(r, mu)
+    r, mu = law.r, law.mu
+    if r == 1.0:
+        raise DomainError("r must lie in (0, 1); at r = 1 the law is the point mass at mu")
     z = _as_float(z, "z")
-    if not 0 < r < 1:
-        raise DomainError("r must lie in (0, 1)")
-    if mu <= 0:
-        raise DomainError("mu must be positive")
     if z <= mu:
         return 0.0
     const = mu**r / (float(sc.gamma(1.0 - r)) * float(sc.gamma(r)))
@@ -377,23 +371,23 @@ def snedecor_fisher_density(r, x) -> float:
 
 
 def genlinnik_cf(alpha, nu, t) -> float:
-    """Characteristic function (1 + |t|^alpha)^(-nu), alpha in (0, 2], nu > 0."""
+    """Characteristic function (1 + |t|^alpha)^(-nu), alpha in (0, 2], nu > 0:
+    the gen_linnik family's cf."""
     law = LinnikParams(alpha, nu)
-    alpha, nu = law.alpha, law.nu
     t = _as_float(t, "t")
     if not math.isfinite(t):
         raise DomainError("t must be finite")
-    return (1.0 + _power(abs(t), alpha)) ** (-nu)
+    return _FAMILY_TABLE["gen_linnik"].cf(law)(t)
 
 
 def genml_lst(delta, nu, s) -> float:
-    """Laplace transform (1 + s^delta)^(-nu), delta in (0, 1], nu > 0, s >= 0."""
+    """Laplace transform (1 + s^delta)^(-nu), delta in (0, 1], nu > 0, s >= 0:
+    the gen_mittag_leffler family's lst."""
     law = MLParams(delta, nu)
-    delta, nu = law.delta, law.nu
     s = _as_float(s, "s")
     if s < 0 or not math.isfinite(s):
         raise DomainError("s must be nonnegative and finite")
-    return (1.0 + s**delta) ** (-nu)
+    return _FAMILY_TABLE["gen_mittag_leffler"].lst(law)(s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import htmix
-from htmix import cli, limits
+from htmix import cli, identities, limits
 from htmix.cli import _ROWS, _fmt, _sample_csv, main
 from htmix.distributions import DistSpec, sample
 from htmix.streams import DEFAULT_SEED, RandomStream
+from htmix.verification import MetricEntry, VerificationReport
 
 
 def run(*argv):
@@ -221,6 +222,17 @@ class TestEval:
         grid = cli._parse_grid("0:999999:1")
         assert (len(grid), grid[-1]) == (10**6, 999999.0)
 
+    # Steps below the spacing of doubles: lo + step * i gave 9,993 points of
+    # which 451 differ, and 21 of which 6 differ.
+    @pytest.mark.parametrize("grid", ["1:1.0000000000001:1e-17",
+                                      "1e16:1.000000000000001e16:0.5"])
+    def test_grid_with_repeated_points_exits_2(self, capsys, grid):
+        assert run("eval", "--fn", "genml-lst", "--delta", "0.5", "--nu", "1",
+                   "--grid", grid) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid step is below the spacing of doubles" in captured.err
+
 
 class TestVerify:
     def test_single_identity_json(self, capsys):
@@ -279,6 +291,62 @@ class TestVerify:
         run(*argv, "--out", str(a))
         run(*argv, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestVerifyAll:
+    """verify --identity all over canned run_grid reports: case Ik gets
+    margins 0.02 k and 0.025 (27 - k) on two points, so either point may be
+    the worst, and a failing case a third metric at 1.5."""
+
+    @pytest.fixture
+    def canned(self, monkeypatch):
+        calls, failing = [], set()
+
+        def run_grid(case, seed, q):
+            calls.append((case.id, seed, q))
+            k = int(case.id[1:])
+            metrics = [MetricEntry("ks", 0.01 * k, 0.5), MetricEntry("ecf_lhs", 0.001 * (27 - k), 0.04)]
+            if case.id in failing:
+                metrics.append(MetricEntry("lst_rhs", 0.75, 0.5))
+            return [VerificationReport(case.id, {}, {"lhs": 10}, seed, tuple(m))
+                    for m in (metrics[:1], metrics[1:])]
+
+        monkeypatch.setattr(identities, "run_grid", run_grid)
+        return calls, failing
+
+    @staticmethod
+    def margins():
+        return {c.id: max(0.01 * k / 0.5, 0.001 * (27 - k) / 0.04)
+                for c in identities.registry() for k in [int(c.id[1:])]}
+
+    def test_csv_rows(self, canned, capsys):
+        calls, _ = canned
+        assert run("verify", "--identity", "all", "--seed", "5", "--q", "0.05",
+                   "--format", "csv") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "identity,worst_margin,pass"
+        assert lines[1:] == [f"{cid},{_fmt(m)},true" for cid, m in self.margins().items()]
+        assert calls == [(c.id, 5, 0.05) for c in identities.registry()]
+
+    def test_json_rows(self, canned, capsys):
+        assert run("verify", "--identity", "all", "--seed", "5") == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert all(list(row) == ["identity", "worst_margin", "pass"] for row in rows)
+        assert [(r["identity"], r["worst_margin"], r["pass"]) for r in rows] == [
+            (cid, m, True) for cid, m in self.margins().items()]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_failing_case_exits_1(self, canned, capsys, fmt):
+        canned[1].add("I07")
+        assert run("verify", "--identity", "all", "--format", fmt) == 1
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            assert out.splitlines()[7] == f"I07,{_fmt(1.5)},false"
+            assert out.count(",false") == 1
+        else:
+            rows = json.loads(out)
+            assert [r["identity"] for r in rows if not r["pass"]] == ["I07"]
+            assert rows[6]["worst_margin"] == 1.5
 
 
 class TestLimit:
@@ -534,8 +602,9 @@ class TestSampleRows:
         _assert_is_fmt_join(_csv_text(values), values)
 
 
-# scipy submodules that pull in optimize, sparse and linalg. The package uses
-# only scipy.interpolate, loaded on first use (an inversion CDF build).
+# scipy submodules that pull in optimize, sparse and linalg. Besides
+# scipy.special, which import htmix loads, the package uses only
+# scipy.interpolate, loaded on first use (an inversion CDF build).
 HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.integrate",
                "scipy.interpolate")
 

@@ -8,10 +8,11 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from htmix.distributions import (
+    _FAMILY_TABLE,
     _POISSON_MAX,
     _cos,
+    _run,
     _sin,
-    _stable_one_sided_values,
     _stable_symmetric_values,
     DistSpec,
     FAMILIES,
@@ -154,11 +155,9 @@ class TestDistSpec:
 
 
 class TestSampleBatch:
-    def test_len_and_meta(self):
+    def test_len_and_provenance(self):
         b = sample(spec_of("normal"), 17, STREAM)
-        assert len(b) == 17
-        meta = b.meta()
-        assert meta == {"spec": "normal", "seed": 321, "substream": 0, "n": 17}
+        assert (len(b), b.n, b.spec, b.seed, b.substream) == (17, 17, spec_of("normal"), 321, 0)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DomainError):
@@ -541,6 +540,11 @@ def log_form_symmetric(rng, n, alpha):
         * (np.log(np.cos((1.0 - alpha) * phi)) - np.log(w))
     )
     return np.sign(np.sin(alpha * phi)) * np.exp(ln_abs)
+
+
+def _stable_one_sided_values(rng, n, alpha):
+    """The stable route's one-sided draws, as limits' kernels run routes."""
+    return _run(_FAMILY_TABLE["stable"].routes[None], rng, n, StableParams(alpha, "one_sided"))
 
 
 def log_form_one_sided(rng, n, alpha):

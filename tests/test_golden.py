@@ -205,9 +205,6 @@ TRANSFORM_POINTS = (0.5, 1.0, 2.0)
 TRANSFORM_DIGEST = (
     "12e73db384b03905a5cb0ba1cda69d6ec78256268143967e91fe29e9beff4ded"
 )
-REGISTRY_DIGEST = (
-    "a69a67a7d5b3b8c4fa4408ba9567e257b2060b57595cf2b5c31631500d07a7cd"
-)
 GRID_DIGEST = (
     "a70f3792600da4b48fa28ecb3e5900e0ec27bbf159a79f6a1e4fdc2e8f54b950"
 )
@@ -453,10 +450,6 @@ def test_transform_values():
             _transform_values(analytic_lst(spec)),
         ]
     assert _sha(json.dumps(table).encode()) == TRANSFORM_DIGEST
-
-
-def test_registry_json():
-    assert _sha(json.dumps(identities.registry_json()).encode()) == REGISTRY_DIGEST
 
 
 def test_registry_grids():

@@ -24,7 +24,6 @@ from htmix.identities import (
     get_case,
     instantiate,
     registry,
-    registry_json,
     run_grid,
     verify,
 )
@@ -91,14 +90,6 @@ class TestRegistry:
         with pytest.raises(DomainError):
             get_case("I99")
 
-    def test_registry_json_shape(self):
-        rows = registry_json()
-        assert len(rows) == 26
-        for row, case in zip(rows, registry()):
-            assert set(row) == {"id", "anchor", "params", "domain"}
-            assert row["id"] == case.id
-            assert row["params"] == list(case.param_names)
-            assert row["domain"] == case.domain_text
 
 
 class TestDomains:

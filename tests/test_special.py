@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from htmix import special
+from htmix.distributions import DistSpec, analytic_cf, analytic_lst
 from htmix.errors import AccuracyError, DomainError, UnsupportedRegimeError
 from htmix.special import (
     DEFAULT_ACCURACY,
@@ -251,7 +252,16 @@ ML_GRID = (
 # The scipy whose real-input _logsumexp special._logsumexp replicates step by
 # step; the golden pins install it.
 LSE_SCIPY = "1.17.1"
-ML_TABLES = (special._series_table, special._tail_table)
+
+
+def _series_table(delta, density):
+    """The series terms of special._ml_table."""
+    return special._ml_table(delta, density)[0]
+
+
+def _tail_table(delta, density):
+    """The tail terms of special._ml_table."""
+    return special._ml_table(delta, density)[1]
 
 
 class TestMittagLefflerTerms:
@@ -278,20 +288,20 @@ class TestMittagLefflerTerms:
                 assert abs(got - want) <= 2 * np.spacing(abs(want)), a
 
     @pytest.mark.parametrize("table, args", [
-        (special._series_table, (0.6, False)),
-        (special._series_table, (0.6, True)),
-        (special._tail_table, (0.6, False)),
-        (special._tail_table, (0.6, True)),
+        (_series_table, (0.6, False)),
+        (_series_table, (0.6, True)),
+        (_tail_table, (0.6, False)),
+        (_tail_table, (0.6, True)),
     ])
     def test_cached_tables_are_read_only(self, table, args):
-        assert table.cache_info().maxsize is not None
         for a in table(*args):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
     def test_series_cache_holds_both_series_of_64_deltas(self):
-        # One cache serves E_delta(-x) and the density, as two of 64 did.
-        assert special._series_table.cache_info().maxsize == 128
+        # One bounded cache serves the series and the tail of E_delta(-x) and
+        # of the density, as two of 64 did for each.
+        assert special._ml_table.cache_info().maxsize == 128
 
     def test_shuffled_grid_keeps_the_bits(self):
         # Against each point on freshly built tables, so that a table which
@@ -300,8 +310,7 @@ class TestMittagLefflerTerms:
             out = np.empty(len(ML_GRID))
             for i in order:
                 if fresh or i == order[0]:
-                    for table in ML_TABLES:
-                        table.cache_clear()
+                    special._ml_table.cache_clear()
                 fn, d, arg = ML_GRID[i]
                 out[i] = fn(d, arg)
             return out.tobytes()
@@ -397,8 +406,11 @@ class TestGleserDensity:
         assert val == pytest.approx(1.0, abs=max(1e-7, 10 * err))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            gleser_mixing_density(1.0, 1.0, 2.0)
+        # ZParams' domain short of its point-mass end r = 1; mu = inf gave 0.0.
+        for r, mu in [(1.0, 1.0), (0.5, math.inf), (0.5, 0.0), (0.5, -1.0), (1.5, 1.0),
+                      (0.0, 1.0), (math.nan, 1.0), (0.5, math.nan)]:
+            with pytest.raises(DomainError):
+                gleser_mixing_density(r, mu, 2.0)
 
     def test_subnormal_x_past_the_float_range(self):
         # (z - mu)^(-r) passes the float64 range at a subnormal z - mu, and
@@ -454,6 +466,20 @@ class TestTransforms:
         assert genml_lst(1.0, 1.0, 1.0) == pytest.approx(0.5)
         assert genml_lst(0.5, 2.0, 0.0) == 1.0
         assert genml_lst(0.5, 2.0, 4.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+
+    def test_family_table_transforms_to_the_bit(self):
+        # Past the double range |t|^alpha is inf and the cf 0; (1 + s^delta)
+        # to the -nu underflows to 0 at nu = 10.
+        far = (0.0, 5e-324, 0.5, 3.0, 1e10, 1e300, 1.7976931348623157e308)
+        for alpha, nu in [(0.3, 0.5), (1.0, 2.0), (1.5, 10.0), (2.0, 1.0)]:
+            cf = analytic_cf(DistSpec("gen_linnik", {"alpha": alpha, "nu": nu}))
+            for t in far + tuple(-t for t in far):
+                assert genlinnik_cf(alpha, nu, t).hex() == cf(t).hex()
+        for delta, nu in [(0.3, 0.5), (0.7, 2.0), (1.0, 10.0)]:
+            lst = analytic_lst(DistSpec("gen_mittag_leffler", {"delta": delta, "nu": nu}))
+            for s in far:
+                assert genml_lst(delta, nu, s).hex() == lst(s).hex()
+        assert genlinnik_cf(2.0, 1.0, 1e300) == genml_lst(1.0, 10.0, 1e300) == 0.0
 
     def test_domains(self):
         with pytest.raises(DomainError):
