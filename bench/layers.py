@@ -59,9 +59,20 @@ Measures, best of REPEATS runs each unless noted:
   branch; ms per ``InversionCdf(1.5, 2, 200)`` build, cold and warm; and
   seconds per ``htmix eval`` over the EVAL_GRID grid of each of
   EVAL_FUNCTIONS, cold, with the SHA-256 of its output. Cold calls run on
-  cleared inversion caches, as the first call for a law in a process does.
+  cleared inversion caches, as the first call for a law in a process does;
+* seconds and peak memory (VmHWM, MB) of a fresh process that runs each of
+  IMPORT_CODES, best of REPEATS processes each, the seconds timed around the
+  snippet alone;
+* us per PCHIP build (``special._Pchip``) through the nodes and values of
+  the ``InversionCdf`` grids in PCHIP_GRIDS;
+* ms per 1e5 points of ``InversionCdf(1.5, 2, x_max).__call__`` on a 1e5-draw
+  gen_linnik (1.5, 2) sample, x_max its largest |x|: once sorted, as
+  ``ks_one_sample`` passes it, and once shuffled.
 
-Run it against another checkout's ``src`` to compare.
+Run it against another checkout's ``src`` to compare. Name sections (the
+keys of the output) to run only those:
+
+    PYTHONPATH=src python bench/layers.py import_cost pchip_build_us
 """
 
 from __future__ import annotations
@@ -129,6 +140,14 @@ TRANSFORMS = {"cms": (_cms_draw, _cms, 1.5), "kanter": (_kanter_draw, _kanter, 0
 TRANSFORM_BLOCKS = 16
 # numpy's dispatch below AVX512: float64 tan (and power, exp, log) change loops.
 X86_V3 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+IMPORT_CODES = {"numpy": "import numpy",
+                "htmix": "import htmix",
+                "htmix+InversionCdf(1.5, 2, 200)":
+                    "import htmix; htmix.InversionCdf(1.5, 2.0, 200.0)"}
+# The InversionCdf grids of test_special.py's PCHIP test.
+PCHIP_GRIDS = ((0.6, 0.5, 1e3), (1.0, 1.0, 1e3), (2.0, 0.5, 1e3), (1.5, 1.0, 1e3),
+               (1.5, 2.0, 200.0))
+CALL_N = 100_000
 
 
 def best_seconds(fn, repeats: int = REPEATS) -> float:
@@ -431,20 +450,64 @@ def inversion_plan_us() -> dict:
     return out
 
 
+def import_cost() -> dict:
+    probe = ("import time\nstart = time.perf_counter()\n{}\n"
+             "seconds = time.perf_counter() - start\n"
+             "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')][0]\n"
+             "print(seconds, int(hwm.split()[1]) / 1024)")
+    out = {}
+    for key, code in IMPORT_CODES.items():
+        runs = [subprocess.run([sys.executable, "-c", probe.format(code)], check=True,
+                               capture_output=True, text=True).stdout.split()
+                for _ in range(REPEATS)]
+        out[key] = {"s": round(min(float(s) for s, _ in runs), 4),
+                    "vmhwm_mb": round(min(float(mb) for _, mb in runs), 1)}
+    return out
+
+
+def pchip_build_us() -> dict:
+    out = {}
+    for alpha, nu, x_max in PCHIP_GRIDS:
+        interp = special.InversionCdf(alpha, nu, x_max)._interp
+        xs, vals = interp.x, interp(interp.x)
+        out[f"InversionCdf({alpha}, {nu}, {x_max:g})"] = {
+            "points": int(xs.size),
+            "us": round(1e6 * best_seconds(lambda: special._Pchip(xs, vals)), 1)}
+    return out
+
+
+def inversion_cdf_call_ms() -> dict:
+    x = np.sort(sample(DistSpec("gen_linnik", {"alpha": 1.5, "nu": 2.0}), CALL_N,
+                       RandomStream(1729)).values)
+    cdf = special.InversionCdf(1.5, 2.0, float(np.abs(x).max()))
+    shuffled = np.random.default_rng(5).permutation(x)
+    return {order: round(1e3 * best_seconds(lambda: cdf(points)) * 1e5 / CALL_N, 3)
+            for order, points in (("sorted", x), ("shuffled", shuffled))}
+
+
+SECTIONS = {
+    "x86_v3": x86_v3_kernels,
+    "sample_ns_per_draw": sample_ns_per_draw,
+    "csv_ns_per_value": csv_ns_per_value,
+    "grouped_sums_draws_per_s": grouped_sums_draws_per_s,
+    "metric_ms_per_call": metric_ms_per_call,
+    f"ks_two_sample_ms_per_call.n{METRIC_N}": ks_ms_per_call,
+    "verify_ms_per_point": verify_ms_per_point,
+    "inversion_ms": inversion_ms,
+    "ml_us_per_call": ml_us_per_call,
+    "inversion_plan_us": inversion_plan_us,
+    "import_cost": import_cost,
+    "pchip_build_us": pchip_build_us,
+    "inversion_cdf_call_ms_per_1e5": inversion_cdf_call_ms,
+}
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--kernels"]:
         print(json.dumps(kernels()))
         sys.exit()
-    print(json.dumps({
-        **kernels(),
-        "x86_v3": x86_v3_kernels(),
-        "sample_ns_per_draw": sample_ns_per_draw(),
-        "csv_ns_per_value": csv_ns_per_value(),
-        "grouped_sums_draws_per_s": grouped_sums_draws_per_s(),
-        "metric_ms_per_call": metric_ms_per_call(),
-        f"ks_two_sample_ms_per_call.n{METRIC_N}": ks_ms_per_call(),
-        "verify_ms_per_point": verify_ms_per_point(),
-        "inversion_ms": inversion_ms(),
-        "ml_us_per_call": ml_us_per_call(),
-        "inversion_plan_us": inversion_plan_us(),
-    }))
+    names = sys.argv[1:]
+    out = {} if names else kernels()
+    for name in names or SECTIONS:
+        out[name] = SECTIONS[name]()
+    print(json.dumps(out))

@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.special as sc
 
 from . import _pool
 from .distributions import (
@@ -353,10 +352,14 @@ def _rademacher_sums(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray
 
 
 def _normal_cdf(x):
+    import scipy.special as sc
+
     return sc.ndtr(np.asarray(x, dtype=float))
 
 
 def _lemma14(exp: LimitExperiment) -> ConvergenceReport:
+    import scipy.special as sc
+
     rows = []
     for index, p in enumerate(exp.grid):
         rng = RandomStream(exp.seed, index).generator()

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sc
 
 from .distributions import (
     _FAMILY_TABLE, GGParams, LinnikParams, MLParams, StableRatioParams, ZParams, _power
@@ -64,6 +63,7 @@ _EPS = 2.2e-16
 _LN_EPS = math.log(_EPS)
 _LN_PI = math.log(math.pi)
 _MAX_TERMS = 600  # series terms in the cancellation-sensitive branches
+_CALL_BLOCK = 1 << 13  # InversionCdf evaluates its points in blocks of this many
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,8 @@ def gamma_fn(s) -> float:
     s = _as_float(s, "s")
     if s <= 0 or not math.isfinite(s):
         raise DomainError("s must be positive and finite")
+    import scipy.special as sc
+
     out = float(sc.gamma(s))
     if not math.isfinite(out):
         raise AccuracyError(f"gamma({s}) overflows float64")
@@ -122,6 +124,8 @@ def _ml_table(delta: float, density: bool):
     (-1)^(n-1) x^(delta n - 1) / Gamma(delta n), n >= 1. Tail (see
     _alternating_tail), for k = 1 .. 200: the log-gamma part of the envelope,
     the power of x it divides by, and (-1)^(k-1) sin(pi delta k)."""
+    import scipy.special as sc
+
     n = np.arange(int(density), _MAX_TERMS + int(density), dtype=float)
     k = np.arange(1, 201, dtype=float)
     if density:
@@ -204,6 +208,8 @@ def _ml_positive(delta: float, x: float) -> float:
     n_cap = int(min(3.0 * n_peak + 64.0, 2e6))
     if 3.0 * n_peak + 64.0 > 2e6:
         raise AccuracyError("series budget exceeded for mittag_leffler")
+    import scipy.special as sc
+
     n = np.arange(max(n_cap, _MAX_TERMS), dtype=float)
     ln_terms = n * math.log(x) - sc.gammaln(delta * n + 1.0)
     lse = _logsumexp(ln_terms)
@@ -317,6 +323,8 @@ def gg_density(r, alpha, lam, x) -> float:
     x = _as_float(x, "x")
     if x <= 0 or not math.isfinite(x):
         raise DomainError("x must be positive and finite")
+    import scipy.special as sc
+
     ln = (
         r * math.log(lam)
         + (alpha * r - 1.0) * math.log(x)
@@ -343,6 +351,8 @@ def gleser_mixing_density(r, mu, z) -> float:
     z = _as_float(z, "z")
     if z <= mu:
         return 0.0
+    import scipy.special as sc
+
     const = mu**r / (float(sc.gamma(1.0 - r)) * float(sc.gamma(r)))
     out = const * _power(z - mu, -r) / z
     if out == math.inf:
@@ -361,6 +371,8 @@ def snedecor_fisher_density(r, x) -> float:
         raise DomainError("r must lie in (0, 1)")
     if x <= 0 or not math.isfinite(x):
         raise DomainError("x must be positive and finite")
+    import scipy.special as sc
+
     const = (1.0 - r) ** (1.0 - r) * r**r / (
         float(sc.gamma(1.0 - r)) * float(sc.gamma(r))
     )
@@ -681,6 +693,8 @@ def pdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
             raise UnsupportedRegimeError(
                 "the density is infinite at 0 when alpha * nu <= 1"
             )
+        import scipy.special as sc
+
         return float(
             sc.gamma(1.0 / alpha)
             * sc.gamma(nu - 1.0 / alpha)
@@ -691,34 +705,81 @@ def pdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
     return float(max(res.values[0], 0.0))
 
 
+def _end_slope(h0, h1, m0, m1):
+    """The one-sided three-point slope at an end node, set to 0 where its
+    sign differs from the end piece's and capped at 3 m0 where the first two
+    slopes differ in sign (Moler, Numerical Computing with MATLAB, 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 class _Pchip:
-    """PCHIP through (x, y) that gives y at every node: at x[-1], the far end
-    of the last piece, Horner's sum can miss y[-1] by an ulp."""
+    """Fritsch & Butland's monotone cubic (PCHIP) through (x, y), x strictly
+    increasing with at least 3 nodes. Its slopes, its coefficients and its
+    power sum take scipy 1.17's PchipInterpolator steps in their order, so its
+    values are that interpolator's bit for bit, end pieces extrapolating. It
+    gives y at every node: at x[-1], the far end of the last piece, the power
+    sum can miss y[-1] by an ulp."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        from scipy import interpolate  # loaded on first use, off the import path
+        h = np.diff(x)
+        m = np.diff(y) / h
+        # Inner slopes: the weighted harmonic mean of the two pieces' slopes,
+        # or 0 where one is 0 or they differ in sign.
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])], inner,
+                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x, self._inner, self._last = x, x[1:-1], y[-1]
+        # The power coefficients of each piece in s = q - x[i], highest first,
+        # as four arrays: a gather from each is cheaper than one of rows.
+        self._c = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
 
-        self.x, self._last, self._pchip = x, y[-1], interpolate.PchipInterpolator(x, y)
-
-    def __call__(self, x) -> np.ndarray:
-        return np.where(x == self.x[-1], self._last, self._pchip(x))
+    def __call__(self, q) -> np.ndarray:
+        # The piece i = clip(searchsorted(x, q, "right") - 1, 0, n - 2): the
+        # end pieces extend past the ends, and NaN falls in the last piece.
+        i = np.searchsorted(self._inner, q, "right")
+        s = q - self.x.take(i)
+        c0, c1, c2, c3 = self._c
+        # ((c3 + c2 s) + c1 s^2) + c0 s^3, summed in place: with fewer
+        # temporaries it ran about 15% faster than the plain expression.
+        out = c2.take(i)
+        out *= s
+        out += c3.take(i)
+        ss = s * s
+        term = c1.take(i)
+        term *= ss
+        out += term
+        ss *= s
+        term = c0.take(i)
+        term *= ss
+        out += term
+        return np.where(q == self.x[-1], self._last, out)
 
 
 class InversionCdf:
     """Vectorized distribution function of the cf (1+|t|^alpha)^(-nu).
 
-    Monotone interpolation of inversion values over a mixed linear/log
-    abscissa grid on [0, x_max], extended to the whole line by symmetry.
-    Arguments beyond x_max are clamped to the boundary value, so build with
-    x_max at least as large as the largest |x| to be evaluated. At
-    alpha * nu < 2 the grid adds n_linear log-spaced points on [1e-8, 2],
-    which resolve the singular term of the density at 0. The whole grid is
-    inverted in one pass under the given accuracy: the damped integrand's
-    kernel is evaluated once on its lattice, and each point sums its own
-    panels in a fixed order (see _upper), so every grid value equals
-    cdf_by_inversion at that point bit for bit. The grid on [0, 2] does not
-    depend on x_max, so one build out to the largest |x| of several samples
-    serves them all.
+    Monotone (PCHIP) interpolation of inversion values over a mixed
+    linear/log abscissa grid, n_linear points on [0, 2] and n_log log-spaced
+    ones from 2 to just past x_max (each count an integer >= 2), extended to
+    the whole line by symmetry. Arguments beyond x_max are clamped to the
+    boundary value, so build with x_max at least as large as the largest |x|
+    to be evaluated. At alpha * nu < 2 the grid adds n_linear log-spaced
+    points on [1e-8, 2], which resolve the singular term of the density at
+    0. The whole grid is inverted in one pass under the given accuracy: the
+    damped integrand's kernel is evaluated once on its lattice, and each
+    point sums its own panels in a fixed order (see _upper), so every grid
+    value equals cdf_by_inversion at that point bit for bit. The grid on
+    [0, 2] does not depend on x_max, so one build out to the largest |x| of
+    several samples serves them all.
 
     Deterministic build counters: points (grid abscissae), nodes (the
     32-point rule's nodes, summed over the points) and rule_difference (the
@@ -740,6 +801,9 @@ class InversionCdf:
         x_max = _as_float(x_max, "x_max")
         if not 0 < x_max < math.inf:
             raise DomainError("x_max must be positive and finite")
+        for name, n in (("n_linear", n_linear), ("n_log", n_log)):
+            if not isinstance(n, (int, np.integer)) or n < 2:
+                raise DomainError(f"{name} must be an integer >= 2")
         self.alpha = alpha
         self.nu = nu
         hi = max(x_max * 1.0001, 2.5)
@@ -760,7 +824,13 @@ class InversionCdf:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        ax = np.minimum(np.abs(x), self.x_max)
-        upper = self._interp(ax)
-        out = np.where(x >= 0.0, upper, 1.0 - upper)
-        return np.clip(out, 0.0, 1.0)
+        flat, out = x.ravel(), np.empty(x.size)
+        # Blocks of _CALL_BLOCK points keep each temporary at 64 KB, which
+        # malloc reuses: whole-array temporaries at 1e5 points go back to the
+        # system when freed and page-fault in again on every call.
+        for lo in range(0, x.size, _CALL_BLOCK):
+            part = flat[lo : lo + _CALL_BLOCK]
+            upper = self._interp(np.minimum(np.abs(part), self.x_max))
+            np.clip(np.where(part >= 0.0, upper, 1.0 - upper), 0.0, 1.0,
+                    out=out[lo : lo + _CALL_BLOCK])
+        return out.reshape(x.shape) if x.ndim else out[0]

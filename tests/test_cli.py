@@ -602,25 +602,42 @@ class TestSampleRows:
         _assert_is_fmt_join(_csv_text(values), values)
 
 
-# scipy submodules that pull in optimize, sparse and linalg. Besides
-# scipy.special, which import htmix loads, the package uses only
-# scipy.interpolate, loaded on first use (an inversion CDF build).
+# scipy submodules that pull in optimize, sparse and linalg. The package
+# uses only scipy.special, loaded on first use (the gamma-function values,
+# the Mittag-Leffler series and tail tables, and the normal and gamma CDFs
+# of the limit theorems); InversionCdf interpolates with its own PCHIP.
 HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.integrate",
                "scipy.interpolate")
+IMPORT_HTMIX = "import htmix"
+CLI_LIST = "from htmix import cli; cli.main(['list'])"
+CLI_SAMPLE = ("from htmix import cli; cli.main(['sample', '--dist', 'gen-linnik', '--alpha',"
+              " '1.5', '--nu', '2', '--n', '1000'])")
+CLI_VERIFY = ("from htmix import cli; cli.main(['verify', '--identity', 'I01', '--alpha',"
+              " '1.5', '--b', '0.5', '--n', '2000'])")
+
+
+def scipy_modules_after(code: str, modules: str) -> str:
+    """The last line a fresh interpreter prints after running code: the
+    sorted names in sys.modules that the expression modules keeps."""
+    env = {**os.environ, "PYTHONPATH": str(Path(htmix.__file__).parents[1])}
+    script = f"{code}\nimport sys\nprint(sorted({modules}))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("code", [
-    "import htmix",
-    "from htmix import cli; cli.main(['list'])",
-    "from htmix import cli; cli.main(['sample', '--dist', 'gen-linnik', '--alpha', '1.5',"
-    " '--nu', '2', '--n', '1000'])",
-    "from htmix import cli; cli.main(['verify', '--identity', 'I01', '--alpha', '1.5',"
-    " '--b', '0.5', '--n', '2000'])",
+    IMPORT_HTMIX, CLI_LIST, CLI_SAMPLE, CLI_VERIFY,
     "from htmix import special; special.mittag_leffler(0.6, -6.3); special.ml_density(0.9, 10.9)",
+    "from htmix import special; special.InversionCdf(1.5, 2, 10)",
+    "from htmix import cli; cli.main(['limit', '--theorem', 'thm6', '--alpha', '1.5', '--nu',"
+    " '2', '--n-grid', '10', '--reps', '1000'])",
 ])
 def test_heavy_scipy_stays_off_the_import_path(code):
-    env = {**os.environ, "PYTHONPATH": str(Path(htmix.__file__).parents[1])}
-    script = f"{code}\nimport sys\nprint(sorted(set({HEAVY_SCIPY!r}) & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert scipy_modules_after(code, f"set({HEAVY_SCIPY!r}) & set(sys.modules)") == "[]"
+
+
+@pytest.mark.parametrize("code", [IMPORT_HTMIX, CLI_LIST, CLI_SAMPLE, CLI_VERIFY])
+def test_no_scipy_module_is_loaded(code):
+    modules = "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+    assert scipy_modules_after(code, modules) == "[]"

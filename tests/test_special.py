@@ -579,6 +579,21 @@ class TestInversion:
         with pytest.raises(DomainError):
             InversionCdf(1.5, 2.0, x_max)
 
+    @pytest.mark.parametrize("counts", [
+        {"n_linear": 0, "n_log": 2}, {"n_linear": 0, "n_log": 0}, {"n_linear": 1, "n_log": 0},
+        {"n_linear": 2.5}, {"n_log": 1}, {"n_log": 600.0}, {"n_linear": True},
+    ])
+    def test_interpolant_needs_grid_counts_of_at_least_two(self, counts):
+        # A grid short of 2 linear points would miss 0 (where the interpolant
+        # then extrapolated to cdf(0) = 0.79) or leave a single node.
+        with pytest.raises(DomainError):
+            InversionCdf(1.5, 2.0, 10.0, **counts)
+
+    def test_smallest_grid_holds_the_origin(self):
+        cdf = InversionCdf(1.5, 2.0, 10.0, n_linear=np.int64(2), n_log=2)
+        assert cdf.points == 3
+        assert float(cdf(0.0)) == 0.5
+
 
 # Extended-precision values (mpmath, 25 digits): a graded quadrature up to a
 # zero of the oscillation past t = 1, then quadosc over the oscillatory tail.
@@ -796,6 +811,17 @@ class TestBatchedInversion:
         np.testing.assert_allclose(cdf(xs), want, rtol=0, atol=2e-5)
         np.testing.assert_allclose(cdf(-xs), 1.0 - want, rtol=0, atol=2e-5)
 
+    def test_blocked_call_is_the_whole_array_formula(self):
+        # Two and a half evaluation blocks, in a 2-D array and shuffled.
+        cdf = InversionCdf(1.5, 2.0, 50.0)
+        x = np.random.default_rng(8).permutation(
+            np.linspace(-60.0, 60.0, 5 * special._CALL_BLOCK // 2)).reshape(5, -1)
+        upper = cdf._interp(np.minimum(np.abs(x), cdf.x_max))
+        want = np.clip(np.where(x >= 0.0, upper, 1.0 - upper), 0.0, 1.0)
+        got = cdf(x)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+        assert type(cdf(x[0, 0])) is np.float64 and cdf(x[0, 0]) == want[0, 0]
+
     def test_build_counters_are_deterministic(self):
         first = InversionCdf(0.6, 0.5, 50.0)
         second = InversionCdf(0.6, 0.5, 50.0)
@@ -808,6 +834,91 @@ class TestBatchedInversion:
         # nodes; the two rules agree to well inside abs_tol.
         assert first.nodes >= 32 * 17 * (first.points - 1)
         assert 0.0 < first.rule_difference <= 1e-14
+
+
+# The InversionCdf grids of test_interpolant_resolves_the_cusp, and the
+# (1.5, 2) grid of a thm6 reference CDF.
+PCHIP_GRIDS = ((0.6, 0.5, 1e3), (1.0, 1.0, 1e3), (2.0, 0.5, 1e3), (1.5, 1.0, 1e3),
+               (1.5, 2.0, 200.0))
+# Nodes in [0, 1] for every branch of the slopes: zero and sign-changing
+# slopes, an end slope set to 0 (its three-point estimate has the wrong
+# sign), end slopes capped at 3 m0 (the first two slopes differ in sign), a
+# CDF-like run ending in a flat tail clipped to 1.0, and a random walk with
+# ties on uneven spacing.
+_WALK = np.random.default_rng(26)
+PCHIP_DATA = {
+    "flat_and_turning": ([0, 1, 2, 3, 4, 5, 6, 7], [0, 0.2, 0.2, 0.6, 0.4, 0.4, 1, 0.8]),
+    "end_slope_zero": ([0, 1, 2, 3], [0, 0.0625, 0.4375, 0.5]),
+    "end_slope_capped": ([0, 10, 11, 12], [0, 0.5, 0, 0.05]),
+    "flat_tail": (np.linspace(0.0, 60.0, 40),
+                  np.minimum(1.0 - 0.5 * np.exp(-np.linspace(0.0, 60.0, 40)), 1.0)),
+    "random_walk": (np.cumsum(_WALK.uniform(0.01, 3.0, 50)),
+                    np.cumsum(_WALK.choice([-1.0, 0.0, 1.0, 2.0], 50)) / 100.0),
+}
+
+
+def pchip_grid(alpha, nu, x_max):
+    """An InversionCdf's interpolation nodes and the values it puts there."""
+    xs = InversionCdf(alpha, nu, x_max)._interp.x
+    vals = special._cdf_values(alpha, nu, xs, None).values
+    return xs, np.clip(np.maximum.accumulate(vals), 0.5, 1.0)
+
+
+def pchip_queries(x):
+    """The nodes, 7 points inside each piece, x[-1] again, points below x[0]
+    and past x[-1], and NaN."""
+    inside = (x[:-1, None] + np.diff(x)[:, None] * np.linspace(0.05, 0.95, 7)).ravel()
+    outside = [x[0] - 1.0, x[-1] * 1.0001, x[-1] + 1.0, 2.0 * x[-1]]
+    return np.concatenate([x, inside, [x[-1]], outside, [np.nan]])
+
+
+class TestPchip:
+    """The numpy PCHIP against scipy's PchipInterpolator: the same bytes
+    under scipy 1.17 (whose steps it follows), within 1e-15 under another."""
+
+    @pytest.mark.parametrize("case", [*PCHIP_GRIDS, *PCHIP_DATA])
+    def test_matches_scipy_pchip(self, case):
+        from scipy.interpolate import PchipInterpolator
+
+        if case in PCHIP_DATA:
+            x, y = (np.asarray(v, dtype=float) for v in PCHIP_DATA[case])
+        else:
+            x, y = pchip_grid(*case)
+        ours, ref = special._Pchip(x, y), PchipInterpolator(x, y)
+        q = pchip_queries(x)
+        # Ours gives y[-1] at x[-1], where scipy's power sum can miss it.
+        got, want = ours(q), np.where(q == x[-1], y[-1], ref(q))
+        coeffs, want_coeffs = np.stack(ours._c), ref.c
+        assert np.isnan(got[-1]) and np.all(np.isfinite(got[:-1]))
+        assert np.all(got[: x.size] == y)
+        if scipy.__version__.startswith("1.17."):
+            assert coeffs.tobytes() == want_coeffs.tobytes()
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_data_reaches_every_slope_branch(self):
+        def end_slope(h0, h1, m0, m1):
+            return ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+
+        zero_ends, capped_ends, flat, turning = set(), set(), set(), set()
+        for case, (x, y) in PCHIP_DATA.items():
+            h = np.diff(np.asarray(x, dtype=float))
+            m = np.diff(np.asarray(y, dtype=float)) / h
+            for ends in ((h[0], h[1], m[0], m[1]), (h[-1], h[-2], m[-1], m[-2])):
+                d, m0, m1 = end_slope(*ends), ends[2], ends[3]
+                if np.sign(d) != np.sign(m0):
+                    zero_ends.add(case)
+                elif np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+                    capped_ends.add(case)
+            if np.any(m == 0.0):
+                flat.add(case)
+            if np.any(np.sign(m[1:]) * np.sign(m[:-1]) < 0):
+                turning.add(case)
+        assert {"end_slope_zero"} <= zero_ends
+        assert {"end_slope_capped"} <= capped_ends
+        assert {"flat_and_turning", "flat_tail", "random_walk"} <= flat
+        assert {"flat_and_turning", "random_walk"} <= turning
 
 
 INVERSION_CACHES = (special._plan, special._lattice, special._heads, special._coarse)
