@@ -60,6 +60,11 @@ Measures, best of REPEATS runs each unless noted:
   seconds per ``htmix eval`` over the EVAL_GRID grid of each of
   EVAL_FUNCTIONS, cold, with the SHA-256 of its output. Cold calls run on
   cleared inversion caches, as the first call for a law in a process does;
+* for each inversion law of the ``special_eval`` benchmark (WINDOW_LAWS),
+  the fine panels per damped window, the deep panels of its Taylor head's
+  moments and the damped entries per point (panels times the 56 nodes of
+  both rules), all deterministic; with the ``InversionCdf(1.5, 2, 200)`` ms
+  and the us per call, cold and warm, of the section above;
 * seconds and peak memory (VmHWM, MB) of a fresh process that runs each of
   IMPORT_CODES, best of REPEATS processes each, the seconds timed around the
   snippet alone;
@@ -129,6 +134,12 @@ EVAL_FUNCTIONS = (("genlinnik-cdf", "--alpha", "0.6", "--nu", "0.5"),
                   ("ml-density", "--delta", "0.9"))
 EVAL_GRID = "0.01:20:0.01"  # 2,000 points
 INVERSION_CACHES = (special._plan, special._lattice, special._heads, special._coarse)
+# The inversion laws of the special_eval benchmark: (alpha, nu, density, lst).
+WINDOW_LAWS = {"InversionCdf(1.5, 2) cdf": (1.5, 2.0, False, False),
+               "pdf_by_inversion(1.5, 2)": (1.5, 2.0, True, False),
+               "InversionCdf and cdf_by_inversion(0.6, 0.5)": (0.6, 0.5, False, False),
+               **{f"{fn}({d}).spectral": (d, 1.0, fn == "ml_density", True)
+                  for fn in ("mittag_leffler and ml_cdf", "ml_density") for d in ML_DELTAS}}
 LSE_TERMS = 600
 LSE_CALLS = 200
 KERNELS = {
@@ -421,7 +432,8 @@ def cold(fn):
     return run
 
 
-def inversion_plan_us() -> dict:
+def inversion_us_per_call() -> dict:
+    """Cold and warm us per call at the points of the special_eval laws."""
     points = {"pdf_by_inversion(1.5, 2)": (special.pdf_by_inversion, 1.5, 2.0, PDF_X),
               "cdf_by_inversion(0.6, 0.5)": (special.cdf_by_inversion, 0.6, 0.5, CDF_X)}
     for name, sign in (("mittag_leffler", -1.0), ("ml_density", 1.0)):
@@ -434,12 +446,31 @@ def inversion_plan_us() -> dict:
         for state, wrap in (("cold_us", cold), ("warm_us", lambda f: f)):
             best = [best_seconds(wrap(lambda x=x: fn(*args, x))) for x in xs]
             out[key][state] = round(1e6 * sum(best) / len(best), 1)
+    return out
+
+
+def inversion_cdf_ms() -> dict:
     def build():
         return special.InversionCdf(1.5, 2.0, 200.0)
 
-    out["InversionCdf(1.5, 2, 200)"] = {
-        "cold_ms": round(1e3 * best_seconds(cold(build)), 2),
-        "warm_ms": round(1e3 * best_seconds(build), 2)}
+    return {"cold_ms": round(1e3 * best_seconds(cold(build)), 2),
+            "warm_ms": round(1e3 * best_seconds(build), 2)}
+
+
+def inversion_window() -> dict:
+    out = {}
+    for name, law in WINDOW_LAWS.items():
+        plan = special._plan(*law)
+        out[name] = {"panels_per_window": plan.width, "deep_panels": plan.deep,
+                     "damped_entries_per_point": plan.width * special._nodes()[0].size}
+    out["InversionCdf(1.5, 2, 200)"] = inversion_cdf_ms()
+    out["us_per_call"] = inversion_us_per_call()
+    return out
+
+
+def inversion_plan_us() -> dict:
+    out = inversion_us_per_call()
+    out["InversionCdf(1.5, 2, 200)"] = inversion_cdf_ms()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "eval.csv"
         for fn, *params in EVAL_FUNCTIONS:
@@ -496,6 +527,7 @@ SECTIONS = {
     "inversion_ms": inversion_ms,
     "ml_us_per_call": ml_us_per_call,
     "inversion_plan_us": inversion_plan_us,
+    "inversion_window": inversion_window,
     "import_cost": import_cost,
     "pchip_build_us": pchip_build_us,
     "inversion_cdf_call_ms_per_1e5": inversion_cdf_call_ms,

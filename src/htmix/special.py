@@ -414,16 +414,25 @@ def genml_lst(delta, nu, s) -> float:
 # Mittag-Leffler law at nu = 1, has cf k(-t) with k = (1 + (it)^alpha)^(-nu),
 # and the same two integrals hold with that k; on the imaginary axis they are
 # the spectral integrals of E_alpha (Gorenflo, Loutchko & Luchko 2002).
+# Below a point's damped window, e^(ixt) is its Taylor head 1 + ixt + (ixt)^2/2,
+# so each power of x multiplies a cached x-free moment Re[(i e^(i beta) u)^k kappa].
+# Im t >= 0 on every ray, so the remainder is at most |xt|^3/3! <= e^-38 below
+# ln u = ln(1/x) - _HEAD, where the window starts. Below ln(1/x) - 38 the head
+# is 1 alone, as |e^(ixt) - 1| <= xu < e^-38 there, so the moments span only
+# the plan's deep fine panels between: coarse panels there, 1566 wide in ln u
+# for the Mittag-Leffler law at delta = 0.003, cannot integrate u^k or the
+# density's growth.
 
 _STRIP = 1.5  # panel width over the half-width of the integrand's analytic strip
-_FLAT = 38.0  # below ln u = ln(1/x) - 38, |e^(ixt) - 1| <= xu < e^-38
+_HEAD = (38.0 - math.log(6.0)) / 3.0  # where a damped window starts, below ln(1/x)
 _FAR = 40.0  # below ln u = -40/alpha, u^alpha < e^-40
 _TURNS = 16.0  # alpha * nu up to which the panels need not narrow
 _RISE = math.log(1e3)  # the most the kernel may rise above 1 on the imaginary axis
 _MOST_PANELS = 4096  # fine panels per damped window
 _ENTRIES = 1 << 15  # damped matrix entries per row block, to bound memory
-_CHUNK = 32  # fine panels, and window starts, per cached lattice chunk
+_CHUNK = 8  # fine panels per cached lattice chunk, and window starts per chunk of heads
 _COARSE = 16  # coarse panels in the first cached chunk of running sums
+_NO_HEADS = _frozen(np.zeros((10, _CHUNK)))[0]  # in place of a chunk that holds no start
 
 
 class _Inversion(NamedTuple):
@@ -505,8 +514,9 @@ def _far_left(alpha, nu, ray: _Ray, v, density: bool):
 
 
 def _rule_sums(f: np.ndarray) -> np.ndarray:
-    """Both rules' sums of weighted terms over the last axis, the 32-point first."""
-    return np.stack([f[..., :32].sum(axis=-1), f[..., 32:].sum(axis=-1)])
+    """Both rules' sums of weighted terms over the last axis, in place of it,
+    the 32-point first."""
+    return np.add.reduceat(f, (0, 32), axis=-1)
 
 
 class _Plan(NamedTuple):
@@ -514,18 +524,27 @@ class _Plan(NamedTuple):
 
     ray: _Ray
     width: int  # fine panels per damped window
+    deep: int  # fine panels of the Taylor head's moments, from ln(1/x) - 38 up to a window
     j_lo: int  # the first coarse panel
     grow: np.ndarray  # u / e^v_win at a window's nodes
+    moment: np.ndarray  # (i e^(i beta) u / e^v_panel)^k / k! times the weight, at a panel's nodes
+    rise: np.ndarray  # e^(k (v_panel - v_first)) over a chunk's deep panels, for k = 0, 1, 2
+    fall: np.ndarray  # e^(-k (v_win - v_first)) at a chunk's window starts
 
 
 @functools.lru_cache(maxsize=16)
 def _plan(alpha, nu, density: bool, lst: bool) -> _Plan:
-    ray = _ray(alpha, nu, lst)
-    width = math.ceil((_FLAT + math.log(40.0 / ray.sin)) / ray.fine) + 1
+    ray, (t, w) = _ray(alpha, nu, lst), _nodes()
+    width = math.ceil((_HEAD + math.log(40.0 / ray.sin)) / ray.fine) + 1
     if width > _MOST_PANELS:
         raise AccuracyError(f"alpha * nu = {alpha * nu:.3g} needs too many panels")
-    grow = np.exp((np.arange(width)[:, None] + _nodes()[0]) * ray.fine)
-    return _Plan(ray, width, math.floor(-_FAR / alpha / ray.coarse), *_frozen(grow))
+    deep, k = math.ceil((38.0 - _HEAD) / ray.fine), np.arange(3)[:, None, None]
+    iu = complex(-ray.sin, ray.cos) * np.exp(ray.fine * t)  # i e^(i beta) u / e^v_panel
+    moment = np.array([np.ones(t.size), iu, 0.5 * iu * iu])[:, None] * (w * ray.fine)
+    return _Plan(ray, width, deep, math.floor(-_FAR / alpha / ray.coarse), *_frozen(
+        np.exp((np.arange(width)[:, None] + t) * ray.fine), moment,
+        np.exp(k * ray.fine * np.arange(deep + _CHUNK - 1)[:, None]),
+        np.exp(-k * ray.fine * (deep + np.arange(_CHUNK)[:, None]))))
 
 
 @functools.lru_cache(maxsize=16)
@@ -540,13 +559,13 @@ def _coarse(law: tuple, b: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # nodes no point may need
         panels = np.concatenate([  # in row blocks, to bound memory
             _rule_sums(_kernel(alpha, nu, ray, (j[i:i + step, None] + t) * ray.coarse,
-                               density).real * w) for i in range(0, j.size, step)], axis=1)
+                               density).real * w) for i in range(0, j.size, step)]).T
     panels *= ray.coarse
     sums = np.cumsum(np.concatenate([prev[:2, None], panels], axis=1), axis=1)
     return _frozen(np.vstack([sums, np.cumsum(np.append(prev[2], np.abs(panels[0])))]))[0]
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=512)
 def _lattice(law: tuple, c: int) -> np.ndarray:
     """The weighted kernel at the nodes of fine panels c _CHUNK .. (c + 1) _CHUNK - 1."""
     (alpha, nu, density, _), plan, (t, w) = law, _plan(*law), _nodes()
@@ -555,44 +574,76 @@ def _lattice(law: tuple, c: int) -> np.ndarray:
         return _frozen(_kernel(alpha, nu, plan.ray, fine_v, density) * (w * plan.ray.fine))[0]
 
 
-@functools.lru_cache(maxsize=256)
-def _heads(law: tuple, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the windows that start at fine panels c _CHUNK .. (c + 1) _CHUNK - 1:
-    both rules' sums below them, then the 32-point rule's of |.|; and the
-    32-point rule's node counts."""
+@functools.lru_cache(maxsize=1024)
+def _heads(law: tuple, c: int) -> np.ndarray:
+    """For the windows that start at fine panels c _CHUNK .. (c + 1) _CHUNK - 1,
+    at v_win: for k = 0, 1, 2, both rules' sums of Re[(i e^(i beta) u)^k kappa]
+    e^(-k v_win) / k! over the plan's deep fine panels below them, and for k = 0
+    also over all below those, each followed by the 32-point rule's of |.|; then
+    the 32-point rule's node counts."""
     (alpha, nu, density, _), plan, (t, w) = law, _plan(*law), _nodes()
-    ray, n = plan.ray, np.arange(c * _CHUNK, (c + 1) * _CHUNK)
-    v_win = n * ray.fine  # where a window starting at n begins
-    inner = v_win > plan.j_lo * ray.coarse
-    j = np.where(inner, np.floor(v_win / ray.coarse), plan.j_lo)  # coarse panels j_lo .. j - 1
-    span = np.where(inner, v_win - j * ray.coarse, 0.0)
+    ray, n = plan.ray, np.arange(c * _CHUNK, (c + 1) * _CHUNK) - plan.deep
+    v_deep = n * ray.fine  # where the deep panels below a window begin
+    inner = v_deep > plan.j_lo * ray.coarse
+    j = np.where(inner, np.floor(v_deep / ray.coarse), plan.j_lo)  # coarse panels j_lo .. j - 1
+    span = np.where(inner, v_deep - j * ray.coarse, 0.0)
     cut = span > 0.0
     pick = (j - plan.j_lo).astype(np.int64)
     low, high = (int(p // _COARSE + 1).bit_length() - 1 for p in (pick.min(), pick.max()))
-    below = np.concatenate([_coarse(law, b)[:, :-1] for b in range(low, high + 1)], axis=1)
+    below = np.zeros((3, 1)) if not pick.any() else np.concatenate(  # no window past j_lo
+        [_coarse(law, b)[:, :-1] for b in range(low, high + 1)], axis=1)
     below, part = below[:, pick - _COARSE * (2**low - 1)], np.zeros((2, _CHUNK))
+    deep, m = plan.deep, plan.moment
     with np.errstate(over="ignore", invalid="ignore"):  # windows no point may need
-        part_v = j[cut, None] * ray.coarse + t * span[cut, None]
-        part[:, cut] = _rule_sums(_kernel(alpha, nu, ray, part_v, density).real * w) * span[cut]
-        left = _far_left(alpha, nu, ray, np.where(inner, plan.j_lo * ray.coarse, v_win), density)
-    head = np.vstack([left + below[:2] + part, np.abs(left) + below[2] + np.abs(part[0])])
-    return _frozen(head, 32 * (pick + cut + plan.width))
+        partial, kappa = np.split(_kernel(alpha, nu, ray, np.concatenate([  # in one call
+            j[cut, None] * ray.coarse + t * span[cut, None],
+            (n[0] + np.arange(deep + _CHUNK - 1)[:, None] + t) * ray.fine]), density),
+            [cut.sum()])
+        part[:, cut] = _rule_sums(partial.real * w).T * span[cut]
+        left = _far_left(alpha, nu, ray, np.where(inner, plan.j_lo * ray.coarse, v_deep), density)
+        # Re[moment kappa] at the deep panels by both rules, by k, panel and rule, times
+        # e^(k v_panel) up to a constant, and summed from the first deep panel by a cumsum
+        sums = _rule_sums(m.real * kappa.real - m.imag * kappa.imag if ray.cos
+                          else m.real * kappa)
+        sums = np.concatenate([sums, np.abs(sums[..., :1])], axis=2) * plan.rise
+        run = np.cumsum(np.concatenate([np.zeros((3, 1, 3)), sums], axis=1), axis=1)
+        rows = run[:, deep:] - run[:, :_CHUNK]
+        rows[..., 2] = run[:, deep:, 2]  # |.| of all panels below a window
+        rows *= plan.fall
+    rows[0, :, :2] += (left + below[:2] + part).T
+    rows[0, :, 2] += np.abs(left) + below[2] + np.abs(part[0])
+    rows = rows.transpose(0, 2, 1).reshape(9, _CHUNK)
+    return _frozen(np.vstack([rows, 32 * (pick + cut + plan.deep + plan.width)]))[0]
+
+
+def _chunks(start: np.ndarray, width: int) -> tuple[list, set, np.ndarray]:
+    """The chunks that windows of width fine panels from start touch, in order;
+    those that hold a start; and where each start falls in their concatenation.
+    A batch builds the chunks its points need, and no others."""
+    low = start // _CHUNK
+    spans = set(zip(low.tolist(), ((start + width - 1) // _CHUNK).tolist()))
+    touched = np.array(sorted({c for lo, hi in spans for c in range(lo, hi + 1)}))
+    at = np.searchsorted(touched, low) * _CHUNK + start % _CHUNK
+    return touched.tolist(), {lo for lo, _ in spans}, at
 
 
 def _upper(alpha, nu, ax: np.ndarray, density: bool, accuracy) -> _Inversion:
     """1 - F(x), or f(x) if density, at each x > 0 in ax, of the law with cf
     (1 + |t|^alpha)^(-nu); the Laplace law (2, 1) is in closed form.
 
-    A point sums, in this order and by both rules: the closed far-left tail;
-    the undamped panels of a coarse lattice in ln u fixed by alpha and nu;
-    one undamped panel up to its damped window; then the window, the fine
-    lattice panels from ln(1/x) - 38 to past ln(40/x), whose e^(ixt) times
-    the weighted kernel it sums panel by panel. All but e^(ixt) is x-free and
-    is cached per law (_plan), per chunk of fine panels (_lattice) and per
-    chunk of window starts (_heads, from _coarse's running sums). An entry
-    depends on its lattice index alone (elementwise ufuncs, row sums and a
-    sequential cumsum), so a value depends neither on the other points of
-    the call nor on the calls or threads before it.
+    A point sums, by both rules: the closed far-left tail; the undamped
+    panels of a coarse lattice in ln u fixed by alpha and nu; one undamped
+    panel up to ln(1/x) - 38; the Taylor head, the fine lattice panels from
+    there to the damped window, where e^(ixt) is 1 + ixt + (ixt)^2/2 and each
+    power of x multiplies an x-free moment; then the window, the fine panels
+    from ln(1/x) - _HEAD (12.07) to past ln(40/x), whose e^(ixt) times the
+    weighted kernel it sums panel by panel. All but the powers of x and
+    e^(ixt) is x-free and is cached per law (_plan), per chunk of fine panels
+    (_lattice) and per chunk of window starts (_heads, from _coarse's running
+    sums); a call builds only the chunks its windows touch. An entry depends
+    on its lattice index alone (elementwise ufuncs, row sums and sequential
+    cumsums), so a value depends neither on the other points of the call nor
+    on the calls or threads before it.
     """
     if alpha == 2.0 and nu == 1.0:
         return _Inversion(0.5 * np.exp(-ax), np.zeros(ax.size, np.int64), np.zeros(ax.size))
@@ -603,17 +654,17 @@ def _invert(law: tuple, v_star: np.ndarray, accuracy) -> _Inversion:
     """_upper's sums at x = e^-v_star for law = (alpha, nu, density, lst); see _ray."""
     plan = _plan(*law)
     ray, width = plan.ray, plan.width
-    start = np.floor((v_star - _FLAT) / ray.fine)  # a window's first fine panel
-    first, last = start.min(), start.max()
-    if not -2.0**52 < first <= last < 2.0**52:
+    start = np.floor((v_star - _HEAD) / ray.fine)  # a window's first fine panel
+    if not -2.0**52 < start.min() <= start.max() < 2.0**52:
         raise AccuracyError("x is outside the inversion's range")
-    low, high = int(first) // _CHUNK, int(last + width - 1) // _CHUNK
-    kappa = np.concatenate([_lattice(law, c) for c in range(low, high + 1)])
-    heads = [_heads(law, c) for c in range(low, int(last) // _CHUNK + 1)]
-    at = (start - low * _CHUNK).astype(np.int64)
-    total = np.concatenate([h for h, _ in heads], axis=1)[:, at]
-    total, size = total[:2], total[2]
     x_win = np.exp(start * ray.fine - v_star)  # x e^v_win
+    start = start.astype(np.int64)
+    touched, held, at = _chunks(start, width)
+    head = np.concatenate([_heads(law, c) if c in held else _NO_HEADS for c in touched],
+                          axis=1)[:, at]
+    total = head[0:3] + x_win * (head[3:6] + x_win * head[6:9])  # the Taylor head
+    total, size = total[:2], total[2]
+    kappa = np.concatenate([_lattice(law, c) for c in touched])
     step = max(1, _ENTRIES // plan.grow.size)
     for rows in (slice(lo, lo + step) for lo in range(0, v_star.size, step)):
         k = kappa[at[rows, None] + np.arange(width)]
@@ -624,17 +675,15 @@ def _invert(law: tuple, v_star: np.ndarray, accuracy) -> _Inversion:
         else:
             f = np.exp(-xu) * k.real
         sums = _rule_sums(f)
-        total[:, rows] = np.cumsum(np.concatenate([total[:, rows, None], sums], axis=2),
-                                   axis=2)[..., -1]
-        size[rows] += np.abs(sums[0]).sum(axis=1)
+        total[:, rows] += sums.sum(axis=1).T
+        size[rows] += np.abs(sums[..., 0]).sum(axis=1)
     errors = np.abs(total[0] - total[1])
     acc = accuracy or DEFAULT_ACCURACY
     if not (_EPS * size <= acc.abs_tol).all():  # an overflowed sum is nan or inf here
         raise AccuracyError("abs_tol is below the float64 roundoff of the inversion sum")
     if not (errors <= acc.abs_tol).all():
         raise AccuracyError(f"inversion rules differ by {errors.max():.2e}, more than abs_tol")
-    nodes = np.concatenate([n for _, n in heads])[at]
-    return _Inversion(total[0], nodes, errors)
+    return _Inversion(total[0], head[9].astype(np.int64), errors)
 
 
 def _cdf_values(alpha: float, nu: float, xs: np.ndarray,
@@ -658,7 +707,10 @@ def cdf_by_inversion(alpha, nu, x, accuracy: Accuracy | None = None) -> float:
     oscillating: at alpha <= 1, 1 - F(x) =
     (1/pi) int_0^inf e^(-ux) Im[(1 + u^alpha e^(-i pi alpha/2))^(-nu)] du/u
     for x > 0. Fixed Gauss-Legendre panels in ln u integrate it (see _upper),
-    with no truncation point. The 32-point and 24-point rules must agree to
+    with no truncation point. Below ln u = ln(1/x) - 12.07, where its damped
+    window starts, e^(-ux) is its Taylor head 1 - ux + (ux)^2/2 (on a tilted
+    ray, that of e^(ixt)), whose x-free moments are cached; the remainder is
+    at most e^-38 times the kernel. The 32-point and 24-point rules must agree to
     accuracy.abs_tol and the sum's float64 roundoff must stay below it, or
     AccuracyError is raised. The Laplace law (alpha 2, nu 1) is in closed
     form. The test suite checks this over alpha in (0, 2], nu in [0.05, 10]

@@ -57,6 +57,7 @@ def _critical(q: float) -> float:
 
 # Points per block of the KS search, so that no temporary spans a sample.
 _BLOCK = 1 << 16
+_GAPS = 1 << 13  # points per block of ks_one_sample's gaps: 64 KB temporaries malloc reuses
 
 
 def _runs(starts: np.ndarray, stops: np.ndarray) -> Iterator[np.ndarray]:
@@ -121,15 +122,20 @@ def ks_two_sample_threshold(n: int, m: int, q: float = 0.01) -> float:
 
 def ks_one_sample(a, cdf: Callable) -> float:
     """Exact sup distance between the empirical CDF and a model CDF, which is
-    called once, on the sorted sample, and must return an array of its shape."""
+    called once, on the sorted sample, and must return an array of its shape.
+    The gaps i/n - F and F - (i-1)/n are formed _GAPS at a time; the max of
+    the block maxima is the same float."""
     x = np.sort(_values(a))
     n = x.size
     f = np.asarray(cdf(x), dtype=float)
     if f.shape != x.shape:
         raise DomainError(f"cdf returned shape {f.shape} for a sample of shape {x.shape}")
-    hi = np.arange(1, n + 1) / n - f
-    lo = f - np.arange(0, n) / n
-    return float(max(hi.max(), lo.max()))
+    hi, lo = [], []
+    for start in range(0, n, _GAPS):
+        i, part = np.arange(start, min(start + _GAPS, n)), f[start : start + _GAPS]
+        hi.append(((i + 1) / n - part).max())
+        lo.append((part - i / n).max())
+    return float(max(np.max(hi), np.max(lo)))
 
 
 def ks_one_sample_threshold(n: int, q: float = 0.01) -> float:

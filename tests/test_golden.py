@@ -220,15 +220,15 @@ INVERSION_X = (-5000.0, -37.5, -1.0, -1e-3, 0.0, 0.05, 0.7, 3.0, 25.0, 26.0,
 INVERSION_PROBE = np.sinh(np.linspace(-9.0, 9.0, 181))
 
 CDF_INVERSION_DIGEST = (
-    "411d60a190a7681950249fb48dee657a4e9a81ab31b933af32d5494769c88a98"
+    "2c7c5cd4d6ade2ecd3912ad6757cb88753da9e108b435f3b5e482cdc99412950"
 )
 PDF_INVERSION_DIGEST = (
-    "09faf6720559ece9a00c94907f68fe28e4dea99ab2bab5091b76fdfb17977885"
+    "e66185c6e3820547f038c76c0c0375ab0140eb9e0d66f3ae4c3526f04482cdcc"
 )
 INVERSION_CDF_DIGESTS = {
     (2.0, 1.0, 12.2): "2745bdc26d3172f2be95d4f033b59ba54d18e656d7b0376249486ebf347295ba",
-    (1.5, 2.0, 929.4): "340d922cde0553b411c2483edcb596c3f6a3a296ac75e79b9ee6cdff4b8bebdf",
-    (1.5, 2.0, 2642.4): "efb6d2f85c4594f22d1706d71f96799145629b877c35875bc6f073eb55af95c3",
+    (1.5, 2.0, 929.4): "b298237a6154551e106a5909d0e0ec7f7fd796a1b74c9fdeecbbfe5697322b8c",
+    (1.5, 2.0, 2642.4): "899b4faa254359a6091fd8177f51386e850e98d2a1d4ee0cb19b9188c6daa32e",
 }
 
 
@@ -239,9 +239,9 @@ ML_DELTAS = (0.3, 0.6, 0.9)
 ML_X = np.logspace(-2.0, 3.0, 40)
 ML_POSITIVE_Z = (0.1, 1.0, 5.0)
 ML_DIGESTS = {
-    "mittag_leffler": "a6d0bd08cfda3f03da336a9b54ef9c9e085af35fe7d88d5723354481f2906880",
-    "ml_density": "dcc421186b29669cb6ee1d5a61d9cd01bbe8c328abef57838238d9e8baef19c8",
-    "ml_cdf": "02587b41a4d1bfbdead72eef8afba598ce2e185d6d19d98a44ec6c743588ef9e",
+    "mittag_leffler": "92000ca6e83aea91da3df079c1078b51bcf928cc3306d2dec74269db3f638b06",
+    "ml_density": "c401f2b0f5c82280c5a5c55e15cf5519ac64d5f10fa055b731de13455661307d",
+    "ml_cdf": "37a05d8264957e6efbcb617ba6a602840fa7b8710e93d0b11d304dc4213d1951",
 }
 
 
@@ -281,15 +281,15 @@ REPORT_DIGESTS = {
     "experiment_thm6": "bbb88ae13e5442ec855a8f2e00a7be222a8ce3c11a68ae90c2120dcc0cf41982",
     "lemma14": "749c487ce4cc7f933dded7f05a71a2f85e66a4a8de59bb29708cd7a68d83e06a",
     "thm6": "cb48812df98f0522f6b08877d3e0b06259c3917dc1339e23f4f404d7c03e0b8d",
-    "thm7_control": "38a6aa7848731e8c8d73956576fec04e1ccdba61088cfb18ef059f5cb6f3ead3",
+    "thm7_control": "0946d3f56ceb08b7287e049c636f108eb3fab8d09f90e2f21e241f29950dc1c8",
     "thm7_custom": "9a7b38917202c729c1e21ef2e391e8c3e686653778a8cbc577c0112294248705",
-    "thm7_rademacher": "5e294cd784d717f6fed996424890d7ce83d9acb9eda6e9fe17a73a495ce10671",
+    "thm7_rademacher": "2524ad384ae6256a7e2fc62c1ad11ea4b508f6a9d87558b76f51088281823dbf",
     "thm7_uniform": "7f7b5f86623f68cb2893663f6a5df2488b011a46f9767406c2a093f477ed8a04",
     "thm8": "53cb8aeeeec8acae6dfcd4925e607574a118a08d52932bf5e94b04ae12b0c70a",
     "thm8_control": "df6ba81bf0230ffbc982595b85c91f34a6e44d101e8dc6694851b849e5e6e673",
-    "thm7_multi": "fc9ad45af17c04b06709e580b0442fbf9bedce7cf343df14765b60f6963cf818",
+    "thm7_multi": "5ecc5bfe56974824dac43e6e8808284f001b36ee8b27139c54b8a3fd9d759491",
     "thm8_multi": "5a5d8b059cd6d48ed066a071cf4c9eab02296bc94ecbd1939e1b7e77f19bf065",
-    "thm7_control_multi": "b2798510b7c32bb2f98d82583df2e4caaa94e8733f30148bd48fe6a89b10592c",
+    "thm7_control_multi": "7498a64d4339d5820c30c089da28a55818dc28110eace2f161446f9df4529a26",
 }
 
 # The raw bytes of the retained final sample alone, apart from the report

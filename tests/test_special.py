@@ -830,10 +830,21 @@ class TestBatchedInversion:
             getattr(second, c) for c in counters
         ]
         assert first.points == first._interp.x.size
-        # Each point past 0 sums a damped window of 17 fine panels of 32
+        # Each point past 0 sums a damped window of 7 fine panels of 32
         # nodes; the two rules agree to well inside abs_tol.
-        assert first.nodes >= 32 * 17 * (first.points - 1)
+        assert first.nodes >= 32 * 7 * (first.points - 1)
         assert 0.0 < first.rule_difference <= 1e-14
+
+    def test_a_batch_builds_what_its_points_do(self):
+        # Two windows 1,380 apart in ln u: the batch builds each point's chunks
+        # and none between them.
+        def builds(xs):
+            clear_inversion_caches()
+            special._cdf_values(1.5, 300.0, np.array(xs), None)
+            return [cache.cache_info().misses for cache in (special._lattice, special._heads)]
+
+        one, other = builds([1e-300]), builds([1e300])
+        assert builds([1e-300, 1e300]) == [a + b for a, b in zip(one, other)]
 
 
 # The InversionCdf grids of test_interpolant_resolves_the_cusp, and the
@@ -1033,8 +1044,8 @@ class TestInversionPlans:
         law, tilted = (0.1, 0.3, False, False), (1.9, 3.0, True, False)
         plan = special._plan(*law)
         c = math.floor((30.0 * math.log(10.0) - 38.0) / plan.ray.fine) // special._CHUNK
-        for a in [plan.grow, special._lattice(law, c), *special._heads(law, c),
-                  special._coarse(law, 0), special._lattice(tilted, -3)]:
+        for a in [plan.grow, plan.moment, plan.rise, plan.fall, special._lattice(law, c),
+                  *special._heads(law, c), special._coarse(law, 0), special._lattice(tilted, -3)]:
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
 
@@ -1056,6 +1067,89 @@ class TestInversionPlans:
         finally:
             tracemalloc.stop()
         assert 0 < cached <= 8 * 2**20
+
+
+def flat_head(law, x):
+    """The inversion's 32-point sum at x with no Taylor head: e^(ixt) = 1 below
+    ln u = ln(1/x) - 38 (the far-left closed form, the coarse panels and a
+    partial one), then the damped window from there to past ln(40/x), summed
+    directly with no cache."""
+    alpha, nu, density, _ = law
+    plan, (t, w) = special._plan(*law), special._nodes()
+    ray, t, w = plan.ray, t[:32], w[:32]
+    v_star = -math.log(x)
+    start = math.floor((v_star - 38.0) / ray.fine)
+    v_win, v_lo = start * ray.fine, plan.j_lo * ray.coarse
+
+    def summed(v, span):
+        return float((special._kernel(alpha, nu, ray, v, density).real * w).sum()) * span
+
+    total = float(special._far_left(alpha, nu, ray, np.array(min(v_lo, v_win)), density))
+    if v_win > v_lo:
+        j = math.floor(v_win / ray.coarse)
+        total += summed((np.arange(plan.j_lo, j)[:, None] + t) * ray.coarse, ray.coarse)
+        total += summed(j * ray.coarse + t * (v_win - j * ray.coarse), v_win - j * ray.coarse)
+    width = math.ceil((38.0 + math.log(40.0 / ray.sin)) / ray.fine) + 1
+    v = (start + np.arange(width)[:, None] + t) * ray.fine
+    kappa, xu = special._kernel(alpha, nu, ray, v, density), np.exp(v - v_star)
+    if ray.cos:
+        f = np.exp(-ray.sin * xu) * (np.cos(ray.cos * xu) * kappa.real
+                                     - np.sin(ray.cos * xu) * kappa.imag)
+    else:
+        f = np.exp(-xu) * kappa
+    return total + float((f * w).sum()) * ray.fine
+
+
+# Laws on the imaginary axis and on tilted rays (1.9, 3), (2, 0.5), (1.45, 30),
+# and the Mittag-Leffler transforms', axis (0.3, 0.6) and tilted (0.9); x over
+# the whole double range.
+HEAD_LAWS = ([(a, v, d, False) for a, v in [(1.5, 2.0), (0.6, 0.5), (0.3, 0.7), (1.0, 1.0),
+                                             (1.9, 3.0), (2.0, 0.5), (1.45, 30.0)]
+              for d in (False, True)]
+             + [(a, v, d, True) for a, v in [(0.3, 1.0), (0.6, 2.5), (0.9, 1.0)]
+                for d in (False, True)])
+HEAD_X = (5e-324, 1e-300, 1e-100, 1e-20, 1e-5, 0.05, 0.3, 1.0, 3.0, 10.0, 30.0, 1e3, 1e20,
+          1e100, 1e300)
+
+
+class TestTaylorHead:
+    """Each window starts at ln(1/x) - _HEAD, below which e^(ixt) is replaced
+    by 1 + ixt + (ixt)^2/2; the values are those of the old window from
+    ln(1/x) - 38 with e^(ixt) = 1 below it, to roundoff."""
+
+    def test_head_constant(self):
+        assert special._HEAD == pytest.approx((38.0 - math.log(6.0)) / 3.0, rel=1e-15)
+        assert special._plan(1.5, 2.0, False, False).width == 22
+        assert special._plan(0.6, 0.5, False, False).width == 7
+        assert special._plan(0.9, 1.0, False, True).width == 13
+
+    def test_against_the_flat_window(self):
+        compared = 0
+        for law in HEAD_LAWS:
+            for x in HEAD_X:
+                try:
+                    got = float(special._invert(law, -np.log(np.array([x])), None).values[0])
+                except AccuracyError:
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = flat_head(law, x)
+                assert abs(got - want) <= 2e-14 * max(1.0, abs(want)), (law, x, got, want)
+                compared += 1
+        assert compared >= 200
+
+    def test_head_rows_are_finite(self):
+        # The cached heads of every window the comparison above sums, with no
+        # RuntimeWarning (an error in this suite).
+        for law in HEAD_LAWS:
+            ray = special._plan(*law).ray
+            for x in HEAD_X:
+                try:
+                    special._invert(law, -np.log(np.array([x])), None)
+                except AccuracyError:
+                    continue
+                start = math.floor((-math.log(x) - special._HEAD) / ray.fine)
+                head = special._heads(law, start // special._CHUNK)[:, start % special._CHUNK]
+                assert np.all(np.isfinite(head)), (law, x)
 
 
 @settings(max_examples=50, deadline=None)

@@ -200,6 +200,22 @@ class TestKsOneSample:
             want, abs=1e-12
         )
 
+    def test_blocks_give_the_whole_array_formula(self):
+        # 3 * 2^16 + 5 points, so whole blocks and a partial one, with ties
+        # (values rounded to 1e-3) and a model CDF that is off by a bump near
+        # the middle of the sample.
+        n = 3 * 2**16 + 5
+        assert n % verification._GAPS
+        x = np.round(RandomStream(2024, 3).generator().random(n), 3)
+
+        def cdf(v):
+            return np.clip(v + 0.004 * np.exp(-((v - 0.4) / 0.01) ** 2), 0.0, 1.0)
+
+        f = cdf(np.sort(x))
+        want = max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(0, n) / n).max())
+        assert np.unique(x).size < n
+        assert ks_one_sample(x, cdf).hex() == float(want).hex()
+
     def test_scalar_only_or_wrong_shape_cdf_raises(self):
         # The cdf is called once, on the whole sorted sample.
         x = RandomStream(2024, 2).generator().random(500)
