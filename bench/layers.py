@@ -15,8 +15,7 @@ Measures, best of REPEATS runs each unless noted:
   on a 1-worker pool and once on the default pool;
 * ns per value of the sample CSV text (rows "i,value" at "%.10g") for the
   ``sample_bulk`` CLI sample (gen-linnik, alpha 1.5, nu 2, 10^6 draws, seed
-  1729): the package's writer (``cli._sample_csv``) on both pools, and the
-  per-value ``_fmt`` join it replaces;
+  1729): the package's writer (``cli._sample_csv``) on both pools;
 * ``_grouped_sums`` throughput in draws/s on thm6-like counts (1 + Poisson
   of gamma(2) * 99 over 10^5 replications, about 2e7 symmetric-stable draws
   at alpha = 1.5), once on a 1-worker pool and once on the default pool;
@@ -50,21 +49,18 @@ Measures, best of REPEATS runs each unless noted:
   golden and ``special_eval`` grid), split by the branch each point takes
   (series, tail or spectral; ``ml_cdf`` takes that of E_delta(-x^delta)),
   each point's best of REPEATS calls averaged over the branch's points;
-  and us per call of ``special._logsumexp`` and
-  ``scipy.special.logsumexp`` on a LSE_TERMS-term series vector;
-* us per call, cold and warm, of ``pdf_by_inversion(1.5, 2, x)`` over
-  PDF_X, ``cdf_by_inversion(0.6, 0.5, x)`` over CDF_X (the laws of the
-  ``special_eval`` benchmark), and ``mittag_leffler`` and ``ml_density``
-  at each delta of ML_DELTAS over the x of ML_X that take the spectral
-  branch; ms per ``InversionCdf(1.5, 2, 200)`` build, cold and warm; and
-  seconds per ``htmix eval`` over the EVAL_GRID grid of each of
-  EVAL_FUNCTIONS, cold, with the SHA-256 of its output. Cold calls run on
-  cleared inversion caches, as the first call for a law in a process does;
 * for each inversion law of the ``special_eval`` benchmark (WINDOW_LAWS),
   the fine panels per damped window, the deep panels of its Taylor head's
-  moments and the damped entries per point (panels times the 56 nodes of
-  both rules), all deterministic; with the ``InversionCdf(1.5, 2, 200)`` ms
-  and the us per call, cold and warm, of the section above;
+  moments, the damped entries per point (panels times the 56 nodes of both
+  rules) and the coarse panels (``special._coarse``) that its cold calls
+  build, summed over them, all deterministic; us per call, cold and warm, of
+  ``pdf_by_inversion(1.5, 2, x)`` over PDF_X, ``cdf_by_inversion(0.6, 0.5,
+  x)`` over CDF_X, and ``mittag_leffler`` and ``ml_density`` at each delta
+  of ML_DELTAS over the x of ML_X that take the spectral branch; ms per
+  ``InversionCdf(1.5, 2, 200)`` build, cold and warm; and seconds per
+  ``htmix eval`` over the EVAL_GRID grid of each of EVAL_FUNCTIONS, cold,
+  with the SHA-256 of its output. Cold calls run on cleared inversion
+  caches, as the first call for a law in a process does;
 * seconds and peak memory (VmHWM, MB) of a fresh process that runs each of
   IMPORT_CODES, best of REPEATS processes each, the seconds timed around the
   snippet alone;
@@ -83,6 +79,7 @@ keys of the output) to run only those:
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -94,7 +91,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy.special as sc
 
 from htmix import _pool, cli, identities, limits, special, verification
 from htmix.errors import AccuracyError
@@ -134,14 +130,16 @@ EVAL_FUNCTIONS = (("genlinnik-cdf", "--alpha", "0.6", "--nu", "0.5"),
                   ("ml-density", "--delta", "0.9"))
 EVAL_GRID = "0.01:20:0.01"  # 2,000 points
 INVERSION_CACHES = (special._plan, special._lattice, special._heads, special._coarse)
-# The inversion laws of the special_eval benchmark: (alpha, nu, density, lst).
-WINDOW_LAWS = {"InversionCdf(1.5, 2) cdf": (1.5, 2.0, False, False),
-               "pdf_by_inversion(1.5, 2)": (1.5, 2.0, True, False),
-               "InversionCdf and cdf_by_inversion(0.6, 0.5)": (0.6, 0.5, False, False),
-               **{f"{fn}({d}).spectral": (d, 1.0, fn == "ml_density", True)
-                  for fn in ("mittag_leffler and ml_cdf", "ml_density") for d in ML_DELTAS}}
-LSE_TERMS = 600
-LSE_CALLS = 200
+# The inversion laws of the special_eval benchmark, (alpha, nu, density, lst),
+# each with the key of its cold calls in inversion_calls(), or None for the
+# InversionCdf(1.5, 2, 200) build.
+WINDOW_LAWS = {
+    "InversionCdf(1.5, 2) cdf": ((1.5, 2.0, False, False), None),
+    "pdf_by_inversion(1.5, 2)": ((1.5, 2.0, True, False), "pdf_by_inversion(1.5, 2)"),
+    "InversionCdf and cdf_by_inversion(0.6, 0.5)": ((0.6, 0.5, False, False),
+                                                    "cdf_by_inversion(0.6, 0.5)"),
+    **{f"{fn}({d}).spectral": ((d, 1.0, fn == "ml_density", True), f"{fn.split()[0]}({d}).spectral")
+       for fn in ("mittag_leffler and ml_cdf", "ml_density") for d in ML_DELTAS}}
 KERNELS = {
     "stable.symmetric": (_stable_symmetric_values, 1.5),
     "stable.one_sided": (lambda rng, n, alpha: _run(
@@ -236,17 +234,13 @@ def csv_ns_per_value() -> dict:
     values = sample(DistSpec("gen_linnik", {"alpha": 1.5, "nu": 2.0}), SAMPLE_N,
                     RandomStream(1729)).values
 
-    def fmt_join():
-        return "index,value\n" + "".join(
-            f"{i},{cli._fmt(v)}\n" for i, v in enumerate(values))
-
-    def ns_per_value(fn, repeats=REPEATS):
-        return round(1e9 * best_seconds(fn, repeats) / SAMPLE_N, 1)
+    def ns_per_value(fn):
+        return round(1e9 * best_seconds(fn) / SAMPLE_N, 1)
 
     def text():
         return b"".join(cli._sample_csv(values))
 
-    out = {"fmt_join": ns_per_value(fmt_join, 2)}
+    out = {}
     with one_worker():
         out["sample_csv.workers_1"] = ns_per_value(text)
     out[f"sample_csv.workers_{default_workers()}_default"] = ns_per_value(text)
@@ -413,12 +407,6 @@ def ml_us_per_call() -> dict:
                 seconds.setdefault(ml_branch(name, delta, x), []).append(best)
         out[name] = {branch: {"points": len(s), "us": round(1e6 * sum(s) / len(s), 1)}
                      for branch, s in sorted(seconds.items())}
-    terms = np.arange(LSE_TERMS) * np.log(3.0) - sc.gammaln(0.6 * np.arange(LSE_TERMS) + 1.0)
-    lse = {"scipy": sc.logsumexp, "replica": special._logsumexp}
-    out[f"logsumexp.n{LSE_TERMS}"] = {
-        key: round(1e6 * best_seconds(lambda: [fn(terms) for _ in range(LSE_CALLS)])
-                   / LSE_CALLS, 1)
-        for key, fn in lse.items()}
     return out
 
 
@@ -432,45 +420,67 @@ def cold(fn):
     return run
 
 
-def inversion_us_per_call() -> dict:
-    """Cold and warm us per call at the points of the special_eval laws."""
-    points = {"pdf_by_inversion(1.5, 2)": (special.pdf_by_inversion, 1.5, 2.0, PDF_X),
-              "cdf_by_inversion(0.6, 0.5)": (special.cdf_by_inversion, 0.6, 0.5, CDF_X)}
+def inversion_calls() -> dict:
+    """The one-point calls of the special_eval laws, as thunks: at PDF_X, at
+    CDF_X and at the x of ML_X that take the spectral branch."""
+    calls = {"pdf_by_inversion(1.5, 2)": [
+                 functools.partial(special.pdf_by_inversion, 1.5, 2.0, x) for x in PDF_X],
+             "cdf_by_inversion(0.6, 0.5)": [
+                 functools.partial(special.cdf_by_inversion, 0.6, 0.5, x) for x in CDF_X]}
     for name, sign in (("mittag_leffler", -1.0), ("ml_density", 1.0)):
         for delta in ML_DELTAS:
-            xs = [sign * x for x in ML_X if ml_branch(name, delta, x) == "spectral"]
-            points[f"{name}({delta}).spectral"] = (getattr(special, name), delta, xs)
+            calls[f"{name}({delta}).spectral"] = [
+                functools.partial(getattr(special, name), delta, sign * x)
+                for x in ML_X if ml_branch(name, delta, x) == "spectral"]
+    return calls
+
+
+def coarse_panels(fn) -> int:
+    """The coarse panels (special._coarse columns past the first) that fn()
+    builds on cleared inversion caches."""
+    coarse, built = special._coarse, [0]
+
+    def counting(law, b):
+        misses = coarse.cache_info().misses
+        sums = coarse(law, b)
+        if coarse.cache_info().misses > misses:
+            built[0] += sums.shape[1] - 1
+        return sums
+
+    special._coarse = counting
+    try:
+        cold(fn)()
+    finally:
+        special._coarse = coarse
+    return built[0]
+
+
+def inversion_us_per_call(calls: dict) -> dict:
+    """Cold and warm us per call, averaged over each key's calls."""
     out = {}
-    for key, (fn, *args, xs) in points.items():
-        out[key] = {"points": len(xs)}
+    for key, thunks in calls.items():
+        out[key] = {"points": len(thunks)}
         for state, wrap in (("cold_us", cold), ("warm_us", lambda f: f)):
-            best = [best_seconds(wrap(lambda x=x: fn(*args, x))) for x in xs]
+            best = [best_seconds(wrap(thunk)) for thunk in thunks]
             out[key][state] = round(1e6 * sum(best) / len(best), 1)
     return out
 
 
-def inversion_cdf_ms() -> dict:
-    def build():
-        return special.InversionCdf(1.5, 2.0, 200.0)
-
+def inversion_cdf_ms(build) -> dict:
     return {"cold_ms": round(1e3 * best_seconds(cold(build)), 2),
             "warm_ms": round(1e3 * best_seconds(build), 2)}
 
 
 def inversion_window() -> dict:
-    out = {}
-    for name, law in WINDOW_LAWS.items():
+    out, calls = {}, inversion_calls()
+    build = functools.partial(special.InversionCdf, 1.5, 2.0, 200.0)
+    for name, (law, key) in WINDOW_LAWS.items():
         plan = special._plan(*law)
         out[name] = {"panels_per_window": plan.width, "deep_panels": plan.deep,
-                     "damped_entries_per_point": plan.width * special._nodes()[0].size}
-    out["InversionCdf(1.5, 2, 200)"] = inversion_cdf_ms()
-    out["us_per_call"] = inversion_us_per_call()
-    return out
-
-
-def inversion_plan_us() -> dict:
-    out = inversion_us_per_call()
-    out["InversionCdf(1.5, 2, 200)"] = inversion_cdf_ms()
+                     "damped_entries_per_point": plan.width * special._nodes()[0].size,
+                     "cold_coarse_panels": sum(map(coarse_panels, calls.get(key, [build])))}
+    out["InversionCdf(1.5, 2, 200)"] = inversion_cdf_ms(build)
+    out["us_per_call"] = inversion_us_per_call(calls)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "eval.csv"
         for fn, *params in EVAL_FUNCTIONS:
@@ -526,7 +536,6 @@ SECTIONS = {
     "verify_ms_per_point": verify_ms_per_point,
     "inversion_ms": inversion_ms,
     "ml_us_per_call": ml_us_per_call,
-    "inversion_plan_us": inversion_plan_us,
     "inversion_window": inversion_window,
     "import_cost": import_cost,
     "pchip_build_us": pchip_build_us,

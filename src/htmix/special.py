@@ -116,12 +116,15 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+_SIGNS = _frozen(np.where(np.arange(_MAX_TERMS) % 2 == 0, 1.0, -1.0))[0]  # (-1)^n, n >= 0
+
+
 @functools.lru_cache(maxsize=128)
 def _ml_table(delta: float, density: bool):
     """The x-free terms of E_delta(-x), or if density of the ML density.
-    Series (see _ml_series): the power of x, the log-gamma and the sign of the
-    first _MAX_TERMS terms (-1)^n x^n / Gamma(delta n + 1), n >= 0, or
-    (-1)^(n-1) x^(delta n - 1) / Gamma(delta n), n >= 1. Tail (see
+    Series (see _ml_series): the power of x and the log-gamma of the first
+    _MAX_TERMS terms (-1)^n x^n / Gamma(delta n + 1), n >= 0, or (-1)^(n-1)
+    x^(delta n - 1) / Gamma(delta n), n >= 1, signed by _SIGNS. Tail (see
     _alternating_tail), for k = 1 .. 200: the log-gamma part of the envelope,
     the power of x it divides by, and (-1)^(k-1) sin(pi delta k)."""
     import scipy.special as sc
@@ -134,9 +137,8 @@ def _ml_table(delta: float, density: bool):
     else:
         series = n, sc.gammaln(delta * n + 1.0)
         tail = sc.gammaln(delta * k), k
-    signs = np.where(np.arange(_MAX_TERMS) % 2 == 0, 1.0, -1.0)
     signed_sin = np.where(k.astype(int) % 2 == 1, 1.0, -1.0) * np.sin(math.pi * delta * k)
-    return _frozen(*series, signs), _frozen(*tail, signed_sin)
+    return _frozen(*series), _frozen(*tail, signed_sin)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -161,7 +163,7 @@ def _series_roundoff_ok(ln_terms: np.ndarray, acc: Accuracy) -> bool:
 def _ml_series(delta: float, x: float, density: bool, acc: Accuracy):
     """Alternating series for E_delta(-x), or the ML density at x if
     density, x > 0, or None if unsafe."""
-    power, gln, signs = _ml_table(delta, density)[0]
+    power, gln = _ml_table(delta, density)[0]
     ln_terms = power * math.log(x) - gln
     # Near the origin the density's first term dominates and its value is
     # large; roundoff is then relative to the value, which is the best a
@@ -175,7 +177,7 @@ def _ml_series(delta: float, x: float, density: bool, acc: Accuracy):
         return None
     if not dominated_head and not _series_roundoff_ok(ln_terms, acc):
         return None
-    return float(np.sum(signs * np.exp(ln_terms)))
+    return float(np.sum(_SIGNS * np.exp(ln_terms)))
 
 
 def _alternating_tail(delta: float, x: float, acc: Accuracy, *, density: bool):
@@ -431,7 +433,7 @@ _RISE = math.log(1e3)  # the most the kernel may rise above 1 on the imaginary a
 _MOST_PANELS = 4096  # fine panels per damped window
 _ENTRIES = 1 << 15  # damped matrix entries per row block, to bound memory
 _CHUNK = 8  # fine panels per cached lattice chunk, and window starts per chunk of heads
-_COARSE = 16  # coarse panels in the first cached chunk of running sums
+_COARSE = 16  # coarse panels in the running sums' level 0; level b adds 2^b times as many
 _NO_HEADS = _frozen(np.zeros((10, _CHUNK)))[0]  # in place of a chunk that holds no start
 
 
@@ -549,20 +551,19 @@ def _plan(alpha, nu, density: bool, lst: bool) -> _Plan:
 
 @functools.lru_cache(maxsize=16)
 def _coarse(law: tuple, b: int) -> np.ndarray:
-    """The running sums of the coarse panels j_lo .. j - 1 at j - j_lo from
-    _COARSE (2^b - 1) to _COARSE (2^(b+1) - 1): both rules', then the 32-point
-    rule's of |panel|. Each chunk goes on from the one below, so the sums have
-    one cumsum's bits, and the sum at j - j_lo = p costs at most 2p + _COARSE panels."""
+    """Level b: the running sums of the coarse panels j_lo .. j - 1 at j - j_lo = 0 ..
+    _COARSE (2^(b+1) - 1), both rules' then the 32-point rule's of |panel|, from one
+    cumsum, so level b - 1 is its first columns bit for bit. A one-point call builds
+    one level; a batch or a sweep over x may build more, under twice its top level's panels."""
     (alpha, nu, density, _), plan, (t, w) = law, _plan(*law), _nodes()
-    prev, ray = _coarse(law, b - 1)[:, -1] if b else np.zeros(3), plan.ray
-    j, step = plan.j_lo + _COARSE * (2**b - 1) + np.arange(_COARSE * 2**b), _ENTRIES // t.size
+    j, step, ray = plan.j_lo + np.arange(_COARSE * (2 ** (b + 1) - 1)), _ENTRIES // t.size, plan.ray
     with np.errstate(over="ignore", invalid="ignore"):  # nodes no point may need
         panels = np.concatenate([  # in row blocks, to bound memory
             _rule_sums(_kernel(alpha, nu, ray, (j[i:i + step, None] + t) * ray.coarse,
                                density).real * w) for i in range(0, j.size, step)]).T
     panels *= ray.coarse
-    sums = np.cumsum(np.concatenate([prev[:2, None], panels], axis=1), axis=1)
-    return _frozen(np.vstack([sums, np.cumsum(np.append(prev[2], np.abs(panels[0])))]))[0]
+    sums = np.concatenate([np.zeros((3, 1)), np.vstack([panels, np.abs(panels[0])])], axis=1)
+    return _frozen(np.cumsum(sums, axis=1))[0]
 
 
 @functools.lru_cache(maxsize=512)
@@ -579,28 +580,26 @@ def _heads(law: tuple, c: int) -> np.ndarray:
     """For the windows that start at fine panels c _CHUNK .. (c + 1) _CHUNK - 1,
     at v_win: for k = 0, 1, 2, both rules' sums of Re[(i e^(i beta) u)^k kappa]
     e^(-k v_win) / k! over the plan's deep fine panels below them, and for k = 0
-    also over all below those, each followed by the 32-point rule's of |.|; then
+    also over all below those (the coarse panels' from one _coarse level, the lowest
+    that reaches every window), each followed by the 32-point rule's of |.|; then
     the 32-point rule's node counts."""
     (alpha, nu, density, _), plan, (t, w) = law, _plan(*law), _nodes()
     ray, n = plan.ray, np.arange(c * _CHUNK, (c + 1) * _CHUNK) - plan.deep
     v_deep = n * ray.fine  # where the deep panels below a window begin
-    inner = v_deep > plan.j_lo * ray.coarse
-    j = np.where(inner, np.floor(v_deep / ray.coarse), plan.j_lo)  # coarse panels j_lo .. j - 1
-    span = np.where(inner, v_deep - j * ray.coarse, 0.0)
+    j = np.maximum(np.floor(v_deep / ray.coarse), plan.j_lo)  # coarse panels j_lo .. j - 1
+    span = np.maximum(v_deep - j * ray.coarse, 0.0)
     cut = span > 0.0
     pick = (j - plan.j_lo).astype(np.int64)
-    low, high = (int(p // _COARSE + 1).bit_length() - 1 for p in (pick.min(), pick.max()))
-    below = np.zeros((3, 1)) if not pick.any() else np.concatenate(  # no window past j_lo
-        [_coarse(law, b)[:, :-1] for b in range(low, high + 1)], axis=1)
-    below, part = below[:, pick - _COARSE * (2**low - 1)], np.zeros((2, _CHUNK))
-    deep, m = plan.deep, plan.moment
+    level = int(pick.max() // _COARSE + 1).bit_length() - 1  # the lowest that holds every pick
+    below = _coarse(law, level)[:, pick] if pick.any() else np.zeros((3, _CHUNK))
+    deep, m, part = plan.deep, plan.moment, np.zeros((2, _CHUNK))
     with np.errstate(over="ignore", invalid="ignore"):  # windows no point may need
         partial, kappa = np.split(_kernel(alpha, nu, ray, np.concatenate([  # in one call
             j[cut, None] * ray.coarse + t * span[cut, None],
             (n[0] + np.arange(deep + _CHUNK - 1)[:, None] + t) * ray.fine]), density),
             [cut.sum()])
         part[:, cut] = _rule_sums(partial.real * w).T * span[cut]
-        left = _far_left(alpha, nu, ray, np.where(inner, plan.j_lo * ray.coarse, v_deep), density)
+        left = _far_left(alpha, nu, ray, np.minimum(v_deep, plan.j_lo * ray.coarse), density)
         # Re[moment kappa] at the deep panels by both rules, by k, panel and rule, times
         # e^(k v_panel) up to a constant, and summed from the first deep panel by a cumsum
         sums = _rule_sums(m.real * kappa.real - m.imag * kappa.imag if ray.cos

@@ -298,6 +298,11 @@ class TestMittagLefflerTerms:
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
+    def test_series_signs_are_one_read_only_constant(self):
+        assert special._SIGNS.tolist() == [(-1.0) ** n for n in range(special._MAX_TERMS)]
+        with pytest.raises(ValueError):
+            special._SIGNS[0] = 1.0
+
     def test_series_cache_holds_both_series_of_64_deltas(self):
         # One bounded cache serves the series and the tail of E_delta(-x) and
         # of the density, as two of 64 did for each.
@@ -1150,6 +1155,70 @@ class TestTaylorHead:
                 start = math.floor((-math.log(x) - special._HEAD) / ray.fine)
                 head = special._heads(law, start // special._CHUNK)[:, start % special._CHUNK]
                 assert np.all(np.isfinite(head)), (law, x)
+
+
+# On the imaginary axis, on a tilted ray and on the Mittag-Leffler transform's
+# tilted ray.
+COARSE_LAWS = ((0.6, 0.5, False, False), (2.0, 0.5, False, False), (0.9, 1.0, False, True))
+
+
+class TestCoarseSums:
+    """Each _coarse level holds the running sums from j_lo in one cumsum, and a
+    _heads build reads one level."""
+
+    def test_each_level_starts_at_j_lo(self):
+        clear_inversion_caches()
+        for law in COARSE_LAWS:
+            for b in range(4):
+                level = special._coarse(law, b)
+                assert level.shape == (3, special._COARSE * (2 ** (b + 1) - 1) + 1)
+                assert level[:, 0].tobytes() == np.zeros(3).tobytes()
+                if b:
+                    below = special._coarse(law, b - 1)
+                    assert level[:, :below.shape[1]].tobytes() == below.tobytes(), (law, b)
+
+    def test_a_heads_build_reads_one_level(self, monkeypatch):
+        coarse, calls = special._coarse, []
+        monkeypatch.setattr(special, "_coarse", lambda law, b: calls.append(b) or coarse(law, b))
+        for law in COARSE_LAWS:
+            clear_inversion_caches()
+            fine, levels = special._plan(*law).ray.fine, set()
+            starts = {math.floor((-math.log(x) - special._HEAD) / fine)
+                      for x in np.geomspace(5e-324, 1e3, 40)}
+            for c in sorted({s // special._CHUNK for s in starts}):
+                calls.clear()
+                special._heads.__wrapped__(law, c)
+                assert len(calls) <= 1, (law, c, calls)
+                levels.update(calls)
+            assert len(levels) >= 3, law
+
+    def test_cold_calls_build_one_level(self, monkeypatch):
+        coarse, built = special._coarse, [0]
+
+        def counted(law, b):
+            misses = coarse.cache_info().misses
+            out = coarse(law, b)
+            if coarse.cache_info().misses > misses:  # this level was built here
+                built[0] += out.shape[1] - 1
+            return out
+
+        def panels(fn, alpha, nu, xs):
+            clear_inversion_caches()
+            built[0] = 0
+            for x in xs:
+                outcome(fn, alpha, nu, x)
+            return built[0]
+
+        monkeypatch.setattr(special, "_coarse", counted)
+        # A cold one-point call builds one level, _COARSE (2^(b+1) - 1) panels;
+        # a sweep that moves through the levels builds each from j_lo, under
+        # twice as many.
+        for (alpha, nu), want in {(0.6, 0.5): 240, (0.3, 3.0): 112, (1.5, 2.0): 1008,
+                                  (2.0, 0.5): 1008}.items():
+            for fn in (cdf_by_inversion, pdf_by_inversion):
+                assert panels(fn, alpha, nu, [5e-324]) == want, (fn, alpha, nu)
+                sweep = panels(fn, alpha, nu, np.geomspace(1e300, 5e-324, 60))
+                assert want <= sweep < 2 * want, (fn, alpha, nu, sweep)
 
 
 @settings(max_examples=50, deadline=None)
